@@ -58,12 +58,15 @@ class Assessment:
         self._texts = {f: unparse(f) for f in order}
         if texts:
             self._texts.update({f: t for f, t in texts.items() if f in values})
-        by_sat: dict[int, list[Formula]] = {}
-        for f in order:
-            by_sat.setdefault(language.sat(f), []).append(f)
-        for members in by_sat.values():
-            members.sort(key=self._texts.__getitem__)
-        self._by_sat = by_sat
+        # The statement index: parallel tuples in text order, built once.
+        self.statements = tuple(sorted(order, key=self._texts.__getitem__))
+        self.sats = tuple(language.sat(f) for f in self.statements)
+        self.values = tuple(values[f] for f in self.statements)
+        self.texts = tuple(self._texts[f] for f in self.statements)
+        self._by_sat: dict[int, int] = {}
+        for i, bits in enumerate(self.sats):
+            self._by_sat.setdefault(bits, i)
+        self._reversals = None
 
     def value(self, f: Formula) -> Fraction:
         try:
@@ -76,13 +79,34 @@ class Assessment:
     def text(self, f: Formula) -> str:
         return self._texts.get(f) or unparse(f)
 
+    def index_of(self, sat_bits: int) -> int | None:
+        """The index of the first (by text) statement with the given
+        valuation set."""
+        return self._by_sat.get(sat_bits)
+
     def find_equivalent(self, sat_bits: int) -> Formula | None:
         """The first (by text) universe member with the given valuation set."""
-        members = self._by_sat.get(sat_bits)
-        return members[0] if members else None
+        i = self.index_of(sat_bits)
+        return None if i is None else self.statements[i]
 
     def sorted_formulas(self) -> list[Formula]:
-        return sorted(self.formulas, key=self._texts.__getitem__)
+        return list(self.statements)
+
+    def reversals(self) -> tuple[tuple[int, int, int], ...]:
+        """Every ordered pair ``(i, j, gap)`` of statement indices with
+        pi_i > pi_j, where ``gap = sats[i] & ~sats[j]`` holds the
+        valuations making statement i true and j false.  Statement i
+        entails statement j relative to a valuation set V exactly when
+        ``gap & V == 0``; such a pair is a reversed entailment."""
+        if self._reversals is None:
+            sats, values = self.sats, self.values
+            self._reversals = tuple(
+                (i, j, si & ~sj)
+                for i, (si, vi) in enumerate(zip(sats, values))
+                for j, (sj, vj) in enumerate(zip(sats, values))
+                if vi > vj
+            )
+        return self._reversals
 
 
 class Bet:
@@ -179,53 +203,51 @@ def check_nt(a: Assessment) -> AxiomReport:
         violations.append(
             Violation("NT", ("F",), a.value(FALSE), ZERO, "pi(F) = 0")
         )
-    for f in a.sorted_formulas():
-        v = a.value(f)
+    for t, v in zip(a.texts, a.values):
         if not ZERO <= v <= ONE:  # guarded at construction; kept for loaded data
-            violations.append(
-                Violation("NT", (a.text(f),), v, ONE, "0 <= pi <= 1")
-            )
+            violations.append(Violation("NT", (t,), v, ONE, "0 <= pi <= 1"))
     return _report("NT", violations)
 
 
 def check_e(a: Assessment) -> AxiomReport:
     """Equivalence: logically equivalent statements get equal values."""
     violations = []
-    fs = a.sorted_formulas()
-    for f, g in itertools.combinations(fs, 2):
-        if a.language.equivalent(f, g) and a.value(f) != a.value(g):
+    sats, values, texts = a.sats, a.values, a.texts
+    for i, j in itertools.combinations(range(len(sats)), 2):
+        if sats[i] == sats[j] and values[i] != values[j]:
             violations.append(
                 Violation(
                     "E",
-                    (a.text(f), a.text(g)),
-                    a.value(f),
-                    a.value(g),
-                    f"pi({a.text(f)}) = pi({a.text(g)})",
+                    (texts[i], texts[j]),
+                    values[i],
+                    values[j],
+                    f"pi({texts[i]}) = pi({texts[j]})",
                 )
             )
     return _report("E", violations)
 
 
+def _reversed_entailments(a: Assessment, axiom: str, valuations: int, under: str):
+    """One violation per statement pair that entails relative to
+    ``valuations`` while the values reverse the entailment."""
+    texts, values = a.texts, a.values
+    return [
+        Violation(
+            axiom,
+            (texts[i], texts[j]),
+            values[i],
+            values[j],
+            f"{texts[i]} implies {texts[j]}{under} so "
+            f"pi({texts[j]}) >= pi({texts[i]})",
+        )
+        for i, j, gap in a.reversals()
+        if gap & valuations == 0
+    ]
+
+
 def check_i(a: Assessment) -> AxiomReport:
     """Implication: a statement never outvalues one it entails."""
-    violations = []
-    fs = a.sorted_formulas()
-    for f in fs:
-        for g in fs:
-            if f is g:
-                continue
-            if a.language.implies(f, g) and a.value(g) < a.value(f):
-                violations.append(
-                    Violation(
-                        "I",
-                        (a.text(f), a.text(g)),
-                        a.value(f),
-                        a.value(g),
-                        f"{a.text(f)} implies {a.text(g)} so "
-                        f"pi({a.text(g)}) >= pi({a.text(f)})",
-                    )
-                )
-    return _report("I", violations)
+    return _report("I", _reversed_entailments(a, "I", a.language.full_mask, ""))
 
 
 def check_ie(a: Assessment, n_max: int = 3) -> AxiomReport:
@@ -246,10 +268,10 @@ def check_ie(a: Assessment, n_max: int = 3) -> AxiomReport:
     """
     violations = []
     untestable = []
-    fs = a.sorted_formulas()
-    lang = a.language
-    for psi in fs:
-        ants = [f for f in fs if lang.implies(f, psi)]
+    sats, values, texts = a.sats, a.values, a.texts
+    full = a.language.full_mask
+    for psi, sat_psi in enumerate(sats):
+        ants = [i for i, si in enumerate(sats) if si & ~sat_psi == 0]
         for k in range(1, n_max + 1):
             for family in itertools.combinations(ants, k):
                 even = ZERO
@@ -260,34 +282,34 @@ def check_ie(a: Assessment, n_max: int = 3) -> AxiomReport:
                         if r == 1:
                             member = subset[0]
                         else:
-                            bits = lang.full_mask
-                            for f in subset:
-                                bits &= lang.sat(f)
-                            member = a.find_equivalent(bits)
+                            bits = full
+                            for i in subset:
+                                bits &= sats[i]
+                            member = a.index_of(bits)
                         if member is None:
-                            missing = " & ".join(a.text(f) for f in subset)
+                            missing = " & ".join(texts[i] for i in subset)
                             break
                         if r % 2 == 0:
-                            even += a.value(member)
+                            even += values[member]
                         else:
-                            odd += a.value(member)
+                            odd += values[member]
                     if missing:
                         break
                 if missing:
                     untestable.append(
                         "family {%s} under %s: conjunction (%s) not assessed"
-                        % (", ".join(a.text(f) for f in family), a.text(psi), missing)
+                        % (", ".join(texts[i] for i in family), texts[psi], missing)
                     )
                     continue
-                lhs = a.value(psi) + even
+                lhs = values[psi] + even
                 if lhs < odd:
                     violations.append(
                         Violation(
                             "IE",
-                            (a.text(psi),) + tuple(a.text(f) for f in family),
+                            (texts[psi],) + tuple(texts[i] for i in family),
                             lhs,
                             odd,
-                            f"pi({a.text(psi)}) + even conjunctions >= odd conjunctions",
+                            f"pi({texts[psi]}) + even conjunctions >= odd conjunctions",
                         )
                     )
     return _report("IE", violations, untestable, {"n_max": n_max})
@@ -298,26 +320,25 @@ def check_a(a: Assessment) -> AxiomReport:
     their disjunction, whenever the disjunction is assessed."""
     violations = []
     untestable = []
-    fs = a.sorted_formulas()
-    lang = a.language
-    for i, f in enumerate(fs):
-        for g in fs[i:]:
-            if lang.sat(f) & lang.sat(g):
+    sats, values, texts = a.sats, a.values, a.texts
+    for i, si in enumerate(sats):
+        for j in range(i, len(sats)):
+            if si & sats[j]:
                 continue
-            member = a.find_equivalent(lang.sat(f) | lang.sat(g))
+            member = a.index_of(si | sats[j])
             if member is None:
                 untestable.append(
-                    f"disjoint pair ({a.text(f)}, {a.text(g)}): disjunction not assessed"
+                    f"disjoint pair ({texts[i]}, {texts[j]}): disjunction not assessed"
                 )
                 continue
-            if a.value(f) + a.value(g) != a.value(member):
+            if values[i] + values[j] != values[member]:
                 violations.append(
                     Violation(
                         "A",
-                        (a.text(f), a.text(g), a.text(member)),
-                        a.value(f) + a.value(g),
-                        a.value(member),
-                        f"pi({a.text(f)}) + pi({a.text(g)}) = pi({a.text(member)})",
+                        (texts[i], texts[j], texts[member]),
+                        values[i] + values[j],
+                        values[member],
+                        f"pi({texts[i]}) + pi({texts[j]}) = pi({texts[member]})",
                     )
                 )
     return _report("A", violations, untestable)
@@ -326,25 +347,10 @@ def check_a(a: Assessment) -> AxiomReport:
 def check_s_i(a: Assessment, theory: Theory) -> AxiomReport:
     """Theory-relative Implication: entailment modulo the theory's
     statements never reverses the value order."""
-    violations = []
-    fs = a.sorted_formulas()
-    for f in fs:
-        for g in fs:
-            if f is g:
-                continue
-            if theory.implies(f, g) and a.value(g) < a.value(f):
-                violations.append(
-                    Violation(
-                        "S-I",
-                        (a.text(f), a.text(g)),
-                        a.value(f),
-                        a.value(g),
-                        f"{a.text(f)} implies {a.text(g)} under the theory so "
-                        f"pi({a.text(g)}) >= pi({a.text(f)})",
-                    )
-                )
     return _report(
-        "S-I", violations, meta={"theory": list(theory.generator_texts)}
+        "S-I",
+        _reversed_entailments(a, "S-I", theory.valuations, " under the theory"),
+        meta={"theory": list(theory.generator_texts)},
     )
 
 

@@ -12,15 +12,13 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from fractions import Fraction
 
 import click
 
 from . import assessment as axioms
 from . import construct, files, games, identify
 from .logic import LogicError
-from .model import ModelError, choquet, classify_lambda, classify_truth, mobius, represents
-from .model import event_label, inverse_mobius
+from .model import ModelError, choquet, event_label, inverse_mobius, mobius
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
@@ -38,7 +36,6 @@ AXIOM_TITLES = {
 class _Ctx:
     def __init__(self):
         self.format = "text"
-        self.seed = None
 
 
 def _emit(ctx: _Ctx, payload: dict, text_lines: list[str]):
@@ -64,15 +61,12 @@ def _load_session(path) -> files.Session:
 @click.group()
 @click.option("--format", "output_format", type=click.Choice(["text", "json"]), default=None,
               help="Report format; defaults to the session's setting.")
-@click.option("--seed", type=int, default=None,
-              help="Seed for randomized generators; current commands are deterministic.")
 @click.pass_context
-def main(ctx, output_format, seed):
+def main(ctx, output_format):
     """Grade likelihood assessments, build state-space models, identify
     understood implications, and test rationalizability."""
     ctx.obj = _Ctx()
     ctx.obj.format = output_format
-    ctx.obj.seed = seed
 
 
 def _resolve_format(ctx: _Ctx, session: files.Session):

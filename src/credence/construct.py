@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .assessment import Assessment, check_a, check_e, check_i, check_nt
-from .logic import FALSE, TRUE, Formula, unparse
+from .logic import FALSE, TRUE, unparse
 from .model import ModelError, SubjectiveModel, classify_truth, mobius, represents
 
 ZERO = Fraction(0)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import _simplex
 from .assessment import Assessment
 from .logic import Formula, unparse
-from .model import SubjectiveModel, choquet, event_label, represents
+from .model import ModelError, SubjectiveModel, choquet, event_label, represents
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -265,9 +265,6 @@ class MaximalModel:
         return frozenset(
             self.states[i] for i in range(len(self.states)) if (i >> j) & 1
         )
-
-    def truth_of_event(self, event: frozenset) -> frozenset:
-        return self.cylinder(event)
 
 
 def strategy_events(model: SubjectiveModel, strategies) -> list[frozenset]:
@@ -517,7 +514,7 @@ def rationalizable(
     for source, witness in candidates:
         try:
             values = [(n, choquet(witness, v)) for n, v in zip(names, base_vectors)]
-        except Exception:
+        except ModelError:
             continue
         chosen_value = dict(values)[choice_name]
         if all(chosen_value >= v for _, v in values):

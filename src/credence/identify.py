@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .assessment import Assessment, AxiomReport, check_i, check_ie, check_nt, check_s_i
-from .logic import TRUE, Formula, Language, Theory, unparse
+from .logic import Language, Theory, unparse
 
 ONE = Fraction(1)
 
@@ -58,24 +58,20 @@ def understood_implications(assessment: Assessment) -> list[ImplicationVerdict]:
         raise IdentifyError(
             "identification requires a normalized assessment (axiom NT)", nt
         )
-    lang = assessment.language
-    out = []
-    fs = assessment.sorted_formulas()
-    for f in fs:
-        for g in fs:
-            if not lang.implies(f, g):
-                continue
-            margin = assessment.value(g) - assessment.value(f)
-            out.append(
-                ImplicationVerdict(
-                    antecedent=assessment.text(f),
-                    consequent=assessment.text(g),
-                    logically_valid=True,
-                    understood=margin >= 0,
-                    margin=margin,
-                )
-            )
-    return out
+    texts, values, sats = assessment.texts, assessment.values, assessment.sats
+    return [
+        ImplicationVerdict(
+            antecedent=texts[i],
+            consequent=texts[j],
+            logically_valid=True,
+            understood=margin >= 0,
+            margin=margin,
+        )
+        for i, si in enumerate(sats)
+        for j, sj in enumerate(sats)
+        if si & ~sj == 0
+        for margin in (values[j] - values[i],)
+    ]
 
 
 @dataclass
@@ -121,19 +117,6 @@ def _theory_for_valuations(
     return Theory(language, gens, texts), tuple(texts)
 
 
-def _passes_s_i(assessment: Assessment, valuations: int) -> bool:
-    lang = assessment.language
-    for f in assessment.formulas:
-        for g in assessment.formulas:
-            if f is g:
-                continue
-            if assessment.value(f) <= assessment.value(g):
-                continue
-            if lang.sat(f) & valuations & ~lang.sat(g) == 0:
-                return False
-    return True
-
-
 def largest_subtheory(assessment: Assessment, theory: Theory) -> SubtheoryResult:
     """The largest sub-theory whose relative entailments the assessment
     respects, found by enumerating valuation supersets of the theory's
@@ -153,6 +136,8 @@ def largest_subtheory(assessment: Assessment, theory: Theory) -> SubtheoryResult
         raise IdentifyError(
             f"sub-theory enumeration capped at {MAX_ENUMERATION_ATOMS} atoms"
         )
+    # V passes S-I exactly when it meets every reversal gap D_fg.
+    gaps = [gap for _, _, gap in assessment.reversals()]
     base = theory.valuations
     free_bits = [i for i in range(lang.n_valuations) if not (base >> i) & 1]
     passing = []
@@ -161,10 +146,10 @@ def largest_subtheory(assessment: Assessment, theory: Theory) -> SubtheoryResult
         for j, i in enumerate(free_bits):
             if (pick >> j) & 1:
                 v |= 1 << i
-        if _passes_s_i(assessment, v):
+        if all(gap & v for gap in gaps):
             passing.append(v)
-    # axiom I means the full valuation set always passes
-    assert passing, "tautological sub-theory must pass under axiom I"
+    # The axiom-I gate read these same gaps under the full mask, so the
+    # full valuation set is always among the passing sets.
 
     meet = lang.full_mask
     for v in passing:
@@ -190,7 +175,7 @@ def largest_subtheory(assessment: Assessment, theory: Theory) -> SubtheoryResult
             _, ctexts = _theory_for_valuations(lang, v, theory)
             candidates.append(ctexts)
     diagnostics = {
-        "relative_to_universe": [assessment.text(f) for f in assessment.sorted_formulas()],
+        "relative_to_universe": list(assessment.texts),
         "passing_valuation_sets": len(passing),
     }
     return SubtheoryResult(

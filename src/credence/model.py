@@ -12,6 +12,7 @@ and tests whether a model reproduces an assessment.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -190,11 +191,7 @@ class SubjectiveModel:
                 f"generated field has {len(atoms)} atoms; "
                 f"enumeration is capped at {MAX_FIELD_ATOMS}"
             )
-        out = []
-        for r in range(len(atoms) + 1):
-            for combo in itertools.combinations(atoms, r):
-                out.append(frozenset().union(*combo) if combo else frozenset())
-        return sorted(set(out), key=lambda e: (len(e), event_label(e)))
+        return sorted(_unions(atoms), key=lambda e: (len(e), event_label(e)))
 
 
 # -- truth classification ------------------------------------------------
@@ -341,12 +338,11 @@ def classify_lambda(model: SubjectiveModel) -> LambdaFlags:
         if lam[ev] != total:
             wit["additive"].append((event_label(ev), str(lam[ev]), str(total)))
 
-    masses = _mobius_on_blocks(atoms, lam)
-    for subset, m in masses.items():
+    # Mobius masses over the powerset of field atoms, each block a point
+    unions = _unions(atoms)
+    for ev, m in zip(unions, _subset_sums([lam[ev] for ev in unions], inverse=True)):
         if m < 0:
-            wit["totally_monotone"].append(
-                (event_label(frozenset().union(*subset) if subset else frozenset()), str(m))
-            )
+            wit["totally_monotone"].append((event_label(ev), str(m)))
 
     wit = {k: sorted(set(v)) for k, v in wit.items()}
     return LambdaFlags(
@@ -358,90 +354,62 @@ def classify_lambda(model: SubjectiveModel) -> LambdaFlags:
     )
 
 
-def _mobius_on_blocks(blocks, lam) -> dict[tuple, Fraction]:
-    """Mobius masses over the powerset of field atoms, treating each
-    block as a point."""
-    n = len(blocks)
-    arr = []
-    for mask in range(1 << n):
-        ev = frozenset().union(*(blocks[j] for j in range(n) if (mask >> j) & 1)) if mask else frozenset()
-        arr.append(lam[ev])
-    for j in range(n):
-        bit = 1 << j
-        for mask in range(1 << n):
-            if mask & bit:
-                arr[mask] -= arr[mask ^ bit]
-    out = {}
-    for mask in range(1 << n):
-        subset = tuple(blocks[j] for j in range(n) if (mask >> j) & 1)
-        out[subset] = arr[mask]
+# -- Mobius transform ------------------------------------------------------
+
+
+def _unions(blocks) -> list[frozenset]:
+    """The union of the blocks each bitmask picks, indexed by the mask
+    (bit j picks ``blocks[j]``)."""
+    out = [frozenset()]
+    for block in blocks:
+        out += [ev | block for ev in out]
     return out
 
 
-def totally_monotone_direct(model: SubjectiveModel, max_family: int = 4) -> bool:
-    """Check the defining union/intersection inequalities on families of
-    up to ``max_family`` events from the generated field.  Used as an
-    independent oracle for the Mobius criterion."""
-    events, lam = _sigma_values(model)
-    nonempty = [e for e in events if e]
-    for k in range(2, max_family + 1):
-        for family in itertools.combinations(nonempty, k):
-            union = frozenset().union(*family)
-            alternating = ZERO
-            for r in range(1, k + 1):
-                for subset in itertools.combinations(family, r):
-                    inter = frozenset(subset[0])
-                    for e in subset[1:]:
-                        inter &= e
-                    alternating += (-1) ** (r + 1) * lam[frozenset(inter)]
-            if lam[union] < alternating:
-                return False
-    return True
-
-
-# -- Mobius transform ------------------------------------------------------
+def _subset_sums(arr: list, inverse: bool = False) -> list:
+    """The zeta transform over bitmasks, in place: each entry becomes the
+    sum of the entries at its submasks.  ``inverse`` runs the Mobius
+    transform instead, which undoes it."""
+    combine = operator.sub if inverse else operator.add
+    bit = 1
+    while bit < len(arr):
+        for mask in range(len(arr)):
+            if mask & bit:
+                arr[mask] = combine(arr[mask], arr[mask ^ bit])
+        bit <<= 1
+    return arr
 
 
 def mobius(model: SubjectiveModel) -> dict[frozenset, Fraction]:
     """Mobius masses of an appraisal that is total on the full powerset.
     Inverse of :func:`inverse_mobius`; masses sum to 1 and are all
     nonnegative exactly when the appraisal is totally monotone."""
-    n = len(model.states)
-    if n > MAX_POWERSET_STATES:
+    if len(model.states) > MAX_POWERSET_STATES:
         raise ModelError(f"powerset Mobius capped at {MAX_POWERSET_STATES} states")
-    order = list(model.states)
+    events = _unions(frozenset([s]) for s in model.states)
     arr = []
-    for mask in range(1 << n):
-        ev = frozenset(order[j] for j in range(n) if (mask >> j) & 1)
+    for ev in events:
         v = model.lambda_of(ev)
         if v is None:
             raise ModelError(
                 f"lambda is not total on the powerset; missing {event_label(ev) or '(empty)'}"
             )
         arr.append(v)
-    for j in range(n):
-        bit = 1 << j
-        for mask in range(1 << n):
-            if mask & bit:
-                arr[mask] -= arr[mask ^ bit]
-    out = {}
-    for mask in range(1, 1 << n):
-        ev = frozenset(order[j] for j in range(n) if (mask >> j) & 1)
-        out[ev] = arr[mask]
-    return out
+    return dict(zip(events[1:], _subset_sums(arr, inverse=True)[1:]))
 
 
 def inverse_mobius(masses, states) -> dict[frozenset, Fraction]:
     """Rebuild the appraisal from Mobius masses: each event sums the
     masses of its subsets."""
-    states = tuple(states)
-    out = {}
-    items = [(frozenset(ev), Fraction(v)) for ev, v in masses.items()]
-    n = len(states)
-    for mask in range(1 << n):
-        ev = frozenset(states[j] for j in range(n) if (mask >> j) & 1)
-        out[ev] = sum((v for sub, v in items if sub <= ev), ZERO)
-    return out
+    events = _unions(frozenset([s]) for s in states)
+    mask_of = {ev: mask for mask, ev in enumerate(events)}
+    arr = [ZERO] * len(events)
+    for ev, v in masses.items():
+        v = Fraction(v)
+        mask = mask_of.get(frozenset(ev))
+        if mask is not None:  # a mass off the states lies below no event
+            arr[mask] += v
+    return dict(zip(events, _subset_sums(arr)))
 
 
 # -- Choquet integration ----------------------------------------------------

@@ -2,8 +2,10 @@
 
 The oracles here recompute expected values by routes independent of the
 implementation under test: direct recursive truth-table evaluation for
-entailment, the textbook alternating-sum formula for Mobius masses, and
-a simplex-grid search for dominance.
+entailment, the statement-pair loops the axiom checkers ran before the
+statement index, the textbook alternating-sum formula for Mobius masses
+and the literal subset sum for its inverse, the defining inequalities of
+total monotonicity, and a simplex-grid search for dominance.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from credence.assessment import Assessment
-from credence.logic import FALSE, TRUE, And, Atom, Const, Formula, Language, Not, Or
+from credence.assessment import Assessment, Violation
+from credence.logic import And, Atom, Const, Formula, Language, Not, Or, Theory
+from credence.model import SubjectiveModel
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -34,8 +37,14 @@ def eval_formula(f: Formula, assignment: dict[str, bool]) -> bool:
     raise TypeError(f)
 
 
-def truth_table_implies(lang: Language, f: Formula, g: Formula) -> bool:
+def truth_table_implies(
+    lang: Language, f: Formula, g: Formula, valuations: int | None = None
+) -> bool:
+    """Whether every valuation (of ``valuations`` when given) making ``f``
+    true makes ``g`` true."""
     for bits in range(lang.n_valuations):
+        if valuations is not None and not (valuations >> bits) & 1:
+            continue
         assignment = lang.valuation_atoms(bits)
         if eval_formula(f, assignment) and not eval_formula(g, assignment):
             return False
@@ -56,6 +65,104 @@ def mobius_oracle(states, lam) -> dict[frozenset, Fraction]:
                     m += (-1) ** (len(a) - len(b)) * lam[b]
             out[a] = m
     return out
+
+
+def check_i_oracle(a: Assessment) -> list[Violation]:
+    """The statement-pair loop of axiom I, on truth tables."""
+    violations = []
+    fs = a.sorted_formulas()
+    for f in fs:
+        for g in fs:
+            if f is g:
+                continue
+            if truth_table_implies(a.language, f, g) and a.value(g) < a.value(f):
+                violations.append(
+                    Violation(
+                        "I",
+                        (a.text(f), a.text(g)),
+                        a.value(f),
+                        a.value(g),
+                        f"{a.text(f)} implies {a.text(g)} so "
+                        f"pi({a.text(g)}) >= pi({a.text(f)})",
+                    )
+                )
+    return sorted(violations, key=lambda v: v.formulas)
+
+
+def check_s_i_oracle(a: Assessment, theory: Theory) -> list[Violation]:
+    """The statement-pair loop of axiom S-I, on truth tables restricted to
+    the theory's valuations."""
+    violations = []
+    fs = a.sorted_formulas()
+    for f in fs:
+        for g in fs:
+            if f is g:
+                continue
+            if (
+                truth_table_implies(a.language, f, g, theory.valuations)
+                and a.value(g) < a.value(f)
+            ):
+                violations.append(
+                    Violation(
+                        "S-I",
+                        (a.text(f), a.text(g)),
+                        a.value(f),
+                        a.value(g),
+                        f"{a.text(f)} implies {a.text(g)} under the theory so "
+                        f"pi({a.text(g)}) >= pi({a.text(f)})",
+                    )
+                )
+    return sorted(violations, key=lambda v: v.formulas)
+
+
+def passes_s_i_oracle(assessment: Assessment, valuations: int) -> bool:
+    """Whether no pair entails relative to ``valuations`` while its values
+    reverse; the sub-theory search's passing test, pair by pair."""
+    lang = assessment.language
+    for f in assessment.formulas:
+        for g in assessment.formulas:
+            if f is g:
+                continue
+            if assessment.value(f) <= assessment.value(g):
+                continue
+            if lang.sat(f) & valuations & ~lang.sat(g) == 0:
+                return False
+    return True
+
+
+def inverse_mobius_oracle(masses, states) -> dict[frozenset, Fraction]:
+    """Each event of the states' powerset sums the masses of its subsets,
+    literally."""
+    states = tuple(states)
+    out = {}
+    items = [(frozenset(ev), Fraction(v)) for ev, v in masses.items()]
+    n = len(states)
+    for mask in range(1 << n):
+        ev = frozenset(states[j] for j in range(n) if (mask >> j) & 1)
+        out[ev] = sum((v for sub, v in items if sub <= ev), ZERO)
+    return out
+
+
+def totally_monotone_direct(model: SubjectiveModel, max_family: int = 4) -> bool:
+    """Check the defining union/intersection inequalities on families of
+    up to ``max_family`` events from the generated field; the oracle for
+    the Mobius criterion."""
+    events = model.field_events()
+    lam = {ev: model.lambda_of(ev) for ev in events}
+    nonempty = [e for e in events if e]
+    for k in range(2, max_family + 1):
+        for family in itertools.combinations(nonempty, k):
+            union = frozenset().union(*family)
+            alternating = ZERO
+            for r in range(1, k + 1):
+                for subset in itertools.combinations(family, r):
+                    inter = frozenset(subset[0])
+                    for e in subset[1:]:
+                        inter &= e
+                    alternating += (-1) ** (r + 1) * lam[frozenset(inter)]
+            if lam[union] < alternating:
+                return False
+    return True
 
 
 def random_fraction(rng: random.Random, den_max: int = 8) -> Fraction:

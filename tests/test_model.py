@@ -14,10 +14,9 @@ from credence.model import (
     inverse_mobius,
     mobius,
     represents,
-    totally_monotone_direct,
 )
 
-from helpers import mobius_oracle, random_capacity
+from helpers import mobius_oracle, random_capacity, totally_monotone_direct
 
 F = Fraction
 
