@@ -2,7 +2,9 @@
 """Contrast additive and general rationalizability on the hedging
 fixture: the constant strategy is strictly dominated by a coin flip over
 the two bets, yet a non-additive likelihood appraisal makes it the best
-response.  Prints the dominance certificates and the verified witness.
+response.  Prints the dominance certificates, each strategy's payoff in
+the maximal model as an affine form in the coordinate bits, and the
+verified witness.
 
 Usage: python3 scripts/rationalizability_demo.py
 """
@@ -12,12 +14,7 @@ import sys
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from credence import (  # noqa: E402
-    maximal_model,
-    rationalizable,
-    t_circ,
-    transported_vector,
-)
+from credence import rationalizable, t_circ, transported_vector  # noqa: E402
 from credence.files import load_session  # noqa: E402
 from credence.games import strategy_events  # noqa: E402
 from credence.model import event_label  # noqa: E402
@@ -45,12 +42,12 @@ def main():
         print(f"  dominated by {{{mix}}} with margin {additive.epsilon}")
 
     events = strategy_events(model, pool)
-    mm = maximal_model(model, events)
-    print(f"\nmaximal model coordinates: {[event_label(e) for e in events]}"
-          f" -> {len(mm.states)} states")
+    labels = [event_label(e) for e in events]
+    print(f"\nmaximal model coordinates: {labels} (m[e] = 1 where event e holds)")
     for s in pool:
-        vec = transported_vector(mm, model, s)
-        print(f"  {s.name}: { {k: str(v) for k, v in sorted(vec.items())} }")
+        constant, coefficients = transported_vector(model, events, s)
+        terms = "".join(f" + {c}*m[{lab}]" for c, lab in zip(coefficients, labels) if c)
+        print(f"  {s.name}: y(m) = {constant}{terms}")
 
     general = rationalizable(chosen, pool, model)
     print(f"\ngeneral likelihood appraisals: rationalizable={general.rationalizable}")

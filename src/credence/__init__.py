@@ -25,11 +25,10 @@ from .construct import (
     build_interval_additive,
     build_product_model,
 )
+from .errors import InternalError
 from .games import (
-    MaximalModel,
     Strategy,
     layer_decompose,
-    maximal_model,
     pointwise_undominated,
     rationalizable,
     t_bullet,
@@ -55,9 +54,9 @@ __all__ = [
     "BuildError", "BuildOutcome",
     "build_additive_sound", "build_belief_lift", "build_canonical_sound",
     "build_interval_additive", "build_product_model",
-    "MaximalModel", "Strategy", "layer_decompose", "maximal_model",
-    "pointwise_undominated", "rationalizable", "t_bullet", "t_circ",
-    "transported_vector", "verify_integral_equality",
+    "InternalError",
+    "Strategy", "layer_decompose", "pointwise_undominated",
+    "rationalizable", "t_bullet", "t_circ", "transported_vector", "verify_integral_equality",
     "largest_subtheory", "subtheory_via_certainty", "understood_implications",
     "FALSE", "TRUE", "Formula", "Language", "Theory", "unparse",
     "SubjectiveModel", "choquet", "classify_lambda", "classify_truth",

@@ -56,10 +56,14 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: list[Fraction] | None
     value: Fraction | None
+    duals: list[Fraction] | None = None  # one per a_ub row, when optimal
 
 
 def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
-    """Maximize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0."""
+    """Maximize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0.
+
+    At an optimum, ``duals`` holds an optimal dual value (>= 0) for each
+    ``a_ub`` row, read off the reduced cost of its slack or surplus column."""
     a_ub = [list(map(Fraction, r)) for r in (a_ub or [])]
     b_ub = [Fraction(v) for v in (b_ub or [])]
     a_eq = [list(map(Fraction, r)) for r in (a_eq or [])]
@@ -158,7 +162,8 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
         if bi < n:
             x[bi] = tab[i][-1]
     value = sum(ci * xi for ci, xi in zip(c, x))
-    return LpResult("optimal", x, value)
+    duals = [-obj[n + i] for i in range(len(a_ub))]
+    return LpResult("optimal", x, value, duals)
 
 
 @dataclass

@@ -3,7 +3,8 @@
 Commands operate on a session file that names the atom set and the
 input files (assessment, theory, models, strategies).  Exit codes:
 0 = pass/success, 1 = substantive failure (axiom violation, strategy
-not rationalizable, refused identification), 2 = input error.
+not rationalizable, refused identification), 2 = input error, 3 = an
+internal invariant failed (a bug, never the input's fault).
 Reports are deterministic: statements in text order, rationals reduced.
 """
 
@@ -17,10 +18,11 @@ import click
 
 from . import assessment as axioms
 from . import construct, files, games, identify
+from .errors import InternalError
 from .logic import LogicError
 from .model import ModelError, choquet, event_label, inverse_mobius, mobius
 
-PASS, FAIL, BAD_INPUT = 0, 1, 2
+PASS, FAIL, BAD_INPUT, INTERNAL = 0, 1, 2, 3
 
 AXIOM_ORDER = ["nt", "e", "i", "ie", "a", "s-i"]
 AXIOM_TITLES = {
@@ -58,7 +60,16 @@ def _load_session(path) -> files.Session:
         _fail_input(str(e))
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except InternalError as e:
+            click.echo(f"error: {e}", err=True)
+            sys.exit(INTERNAL)
+
+
+@click.group(cls=_Main)
 @click.option("--format", "output_format", type=click.Choice(["text", "json"]), default=None,
               help="Report format; defaults to the session's setting.")
 @click.pass_context

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .assessment import Assessment, check_a, check_e, check_i, check_nt
+from .errors import InternalError
 from .logic import FALSE, TRUE, unparse
 from .model import ModelError, SubjectiveModel, classify_truth, mobius, represents
 
@@ -85,7 +86,7 @@ def _require(report, axiom: str, what: str):
 def _certify_represents(model, assessment) -> CertEntry:
     rep = represents(model, assessment)
     if not rep.ok:
-        raise BuildError("internal: built model fails to reproduce the assessment")
+        raise InternalError("internal: built model fails to reproduce the assessment")
     return CertEntry("represents", True, "zero residual on every assessed statement")
 
 
@@ -149,17 +150,16 @@ def build_canonical_sound(assessment: Assessment) -> BuildOutcome:
     atoms = model.field_atoms()
     if len(atoms) <= _MAX_MATERIALIZED_FIELD_ATOMS and lang.n_valuations <= 4096:
         state_bit = {s: 1 << i for i, s in enumerate(states)}
+        statements = list(zip(assessment.sats, assessment.values))
         for ev in model.field_events():
             if ev in model.lam:
                 continue
             bits = 0
             for s in ev:
                 bits |= state_bit[s]
-            best = ZERO
-            for f in assessment.formulas:
-                if lang.sat(f) & ~bits == 0:
-                    best = max(best, assessment.value(f))
-            model.lam[ev] = best
+            model.lam[ev] = max(
+                (v for sat, v in statements if sat & ~bits == 0), default=ZERO
+            )
         notes.append("appraisal inner-extended to the generated field")
     else:
         notes.append("generated field too large to materialize; appraisal kept on named events")
@@ -262,7 +262,7 @@ def build_belief_lift(
         for f in model.truth_domain()
     )
     if not preserved:
-        raise BuildError("internal: lift failed to preserve statement likelihoods")
+        raise InternalError("internal: lift failed to preserve statement likelihoods")
     cert.append(
         CertEntry("likelihoods preserved", True, "lambda(t(phi)) unchanged for every statement")
     )

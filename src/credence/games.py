@@ -9,10 +9,12 @@ vector decomposes into layers named by statements, which lets the same
 strategy be evaluated inside any other representation of the same
 assessment (``t_bullet``).  Rationalizability by *some* likelihood
 appraisal reduces to strict pointwise undominance of the transported
-payoffs in a maximal model whose coordinates are the events the
-strategies actually name; the reduction's dominance test is an
-exact-rational linear program, and every witness it produces is
-re-verified by direct Choquet comparison, never trusted from the LP
+payoffs in a maximal model whose coordinates are the k events the
+strategies actually name.  That model is never materialized: each
+transported payoff is affine in the k coordinate bits, so dominance
+over its 2^k states is one exact-rational linear program with pool +
+k + 1 variables, and no cap on k is needed.  Every witness it produces
+is re-verified by direct Choquet comparison, never trusted from the LP
 alone.
 """
 
@@ -23,13 +25,12 @@ from fractions import Fraction
 
 from . import _simplex
 from .assessment import Assessment
+from .errors import InternalError
 from .logic import Formula, unparse
 from .model import ModelError, SubjectiveModel, choquet, event_label, represents
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-MAX_COORDINATES = 16
 
 
 class GamesError(ValueError):
@@ -231,46 +232,13 @@ def verify_integral_equality(
     return IntegralComparison(lhs == rhs, lhs, rhs)
 
 
-# -- maximal model -----------------------------------------------------------
-
-
-@dataclass
-class MaximalModel:
-    base: SubjectiveModel
-    coordinates: tuple[frozenset, ...]
-
-    def __post_init__(self):
-        k = len(self.coordinates)
-        if k > MAX_COORDINATES:
-            raise GamesError(
-                f"maximal model capped at {MAX_COORDINATES} coordinates, got {k}"
-            )
-        self.states = tuple(
-            "m" + format(i, f"0{k}b")[::-1] if k else "m" for i in range(1 << k)
-        )
-
-    def cylinder(self, event: frozenset) -> frozenset:
-        """States whose coordinate for ``event`` reads 1; the full or empty
-        event maps to the full or empty state set."""
-        if event == self.base.omega:
-            return frozenset(self.states)
-        if not event:
-            return frozenset()
-        try:
-            j = self.coordinates.index(event)
-        except ValueError:
-            raise GamesError(
-                f"event {event_label(event)} is not a coordinate of the maximal model"
-            ) from None
-        return frozenset(
-            self.states[i] for i in range(len(self.states)) if (i >> j) & 1
-        )
+# -- the maximal model, in affine form ---------------------------------------
 
 
 def strategy_events(model: SubjectiveModel, strategies) -> list[frozenset]:
     """The distinct layer upper-set events named by the strategies,
-    excluding the full and empty event; these are the coordinates the
-    maximal model needs."""
+    excluding the full and empty event; these are the coordinates of the
+    maximal model."""
     events = set()
     for s in strategies:
         x = t_circ(model, s)
@@ -281,29 +249,30 @@ def strategy_events(model: SubjectiveModel, strategies) -> list[frozenset]:
     return sorted(events, key=lambda e: (len(e), event_label(e)))
 
 
-def maximal_model(model: SubjectiveModel, events) -> MaximalModel:
-    events = [frozenset(e) for e in events]
-    for e in events:
-        if not e or e == model.omega:
-            raise GamesError("coordinates must be proper nonempty events")
-    if len(set(events)) != len(events):
-        raise GamesError("duplicate coordinate events")
-    return MaximalModel(model, tuple(events))
-
-
 def transported_vector(
-    mm: MaximalModel, model: SubjectiveModel, strategy: Strategy
-) -> dict[str, Fraction]:
-    """The strategy's payoffs transported into the maximal model: the layer
-    sum with each upper-set event replaced by its coordinate cylinder."""
+    model: SubjectiveModel, coordinates, strategy: Strategy
+) -> tuple[Fraction, list[Fraction]]:
+    """The strategy's payoffs transported into the maximal model, whose
+    states are the bit vectors m saying which coordinate events hold.
+    The layer sum is affine in those bits: y(m) = constant + sum_j
+    coefficient_j * m_j, where the constant is the weight of the
+    full-event layers and coefficient_j the weight of the layer on
+    coordinate j.  Returns (constant, coefficients in coordinate order)."""
+    index = {ev: j for j, ev in enumerate(coordinates)}
     layers = layer_decompose(t_circ(model, strategy), model)
-    weights = _layer_weights(layers)
-    out = {s: ZERO for s in mm.states}
-    for w, (_, f) in zip(weights, layers):
-        cyl = mm.cylinder(model.truth_of(f))
-        for s in cyl:
-            out[s] += w
-    return out
+    constant = ZERO
+    coefficients = [ZERO] * len(index)
+    for w, (_, f) in zip(_layer_weights(layers), layers):
+        ev = model.truth_of(f)
+        if ev == model.omega:
+            constant += w
+        elif ev not in index:
+            raise GamesError(
+                f"event {event_label(ev)} is not a coordinate of the maximal model"
+            )
+        else:
+            coefficients[index[ev]] += w
+    return constant, coefficients
 
 
 # -- dominance ----------------------------------------------------------------
@@ -367,6 +336,87 @@ def pointwise_undominated(x, alternatives, weak: bool = False) -> DominanceResul
     if slack > 0:
         return DominanceResult(True, "weak", slack, res.x, None)
     return DominanceResult(False, "weak", slack, None, None)
+
+
+@dataclass
+class _AffineDominance:
+    epsilon: Fraction
+    mixture: list[Fraction] | None  # set exactly when dominated
+    marginals: list[Fraction] | None  # strict mode only
+
+
+def _worst_margin(a, d, weights) -> Fraction:
+    """min over m in {0,1}^k of sum_i weights_i * (a_i + d_i . m): each
+    coordinate bit is set exactly where the mixed coefficient is negative."""
+    total = sum((w * ai for w, ai in zip(weights, a)), ZERO)
+    for column in zip(*d):
+        total += min(ZERO, sum((w * dij for w, dij in zip(weights, column)), ZERO))
+    return total
+
+
+def _affine_dominance(forms, choice: int, weak: bool) -> _AffineDominance:
+    """Wald-Pearce dominance of ``forms[choice]`` by a mixture of the
+    affine ``forms`` over the maximal model's 2^k states, decided without
+    enumerating them.
+
+    With a_i and d_i the constant and coefficients of form i minus the
+    choice's, a mixture sigma beats the choice at its worst state by
+    A(sigma) + sum_j min(0, D_j(sigma)), where A and D_j mix the a_i and
+    d_ij.  Both tests are one LP over sigma (pool), u_j >= max(0,
+    -D_j(sigma)) (k) and, in strict mode, the margin epsilon (1):
+
+    * strict: maximize epsilon s.t. epsilon <= A(sigma) - sum_j u_j;
+    * weak: keep A(sigma) - sum_j u_j >= 0 and maximize the total slack
+      over the 2^k states, 2^k A(sigma) + 2^(k-1) sum_j D_j(sigma).
+
+    The strict duals of the u-rows, scaled by the dual of the margin
+    row, are coordinate marginals q in [0, 1]^k with max_i (a_i + d_i . q)
+    = epsilon: a prior under which nothing beats the choice by more than
+    epsilon.  The mixture's worst-case margin and the marginals are both
+    checked against the LP optimum exactly.
+    """
+    a_x, c_x = forms[choice]
+    a = [ai - a_x for ai, _ in forms]
+    d = [[cij - cxj for cij, cxj in zip(ci, c_x)] for _, ci in forms]
+    n, k = len(forms), len(c_x)
+    margin = [] if weak else [ONE]
+    a_ub = [[-ai for ai in a] + [ONE] * k + margin]
+    for j in range(k):
+        u = [ZERO] * k
+        u[j] = -ONE
+        a_ub.append([-di[j] for di in d] + u + [ZERO] * len(margin))
+    a_eq = [[ONE] * n + [ZERO] * (k + len(margin))]
+    if weak:
+        c = [2 * ai + sum(di, ZERO) for ai, di in zip(a, d)] + [ZERO] * k
+    else:
+        c = [ZERO] * (n + k) + [ONE]
+    res = _simplex.maximize(c, a_ub, [ZERO] * (k + 1), a_eq, [ONE])
+    if res.status != "optimal":
+        raise InternalError(f"internal: the dominance LP came back {res.status}")
+    sigma = res.x[:n]
+    worst = _worst_margin(a, d, sigma)
+
+    if weak:
+        if worst < 0:
+            raise InternalError("internal: the weak dominance LP broke its own constraint")
+        epsilon = res.value * Fraction(1 << k, 2)
+        return _AffineDominance(epsilon, sigma if epsilon > 0 else None, None)
+
+    epsilon = res.value
+    if worst != epsilon:
+        raise InternalError(
+            f"internal: the mixture's worst-case margin {worst} is not the LP optimum {epsilon}"
+        )
+    scale = res.duals[0]
+    if scale <= 0:
+        raise InternalError("internal: the margin row has no positive dual")
+    marginals = [v / scale for v in res.duals[1:]]
+    best = max(ai + sum(dij * qj for dij, qj in zip(di, marginals)) for ai, di in zip(a, d))
+    if best != epsilon or not all(ZERO <= q <= ONE for q in marginals):
+        raise InternalError(
+            f"internal: the dual marginals give {best}, not the LP optimum {epsilon}"
+        )
+    return _AffineDominance(epsilon, sigma if epsilon > 0 else None, marginals)
 
 
 # -- rationalizability ---------------------------------------------------------
@@ -437,14 +487,17 @@ def rationalizable(
     Choquet payoff over the pool (or some additive prior's expected
     payoff, with ``additive_only``).
 
-    The decision runs Wald-Pearce dominance on the transported payoff
-    vectors in the maximal model built from the pool's named events.
-    When rationalizable, the witness appraisal is the model's own one if
-    it is present and verifies, otherwise the LP prior pulled back along
-    the coordinates; either way the reported witness is confirmed by
-    comparing exact Choquet values of every pool member.  Weak mode is a
-    sensitivity check only: its LP carries no best-response dual, so a
-    weakly undominated choice may come back without a witness.
+    The decision runs Wald-Pearce dominance on the payoffs transported
+    into the maximal model built from the pool's k named events, each an
+    affine form in the k coordinate bits, as one LP with pool + k + 1
+    variables (see ``_affine_dominance``).  When rationalizable, the
+    witness appraisal is the model's own one if it is present and
+    verifies, otherwise the LP's coordinate marginals (the maximal-model
+    prior pulled back along the coordinates); either way the reported
+    witness is confirmed by comparing exact Choquet values of every pool
+    member.  Weak mode is a sensitivity check only: its LP carries no
+    best-response dual, so a weakly undominated choice may come back
+    without a witness.
     """
     pool = list(pool)
     if strategy not in pool:
@@ -480,15 +533,13 @@ def rationalizable(
             result.choquet_values = values
             result.verified = all(chosen_value >= v for _, v in values)
             if not result.verified:
-                raise GamesError("internal: additive witness failed verification")
+                raise InternalError("internal: additive witness failed verification")
         return result
 
     events = strategy_events(model, pool)
-    mm = maximal_model(model, events)
-    vectors = [transported_vector(mm, model, s) for s in pool]
-    y_choice = vectors[pool.index(strategy)]
-    dom = pointwise_undominated(y_choice, vectors, weak=weak)
-    if dom.dominated:
+    forms = [transported_vector(model, events, s) for s in pool]
+    dom = _affine_dominance(forms, pool.index(strategy), weak)
+    if dom.mixture is not None:
         return RationalizabilityResult(
             False,
             mode,
@@ -505,8 +556,8 @@ def rationalizable(
     candidates = []
     if any(model.lambda_of(ev) is not None for ev in events) and model.lam:
         candidates.append(("model", model))
-    if dom.prior is not None:
-        pulled = {ev: sum(dom.prior[s] for s in mm.cylinder(ev)) for ev in events}
+    if dom.marginals is not None:
+        pulled = dict(zip(events, dom.marginals))
         pulled[model.omega] = ONE
         pulled[frozenset()] = ZERO
         candidates.append(("maximal-model prior", _witness_from_events(model, pulled)))
@@ -526,5 +577,5 @@ def rationalizable(
             result.verified = True
             break
     if not result.verified and not weak:
-        raise GamesError("internal: no witness appraisal verified")
+        raise InternalError("internal: no witness appraisal verified")
     return result

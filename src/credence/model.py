@@ -137,7 +137,8 @@ class SubjectiveModel:
             )
         mismatches = []
         for f, ev in self.truth.items():
-            derived = frozenset(s for s in self.states if (lang.sat(f) >> vals[s]) & 1)
+            sat = lang.sat(f)
+            derived = frozenset(s for s in self.states if (sat >> vals[s]) & 1)
             if derived != ev:
                 mismatches.append(unparse(f))
         self.state_valuation = vals

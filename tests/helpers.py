@@ -5,18 +5,22 @@ implementation under test: direct recursive truth-table evaluation for
 entailment, the statement-pair loops the axiom checkers ran before the
 statement index, the textbook alternating-sum formula for Mobius masses
 and the literal subset sum for its inverse, the defining inequalities of
-total monotonicity, and a simplex-grid search for dominance.
+total monotonicity, a simplex-grid search for dominance, and the
+materialized maximal model with one state per subset of the coordinate
+events, on which dominance is the plain state-by-state LP.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from credence.assessment import Assessment, Violation
+from credence.games import GamesError, Strategy, layer_decompose, t_circ
 from credence.logic import And, Atom, Const, Formula, Language, Not, Or, Theory
-from credence.model import SubjectiveModel
+from credence.model import SubjectiveModel, event_label
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -261,3 +265,60 @@ def grid_dominance_oracle(x, alternatives, denominator: int = 12):
         ):
             return weights
     return None
+
+
+@dataclass
+class MaximalModel:
+    """The maximal model, materialized: one state per subset of the k
+    coordinate events, labelled by its bit vector."""
+
+    base: SubjectiveModel
+    coordinates: tuple[frozenset, ...]
+
+    def __post_init__(self):
+        k = len(self.coordinates)
+        self.states = tuple(
+            "m" + format(i, f"0{k}b")[::-1] if k else "m" for i in range(1 << k)
+        )
+
+    def cylinder(self, event: frozenset) -> frozenset:
+        """States whose coordinate for ``event`` reads 1; the full or empty
+        event maps to the full or empty state set."""
+        if event == self.base.omega:
+            return frozenset(self.states)
+        if not event:
+            return frozenset()
+        try:
+            j = self.coordinates.index(event)
+        except ValueError:
+            raise GamesError(
+                f"event {event_label(event)} is not a coordinate of the maximal model"
+            ) from None
+        return frozenset(
+            self.states[i] for i in range(len(self.states)) if (i >> j) & 1
+        )
+
+
+def maximal_model(model: SubjectiveModel, events) -> MaximalModel:
+    events = [frozenset(e) for e in events]
+    for e in events:
+        if not e or e == model.omega:
+            raise GamesError("coordinates must be proper nonempty events")
+    if len(set(events)) != len(events):
+        raise GamesError("duplicate coordinate events")
+    return MaximalModel(model, tuple(events))
+
+
+def transported_vector_oracle(
+    mm: MaximalModel, model: SubjectiveModel, strategy: Strategy
+) -> dict[str, Fraction]:
+    """The strategy's payoffs transported into the materialized maximal
+    model: the layer sum with each upper-set event replaced by its
+    coordinate cylinder, state by state."""
+    layers = layer_decompose(t_circ(model, strategy), model)
+    out = {s: ZERO for s in mm.states}
+    for i, (a, f) in enumerate(layers):
+        w = a - (layers[i + 1][0] if i + 1 < len(layers) else ZERO)
+        for s in mm.cylinder(model.truth_of(f)):
+            out[s] += w
+    return out

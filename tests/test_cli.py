@@ -183,6 +183,31 @@ class TestRationalize:
         assert payload["witness_lambda"]["w1"] == "1/4"
 
 
+class TestInternalErrors:
+    def test_unverified_witness_exits_3(self, runner, monkeypatch):
+        # a Choquet integral that ranks the constant strategy last makes
+        # every witness fail its re-verification
+        from credence import games
+
+        monkeypatch.setattr(games, "choquet", lambda model, vec: sum(vec.values()))
+        res = invoke(
+            runner, "rationalize", FIXTURES / "strategies" / "session-rationalize.json"
+        )
+        assert res.exit_code == 3
+        assert "internal: no witness appraisal verified" in res.output
+
+    def test_unreproduced_build_exits_3(self, runner, monkeypatch):
+        from credence import construct
+        from credence.model import RepresentationReport
+
+        monkeypatch.setattr(
+            construct, "represents", lambda model, a: RepresentationReport(False, {}, [])
+        )
+        res = invoke(runner, "build", FIXTURES / "linda" / "session.json", "canonical-sound")
+        assert res.exit_code == 3
+        assert "internal: built model fails to reproduce" in res.output
+
+
 class TestChoquetAndMobius:
     def test_choquet_value(self, runner, tmp_path):
         act = tmp_path / "act.json"

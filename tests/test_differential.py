@@ -1,24 +1,37 @@
 """Differential tests of the indexed fast paths against the pair-loop and
-subset-sum oracles in ``helpers``."""
+subset-sum oracles in ``helpers``, and of the affine rationalizability
+LP against dominance in the materialized maximal model."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from credence.assessment import Assessment, check_i, check_nt, check_s_i
+from credence.games import (
+    Strategy,
+    pointwise_undominated,
+    rationalizable,
+    strategy_events,
+    t_circ,
+    transported_vector,
+)
 from credence.identify import IdentifyError, largest_subtheory, understood_implications
-from credence.logic import TRUE, And, Language, Theory
-from credence.model import SubjectiveModel, inverse_mobius, mobius
+from credence.logic import TRUE, And, Atom, Language, Theory
+from credence.model import SubjectiveModel, choquet, inverse_mobius, mobius
 
 from helpers import (
     check_i_oracle,
     check_s_i_oracle,
     full_closure_classes,
     inverse_mobius_oracle,
+    maximal_model,
     passes_s_i_oracle,
+    random_capacity,
+    transported_vector_oracle,
     truth_table_implies,
 )
 
@@ -121,3 +134,118 @@ def test_inverse_mobius_is_the_subset_sum_and_undoes_mobius(n, data):
     assert lam == inverse_mobius_oracle(masses, states)
     model = SubjectiveModel(Language([]), states, {}, lam=lam)
     assert mobius(model) == masses
+
+
+# -- rationalizability: affine LP against the materialized maximal model ----
+
+# the atom sets of the fixture sessions, one language per size
+FIXTURE_ATOMS = (["p"], ["f", "t"], ["r", "b", "p"])
+CLASSES_BY_ATOMS = {len(a): full_closure_classes(Language(a)) for a in FIXTURE_ATOMS}
+# the largest k the oracle is run at, strict and weak: the weak oracle's
+# LP has a row per maximal-model state
+ORACLE_COORDINATES = {False: 6, True: 5}
+
+
+def sound_model(lang: Language, lam=None) -> SubjectiveModel:
+    """States are the atom valuations and truth is classical."""
+    states = [f"v{i}" for i in range(lang.n_valuations)]
+    truth = {
+        Atom(a): frozenset(s for i, s in enumerate(states) if lang.valuation_atoms(i)[a])
+        for a in lang.atoms
+    }
+    return SubjectiveModel(lang, states, truth, lam=lam)
+
+
+def witness_confirms(result, pool, model) -> bool:
+    """Whether the reported witness appraisal, rebuilt from its events,
+    gives the choice the largest Choquet value in the pool."""
+    witness = SubjectiveModel(
+        model.language, model.states, dict(model.truth), lam=dict(result.witness_events)
+    )
+    values = {s.name: choquet(witness, t_circ(model, s)) for s in pool}
+    return values[result.choice] == max(values.values())
+
+
+@st.composite
+def pools(draw):
+    """A pool of 2-5 strategies on a fixture language, a chosen member and
+    a sound model, with or without an appraisal of its own.  A pool may
+    carry the choice plus a bonus, on T (strictly dominating) or on a
+    statement (weakly dominating), so dominated choices come up often."""
+    atoms = draw(st.sampled_from(FIXTURE_ATOMS))
+    lang = Language(atoms)
+    classes = [f for bits, f in CLASSES_BY_ATOMS[len(atoms)] if bits not in (0, lang.full_mask)]
+    payoff = st.sampled_from([F(1, 3), F(1, 2), F(1), F(3, 2), F(2)])
+    pool = []
+    for _ in range(draw(st.integers(2, 5))):
+        support = draw(st.lists(st.sampled_from(classes), min_size=1, max_size=2, unique=True))
+        pool.append({f: draw(payoff) for f in support})
+    choice = draw(st.integers(0, len(pool) - 1))
+    bonus = draw(st.sampled_from([None, TRUE] + classes))
+    if bonus is not None:
+        better = dict(pool[choice])
+        better[bonus] = better.get(bonus, F(0)) + draw(payoff)
+        pool.append(better)
+    strategies = [Strategy(p, name=f"s{i + 1}") for i, p in enumerate(pool)]
+    lam = None
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**16))
+        lam = random_capacity(random.Random(seed), [f"v{i}" for i in range(lang.n_valuations)])
+    return strategies, strategies[choice], sound_model(lang, lam)
+
+
+@given(pools(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_affine_lp_matches_the_maximal_model(case, weak):
+    pool, chosen, model = case
+    events = strategy_events(model, pool)
+    assume(len(events) <= ORACLE_COORDINATES[weak])
+    mm = maximal_model(model, events)
+    ys = [transported_vector_oracle(mm, model, s) for s in pool]
+    for s, y in zip(pool, ys):
+        constant, coefficients = transported_vector(model, events, s)
+        for i, state in enumerate(mm.states):
+            bits = sum(c for j, c in enumerate(coefficients) if (i >> j) & 1)
+            assert constant + bits == y[state]
+
+    yx = ys[pool.index(chosen)]
+    oracle = pointwise_undominated(yx, ys, weak=weak)
+    result = rationalizable(chosen, pool, model, weak=weak)
+    assert result.rationalizable == (not oracle.dominated)
+    assert result.epsilon == oracle.epsilon
+    assert result.coordinates == events
+    if not result.rationalizable:
+        mix = [w for _, w in result.dominating_mixture]
+        assert sum(mix) == 1 and min(mix) >= 0
+        mixed = {s: sum(w * y[s] for w, y in zip(mix, ys)) for s in mm.states}
+        if weak:
+            assert all(mixed[s] >= yx[s] for s in mm.states)
+            assert sum(mixed[s] - yx[s] for s in mm.states) == result.epsilon
+        else:
+            assert all(mixed[s] > yx[s] for s in mm.states)
+    elif not weak:
+        assert result.verified
+        assert witness_confirms(result, pool, model)
+
+
+def test_pool_above_sixteen_coordinates_is_decided_and_witnessed():
+    # 2^17 and more maximal-model states: the affine LP needs none of them
+    lang = Language(FIXTURE_ATOMS[2])
+    classes = [f for bits, f in CLASSES_BY_ATOMS[3] if bits not in (0, lang.full_mask)]
+    model = sound_model(lang)
+    rng = random.Random(71)
+    pool = [
+        Strategy({f: F(rng.randint(1, 6), rng.randint(1, 3)) for f in rng.sample(classes, 3)},
+                 name=f"s{i + 1}")
+        for i in range(8)
+    ]
+    pool.append(Strategy({**pool[0].payoffs, TRUE: F(1, 4)}, name="s9"))
+    assert len(strategy_events(model, pool)) > 16
+
+    decided = [rationalizable(s, pool, model) for s in pool]
+    assert not decided[0].rationalizable and decided[0].epsilon == F(1, 4)
+    witnessed = [r for r in decided if r.rationalizable]
+    assert witnessed
+    for result in witnessed:
+        assert result.verified and result.witness_source == "maximal-model prior"
+        assert witness_confirms(result, pool, model)

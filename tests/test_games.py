@@ -8,7 +8,6 @@ from credence.games import (
     GamesError,
     Strategy,
     layer_decompose,
-    maximal_model,
     pointwise_undominated,
     rationalizable,
     shift_nonnegative,
@@ -25,7 +24,9 @@ from credence.construct import build_canonical_sound, build_interval_additive
 from helpers import (
     full_closure_classes,
     grid_dominance_oracle,
+    maximal_model,
     random_monotone_assessment,
+    transported_vector_oracle,
 )
 
 F = Fraction
@@ -271,6 +272,9 @@ class TestIntegralEquality:
 
 
 class TestMaximalModel:
+    """The materialized maximal model in ``helpers`` is the oracle for the
+    affine transport; these pin the oracle itself and the affine form."""
+
     def test_two_coordinates_four_states(self, hedging):
         m = hedging.models["objective"]
         events = strategy_events(m, hedging.strategies)
@@ -287,11 +291,25 @@ class TestMaximalModel:
         m = hedging.models["objective"]
         by_name = {s.name: s for s in hedging.strategies}
         mm = maximal_model(m, strategy_events(m, hedging.strategies))
-        y3 = transported_vector(mm, m, by_name["s3"])
+        y3 = transported_vector_oracle(mm, m, by_name["s3"])
         assert set(y3.values()) == {F(1, 3)}
-        y1 = transported_vector(mm, m, by_name["s1"])
+        y1 = transported_vector_oracle(mm, m, by_name["s1"])
         cyl = mm.cylinder(frozenset(["w1"]))
         assert all((y1[s] == 1) == (s in cyl) for s in mm.states)
+
+    def test_affine_transport(self, hedging):
+        m = hedging.models["objective"]
+        by_name = {s.name: s for s in hedging.strategies}
+        events = strategy_events(m, hedging.strategies)
+        assert transported_vector(m, events, by_name["s1"]) == (F(0), [F(1), F(0)])
+        assert transported_vector(m, events, by_name["s2"]) == (F(0), [F(0), F(1)])
+        assert transported_vector(m, events, by_name["s3"]) == (F(1, 3), [F(0), F(0)])
+
+    def test_affine_transport_rejects_unknown_event(self, hedging):
+        m = hedging.models["objective"]
+        by_name = {s.name: s for s in hedging.strategies}
+        with pytest.raises(GamesError):
+            transported_vector(m, [frozenset(["w1"])], by_name["s2"])
 
     def test_cylinder_rejects_unknown_event(self, hedging):
         m = hedging.models["objective"]
@@ -519,12 +537,11 @@ class TestRationalizable:
                 assert general.rationalizable
             if not general.rationalizable:
                 assert not additive.rationalizable
-                # the dominating mixture strictly beats the choice everywhere
-                vecs = [t_circ(m, s) for s in pool]
-                x = t_circ(m, chosen)
+                # the dominating mixture strictly beats the choice at
+                # every state of the materialized maximal model
                 mm = maximal_model(m, strategy_events(m, pool))
-                ys = [transported_vector(mm, m, s) for s in pool]
-                yx = transported_vector(mm, m, chosen)
+                ys = [transported_vector_oracle(mm, m, s) for s in pool]
+                yx = transported_vector_oracle(mm, m, chosen)
                 mix = [w for _, w in general.dominating_mixture]
                 for state in mm.states:
                     mixed = sum(w * y[state] for w, y in zip(mix, ys))
