@@ -1,5 +1,16 @@
-"""Exact-rational linear programming: a small two-phase simplex and a
-zero-sum matrix game solver built on it.
+"""Exact-rational linear programming: one Gauss-Jordan pivot step, a
+two-phase simplex on a single tableau, and the zero-sum matrix game as a
+reduction onto it.
+
+Every exact solve in credence goes through ``pivot``: the simplex here
+and the valuation-mass row reduction of ``construct``.  The simplex keeps
+its objective as the tableau's last row, so one pivot updates the
+reduced costs along with the constraint rows.  Phase 1 minimizes the sum
+of the artificial variables; it then pivots out every artificial it can
+and deletes the rows still basic on one (they are all-zero, hence
+redundant) together with the artificial columns, so phase 2 runs on the
+original columns alone and needs no big-M penalty.  Optimal duals are
+read off the final objective row.
 
 Everything runs on ``fractions.Fraction``; Bland's rule makes pivoting
 deterministic and cycle-free.  Problem sizes here are tiny (dozens of
@@ -19,36 +30,35 @@ class SimplexError(Exception):
     pass
 
 
-def _pivot(rows, obj, basis, r, c):
+def pivot(rows, r, c):
+    """One Gauss-Jordan step: scale row ``r`` so that ``rows[r][c]`` is 1
+    and clear column ``c`` from every other row."""
     piv = rows[r][c]
-    rows[r] = [v / piv for v in rows[r]]
+    rows[r] = pivot_row = [v / piv for v in rows[r]]
     for i, row in enumerate(rows):
         if i != r and row[c] != 0:
             f = row[c]
-            rows[i] = [a - f * b for a, b in zip(row, rows[r])]
-    if obj[c] != 0:
-        f = obj[c]
-        for j, b in enumerate(rows[r]):
-            obj[j] -= f * b
-    basis[r] = c
+            rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
 
 
-def _run_simplex(rows, obj, basis, ncols):
-    """Maximize with reduced costs in ``obj`` (last entry = -value).
-    Bland's rule: enter lowest eligible column, leave lowest basic index."""
+def _run_simplex(tab, basis, ncols):
+    """Maximize over the first ``ncols`` columns, with reduced costs in the
+    last row ``tab[-1]`` (its last entry = -value).  Bland's rule: enter
+    the lowest eligible column, leave the lowest basic index."""
     while True:
-        col = next((j for j in range(ncols) if obj[j] > 0), None)
+        col = next((j for j in range(ncols) if tab[-1][j] > 0), None)
         if col is None:
             return
         best = None
-        for i, row in enumerate(rows):
+        for i, row in enumerate(tab[:-1]):
             if row[col] > 0:
                 ratio = row[-1] / row[col]
                 if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
                     best = (ratio, i)
         if best is None:
             raise SimplexError("unbounded")
-        _pivot(rows, obj, basis, best[1], col)
+        pivot(tab, best[1], col)
+        basis[best[1]] = col
 
 
 @dataclass
@@ -64,105 +74,72 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
 
     At an optimum, ``duals`` holds an optimal dual value (>= 0) for each
     ``a_ub`` row, read off the reduced cost of its slack or surplus column."""
-    a_ub = [list(map(Fraction, r)) for r in (a_ub or [])]
-    b_ub = [Fraction(v) for v in (b_ub or [])]
-    a_eq = [list(map(Fraction, r)) for r in (a_eq or [])]
-    b_eq = [Fraction(v) for v in (b_eq or [])]
     c = [Fraction(v) for v in c]
     n = len(c)
+    ub = [(list(map(Fraction, r)), Fraction(b)) for r, b in zip(a_ub or [], b_ub or [])]
+    eq = [(list(map(Fraction, r)), Fraction(b)) for r, b in zip(a_eq or [], b_eq or [])]
 
-    kinds = []  # per-row: auxiliary column type, coefficients, rhs (>= 0)
-    for coeffs, b in zip(a_ub, b_ub):
-        row = list(coeffs)
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-            kinds.append(("art", row, b))  # flipped <= becomes >=, needs artificial
+    # column layout: n structural, one slack (or surplus, on a row flipped
+    # to a nonnegative rhs) per inequality row, then one artificial per
+    # flipped inequality and per equality row
+    art_start = n + len(ub)
+    n_art = sum(1 for _, b in ub if b < 0) + len(eq)
+    tab, basis = [], []
+    art = art_start
+    for i, (coeffs, b) in enumerate(ub + eq):
+        flipped = b < 0
+        if flipped:
+            coeffs, b = [-v for v in coeffs], -b
+        row = coeffs + [ZERO] * (art_start + n_art - n) + [b]
+        if i < len(ub):
+            row[n + i] = -ONE if flipped else ONE
+        if flipped or i >= len(ub):
+            row[art] = ONE
+            basis.append(art)
+            art += 1
         else:
-            kinds.append(("slack", row, b))
-    for coeffs, b in zip(a_eq, b_eq):
-        row = list(coeffs)
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-        kinds.append(("art_eq", row, b))
+            basis.append(n + i)
+        tab.append(row)
 
-    m = len(kinds)
-    art_cols = []
-    # column layout: n structural, then one slack/surplus per inequality row,
-    # then artificials as needed
-    aux_count = sum(1 for k in kinds if k[0] in ("slack", "art"))
-    total = n + aux_count
-    art_start = total
-    n_art = sum(1 for k in kinds if k[0] in ("art", "art_eq"))
-    total += n_art
-
-    tab = []
-    basis = []
-    aux_i = n
-    art_i = art_start
-    for kind, row, b in kinds:
-        full = row + [ZERO] * (total - n) + [b]
-        if kind == "slack":
-            full[aux_i] = ONE
-            basis.append(aux_i)
-            aux_i += 1
-        elif kind == "art":
-            full[aux_i] = -ONE  # surplus
-            full[art_i] = ONE
-            basis.append(art_i)
-            art_cols.append(art_i)
-            aux_i += 1
-            art_i += 1
-        else:  # art_eq
-            full[art_i] = ONE
-            basis.append(art_i)
-            art_cols.append(art_i)
-            art_i += 1
-        tab.append(full)
-
-    if art_cols:
+    if n_art:
         # phase 1: maximize -(sum of artificials)
-        obj = [ZERO] * (total + 1)
-        for j in art_cols:
-            obj[j] = -ONE
-        for i, row in enumerate(tab):
-            if basis[i] in art_cols:
-                obj = [o + r for o, r in zip(obj, row)]
-        _run_simplex(tab, obj, basis, total)
-        if obj[-1] != 0:
+        obj = [ZERO] * art_start + [-ONE] * n_art + [ZERO]
+        for row, b in zip(tab, basis):
+            if b >= art_start:
+                obj = [o + v for o, v in zip(obj, row)]
+        tab.append(obj)
+        _run_simplex(tab, basis, art_start + n_art)
+        if tab.pop()[-1] != 0:
             return LpResult("infeasible", None, None)
-        # drive any lingering artificials out of the basis
-        for i in range(m):
-            if basis[i] in art_cols:
-                col = next(
-                    (j for j in range(art_start) if tab[i][j] != 0), None
-                )
+        # drive any lingering artificials out of the basis; the rows where
+        # none can leave are all-zero off the artificials, hence redundant
+        for i, b in enumerate(basis):
+            if b >= art_start:
+                col = next((j for j in range(art_start) if tab[i][j] != 0), None)
                 if col is not None:
-                    _pivot(tab, obj, basis, i, col)
-        # redundant rows whose basis is still artificial have all-zero
-        # structural coefficients; they stay put harmlessly.
+                    pivot(tab, i, col)
+                    basis[i] = col
+        keep = [i for i, b in enumerate(basis) if b < art_start]
+        tab = [tab[i][:art_start] + tab[i][-1:] for i in keep]
+        basis = [basis[i] for i in keep]
 
-    obj = [ZERO] * (total + 1)
-    for j in range(n):
-        obj[j] = c[j]
-    for j in art_cols:
-        obj[j] = Fraction(-10**12)  # keep artificials out in phase 2
-    for i, row in enumerate(tab):
-        f = obj[basis[i]]
+    obj = c + [ZERO] * (art_start - n + 1)
+    for row, b in zip(tab, basis):
+        f = obj[b]
         if f != 0:
-            obj = [o - f * r for o, r in zip(obj, row)]
+            obj = [o - f * v for o, v in zip(obj, row)]
+    tab.append(obj)
     try:
-        _run_simplex(tab, obj, basis, art_start)
+        _run_simplex(tab, basis, art_start)
     except SimplexError:
         return LpResult("unbounded", None, None)
 
     x = [ZERO] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = tab[i][-1]
+    for row, b in zip(tab, basis):
+        if b < n:
+            x[b] = row[-1]
     value = sum(ci * xi for ci, xi in zip(c, x))
-    duals = [-obj[n + i] for i in range(len(a_ub))]
+    duals = [-tab[-1][n + i] for i in range(len(ub))]
     return LpResult("optimal", x, value, duals)
 
 
@@ -177,9 +154,9 @@ def solve_matrix_game(matrix) -> GameSolution:
     """Value and optimal mixed strategies of the zero-sum game whose row
     player maximizes ``matrix[i][j]``.
 
-    Solved by shifting the matrix positive and running one primal simplex
-    on ``max sum(z) s.t. G z <= 1``; the column mixture is the scaled
-    primal solution and the row mixture the scaled duals.
+    Solved by shifting the matrix positive and maximizing ``sum(z)``
+    subject to ``G z <= 1``; the column mixture is the scaled primal
+    solution and the row mixture the scaled duals.
     """
     g = [list(map(Fraction, row)) for row in matrix]
     if not g or not g[0]:
@@ -189,29 +166,10 @@ def solve_matrix_game(matrix) -> GameSolution:
         raise SimplexError("ragged game matrix")
 
     shift = ONE - min(min(row) for row in g)
-    g = [[v + shift for v in row] for row in g]
-
-    # tableau: columns = n z-vars, m slacks, rhs
-    total = n + m
-    tab = []
-    basis = []
-    for i in range(m):
-        row = list(g[i]) + [ZERO] * m + [ONE]
-        row[n + i] = ONE
-        tab.append(row)
-        basis.append(n + i)
-    obj = [ONE] * n + [ZERO] * m + [ZERO]
-    _run_simplex(tab, obj, basis, total)
-
-    z = [ZERO] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            z[bi] = tab[i][-1]
-    u = sum(z)
-    if u <= 0:
+    res = maximize([ONE] * n, [[v + shift for v in row] for row in g], [ONE] * m)
+    if res.status != "optimal" or res.value <= 0:
         raise SimplexError("degenerate game tableau")
-    y = [-obj[n + i] for i in range(m)]
-    value = ONE / u - shift
-    row_mixture = [v / u for v in y]
-    col_mixture = [v / u for v in z]
-    return GameSolution(value, row_mixture, col_mixture)
+    u = res.value
+    return GameSolution(
+        ONE / u - shift, [v / u for v in res.duals], [v / u for v in res.x]
+    )

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._simplex import pivot
 from .assessment import Assessment, check_a, check_e, check_i, check_nt
 from .errors import InternalError
 from .logic import FALSE, TRUE, unparse
@@ -83,6 +84,20 @@ def _require(report, axiom: str, what: str):
         )
 
 
+def _valuation_states(assessment: Assessment):
+    """The atom valuations as state labels, and each statement's classical
+    truth event over them, read from the statement index."""
+    lang = assessment.language
+    n = len(lang.atoms)
+    states = ["v" + format(i, f"0{n}b")[::-1] if n else "v" for i in range(lang.n_valuations)]
+    sat = dict(zip(assessment.statements, assessment.sats))
+    truth = {
+        f: frozenset(s for i, s in enumerate(states) if (sat[f] >> i) & 1)
+        for f in assessment.formulas
+    }
+    return states, truth
+
+
 def _certify_represents(model, assessment) -> CertEntry:
     rep = represents(model, assessment)
     if not rep.ok:
@@ -132,13 +147,7 @@ def build_canonical_sound(assessment: Assessment) -> BuildOutcome:
     _require(check_nt(assessment), "NT", "canonical sound construction")
     _require(check_e(assessment), "E", "canonical sound construction")
     lang = assessment.language
-    n = len(lang.atoms)
-    states = ["v" + format(i, f"0{n}b")[::-1] if n else "v" for i in range(lang.n_valuations)]
-
-    def event_of(bits: int) -> frozenset:
-        return frozenset(states[i] for i in range(lang.n_valuations) if (bits >> i) & 1)
-
-    truth = {f: event_of(lang.sat(f)) for f in assessment.formulas}
+    states, truth = _valuation_states(assessment)
     lam = {}
     for f in assessment.formulas:
         lam[truth[f]] = assessment.value(f)
@@ -301,12 +310,7 @@ def _solve_valuation_masses(assessment: Assessment):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivot(mat, r, c)
         pivots.append((r, c))
         r += 1
         if r == len(mat):
@@ -388,12 +392,7 @@ def build_additive_sound(
             axiom="A",
         )
 
-    n = len(lang.atoms)
-    states = ["v" + format(i, f"0{n}b")[::-1] if n else "v" for i in range(nv)]
-    truth = {
-        f: frozenset(states[i] for i in range(nv) if (lang.sat(f) >> i) & 1)
-        for f in assessment.formulas
-    }
+    states, truth = _valuation_states(assessment)
     mass = {states[i]: masses[i] for i in range(nv)}
     model = SubjectiveModel(
         lang, states, truth, mass=mass, name="additive-sound"

@@ -476,6 +476,14 @@ def _witness_from_events(model, events) -> SubjectiveModel:
     )
 
 
+def _best_response(witness, names, vectors, choice_name):
+    """Each pool member's Choquet value under the witness, and whether the
+    choice attains the largest."""
+    values = [(n, choquet(witness, v)) for n, v in zip(names, vectors)]
+    chosen_value = dict(values)[choice_name]
+    return values, all(chosen_value >= v for _, v in values)
+
+
 def rationalizable(
     strategy: Strategy,
     pool,
@@ -527,12 +535,11 @@ def rationalizable(
                 model.language, model.states, dict(model.truth), mass=dom.prior,
                 name="additive-witness",
             )
-            values = [(n, choquet(witness, v)) for n, v in zip(names, base_vectors)]
-            chosen_value = dict(values)[choice_name]
+            values, best = _best_response(witness, names, base_vectors, choice_name)
             result.witness_mass = dom.prior
             result.choquet_values = values
-            result.verified = all(chosen_value >= v for _, v in values)
-            if not result.verified:
+            result.verified = best
+            if not best:
                 raise InternalError("internal: additive witness failed verification")
         return result
 
@@ -564,11 +571,10 @@ def rationalizable(
 
     for source, witness in candidates:
         try:
-            values = [(n, choquet(witness, v)) for n, v in zip(names, base_vectors)]
+            values, best = _best_response(witness, names, base_vectors, choice_name)
         except ModelError:
             continue
-        chosen_value = dict(values)[choice_name]
-        if all(chosen_value >= v for _, v in values):
+        if best:
             result.witness_source = source
             result.choquet_values = values
             result.witness_events = {

@@ -127,6 +127,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _atom_mask(j: int, n_valuations: int) -> int:
+    """The valuations (bit positions below ``n_valuations``) whose bit j is
+    set: a block of 2^j zeros then 2^j ones, doubled until it fills."""
+    block = 1 << j
+    mask = ((1 << block) - 1) << block
+    width = 2 * block
+    while width < n_valuations:
+        mask |= mask << width
+        width *= 2
+    return mask
+
+
 class Language:
     """A propositional language over an ordered tuple of named atoms."""
 
@@ -145,10 +157,7 @@ class Language:
         self._index = {a: j for j, a in enumerate(atoms)}
         self.n_valuations = 1 << len(atoms)
         self.full_mask = (1 << self.n_valuations) - 1
-        self._atom_masks = [
-            sum(1 << i for i in range(self.n_valuations) if (i >> j) & 1)
-            for j in range(len(atoms))
-        ]
+        self._atom_masks = [_atom_mask(j, self.n_valuations) for j in range(len(atoms))]
         self._sat_cache: dict[Formula, int] = {}
 
     # -- parsing ------------------------------------------------------

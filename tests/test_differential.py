@@ -1,6 +1,7 @@
 """Differential tests of the indexed fast paths against the pair-loop and
-subset-sum oracles in ``helpers``, and of the affine rationalizability
-LP against dominance in the materialized maximal model."""
+subset-sum oracles in ``helpers``, of the affine rationalizability LP
+against dominance in the materialized maximal model, and of the single
+simplex tableau against the simplex and game solver it replaced."""
 
 import itertools
 import random
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from credence._simplex import maximize, solve_matrix_game
 from credence.assessment import Assessment, check_i, check_nt, check_s_i
 from credence.games import (
     Strategy,
@@ -29,8 +31,10 @@ from helpers import (
     full_closure_classes,
     inverse_mobius_oracle,
     maximal_model,
+    maximize_oracle,
     passes_s_i_oracle,
     random_capacity,
+    solve_matrix_game_oracle,
     transported_vector_oracle,
     truth_table_implies,
 )
@@ -249,3 +253,52 @@ def test_pool_above_sixteen_coordinates_is_decided_and_witnessed():
     for result in witnessed:
         assert result.verified and result.witness_source == "maximal-model prior"
         assert witness_confirms(result, pool, model)
+
+
+ENTRY = st.fractions(F(-3), F(3), max_denominator=2)
+
+
+@st.composite
+def lps(draw):
+    """A small LP with inequality rows (some with a negative right-hand
+    side, so phase 1 runs), equality rows, often with a zero right-hand
+    side (an artificial may end phase 1 basic at zero), and copies of
+    equality rows, plain or scaled, which leave a redundant row basic on
+    an artificial."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(ENTRY, min_size=n, max_size=n)
+    c = draw(row)
+    a_ub = draw(st.lists(row, max_size=4))
+    b_ub = draw(st.lists(ENTRY, min_size=len(a_ub), max_size=len(a_ub)))
+    a_eq = draw(st.lists(row, max_size=3))
+    rhs = st.one_of(st.just(F(0)), ENTRY)
+    b_eq = draw(st.lists(rhs, min_size=len(a_eq), max_size=len(a_eq)))
+    if a_eq:
+        for i in draw(st.lists(st.integers(0, len(a_eq) - 1), max_size=2)):
+            scale = draw(st.sampled_from([F(1), F(-1), F(2)]))
+            a_eq.append([scale * v for v in a_eq[i]])
+            b_eq.append(scale * b_eq[i])
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+@given(lps())
+@settings(max_examples=400, deadline=None)
+def test_maximize_matches_the_big_m_simplex(lp):
+    got, want = maximize(*lp), maximize_oracle(*lp)
+    assert (got.status, got.x, got.value) == (want.status, want.x, want.value)
+    assert got.duals == want.duals
+
+
+@st.composite
+def game_matrices(draw):
+    n = draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=1, max_size=5))
+
+
+@given(game_matrices())
+@settings(max_examples=200, deadline=None)
+def test_matrix_game_matches_its_own_tableau(g):
+    got, want = solve_matrix_game(g), solve_matrix_game_oracle(g)
+    assert got.value == want.value
+    assert got.row_mixture == want.row_mixture
+    assert got.col_mixture == want.col_mixture

@@ -100,6 +100,13 @@ class TestSat:
         assert PQ.sat(TRUE) == PQ.full_mask
         assert PQ.sat(FALSE) == 0
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_atom_masks_match_the_literal_definition(self, n):
+        lang = Language([f"a{j}" for j in range(n)])
+        for j, a in enumerate(lang.atoms):
+            literal = sum(1 << i for i in range(lang.n_valuations) if (i >> j) & 1)
+            assert lang.sat(Atom(a)) == literal
+
     @given(formulas())
     @settings(max_examples=200)
     def test_sat_matches_direct_evaluation(self, f):

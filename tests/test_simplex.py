@@ -44,11 +44,42 @@ class TestMaximize:
         assert res.value == 2
         assert res.x == [F(1), F(1)]
 
+    def test_artificial_left_at_zero_is_pivoted_out(self):
+        # phase 1 ends at once with the artificial of -x - y = 0 basic at
+        # zero; its row is not redundant, so it must stay as x + y = 0
+        res = maximize([1, 1], a_ub=[[1, 1]], b_ub=[2], a_eq=[[-1, -1]], b_eq=[0])
+        assert res.status == "optimal"
+        assert res.value == 0
+        assert res.x == [F(0), F(0)]
+
     def test_degenerate_vertex(self):
         # two constraints both tight at the optimum
         res = maximize([1], a_ub=[[1], [1]], b_ub=[1, 1])
         assert res.status == "optimal"
         assert res.value == 1
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_duals_certify_the_optimum(self, data):
+        # with only a_ub rows, an optimal dual y satisfies y >= 0,
+        # y^T A >= c and y^T b = value (strong duality); the last row
+        # bounds the feasible set, so most draws have an optimum
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(0, 4))
+        entry = st.fractions(F(-3), F(3), max_denominator=2)
+        c = data.draw(st.lists(entry, min_size=n, max_size=n))
+        a = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+        b = data.draw(st.lists(entry, min_size=m, max_size=m))
+        a.append([1] * n)
+        b.append(10)
+        res = maximize(c, a_ub=a, b_ub=b)
+        if res.status != "optimal":
+            return
+        y = res.duals
+        assert len(y) == len(a) and all(v >= 0 for v in y)
+        for j in range(n):
+            assert sum(yi * row[j] for yi, row in zip(y, a)) >= c[j]
+        assert sum(yi * bi for yi, bi in zip(y, b)) == res.value
 
 
 class TestMatrixGame:
