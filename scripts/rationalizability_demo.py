@@ -14,7 +14,7 @@ import sys
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from credence import rationalizable, t_circ, transported_vector  # noqa: E402
+from credence import layer_decompose, rationalizable, t_circ, transported_vector  # noqa: E402
 from credence.files import load_session  # noqa: E402
 from credence.games import strategy_events  # noqa: E402
 from credence.model import event_label  # noqa: E402
@@ -41,11 +41,12 @@ def main():
         mix = ", ".join(f"{n}={v}" for n, v in additive.dominating_mixture)
         print(f"  dominated by {{{mix}}} with margin {additive.epsilon}")
 
-    events = strategy_events(model, pool)
+    layerings = [layer_decompose(t_circ(model, s), model) for s in pool]
+    events = strategy_events(model, layerings)
     labels = [event_label(e) for e in events]
     print(f"\nmaximal model coordinates: {labels} (m[e] = 1 where event e holds)")
-    for s in pool:
-        constant, coefficients = transported_vector(model, events, s)
+    for s, layers in zip(pool, layerings):
+        constant, coefficients = transported_vector(model, events, layers)
         terms = "".join(f" + {c}*m[{lab}]" for c, lab in zip(coefficients, labels) if c)
         print(f"  {s.name}: y(m) = {constant}{terms}")
 

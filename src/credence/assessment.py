@@ -12,7 +12,9 @@ the universe lacks are reported as untestable, never silently passed.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -264,54 +266,99 @@ def check_ie(a: Assessment, n_max: int = 3) -> AxiomReport:
     value; proper conjunctions are looked up among universe members up to
     logical equivalence (first by text when several qualify, which only
     matters if equivalence is already violated).  A family whose
-    conjunction the universe lacks is reported untestable.
+    conjunction the universe lacks is reported untestable, naming the
+    first missing conjunction by size, then by statement order.
+
+    Each family is summed once, not once per consequent.  Every value is
+    put over one common denominator D, so the sums are exact Python ints.
+    Families grow one later statement at a time: adding phi_j meets it
+    with every subset's conjunction already found, flipping that subset's
+    parity.  The consequents of a family are the statements whose
+    valuation sets contain the family's union; they are listed once per
+    union, sorted by value, and the violated ones are the prefix with
+    D * pi(psi) < odd - even (both sums as numerators over D), found by
+    bisection.  Only a reported violation is turned back into fractions.
     """
-    violations = []
-    untestable = []
-    sats, values, texts = a.sats, a.values, a.texts
+    if n_max < 1:
+        raise AssessmentError(f"IE needs families of at least 1 statement; n_max = {n_max}")
+    sats, texts = a.sats, a.texts
     full = a.language.full_mask
-    for psi, sat_psi in enumerate(sats):
-        ants = [i for i, si in enumerate(sats) if si & ~sat_psi == 0]
-        for k in range(1, n_max + 1):
-            for family in itertools.combinations(ants, k):
-                even = ZERO
-                odd = ZERO
-                missing = None
-                for r in range(1, k + 1):
-                    for subset in itertools.combinations(family, r):
-                        if r == 1:
-                            member = subset[0]
-                        else:
-                            bits = full
-                            for i in subset:
-                                bits &= sats[i]
-                            member = a.index_of(bits)
-                        if member is None:
-                            missing = " & ".join(texts[i] for i in subset)
-                            break
-                        if r % 2 == 0:
-                            even += values[member]
-                        else:
-                            odd += values[member]
-                    if missing:
-                        break
-                if missing:
-                    untestable.append(
-                        "family {%s} under %s: conjunction (%s) not assessed"
-                        % (", ".join(texts[i] for i in family), texts[psi], missing)
+    denominator = math.lcm(*(v.denominator for v in a.values))
+    num = [v.numerator * (denominator // v.denominator) for v in a.values]
+    # a conjunction's numerator, read from the first statement by text
+    num_of = {bits: num[a.index_of(bits)] for bits in sats}
+    below: dict[int, tuple[list[int], list[int]]] = {}
+    found = []  # (psi, family, even, odd) per violation
+    untestable = []
+
+    def consequents(union):
+        if union not in below:
+            psis = sorted(
+                (psi for psi, s in enumerate(sats) if union & ~s == 0),
+                key=num.__getitem__,
+            )
+            below[union] = ([num[psi] for psi in psis], psis)
+        return below[union]
+
+    def first_missing(family):
+        for r in range(2, len(family) + 1):
+            for subset in itertools.combinations(family, r):
+                bits = full
+                for i in subset:
+                    bits &= sats[i]
+                if bits not in num_of:
+                    return " & ".join(texts[i] for i in subset)
+
+    def grow(family, union, odds, evens, odd, even):
+        """Test ``family``, then every family extending it by later
+        statements.  ``odds`` and ``evens`` hold the conjunctions of its
+        nonempty odd- and even-size subsets, ``odd`` and ``even`` their
+        summed numerators; ``odds`` is None once a conjunction is missing."""
+        nums, psis = consequents(union)
+        if odds is None:
+            head = "family {%s} under " % ", ".join(texts[i] for i in family)
+            tail = ": conjunction (%s) not assessed" % first_missing(family)
+            untestable.extend(head + texts[psi] + tail for psi in psis)
+        else:
+            for psi in psis[: bisect.bisect_left(nums, odd - even)]:
+                found.append((psi, family, even, odd))
+        if len(family) == n_max:
+            return
+        for j in range(family[-1] + 1, len(sats)):
+            sj = sats[j]
+            if odds is not None:
+                to_even = [b & sj for b in odds]
+                to_odd = [b & sj for b in evens]
+                even_nums = list(map(num_of.get, to_even))
+                odd_nums = list(map(num_of.get, to_odd))
+                if None not in even_nums and None not in odd_nums:
+                    grow(
+                        family + (j,),
+                        union | sj,
+                        odds + [sj] + to_odd,
+                        evens + to_even,
+                        odd + num[j] + sum(odd_nums),
+                        even + sum(even_nums),
                     )
                     continue
-                lhs = values[psi] + even
-                if lhs < odd:
-                    violations.append(
-                        Violation(
-                            "IE",
-                            (texts[psi],) + tuple(texts[i] for i in family),
-                            lhs,
-                            odd,
-                            f"pi({texts[psi]}) + even conjunctions >= odd conjunctions",
-                        )
-                    )
+            grow(family + (j,), union | sj, None, None, 0, 0)
+
+    for i, si in enumerate(sats):
+        grow((i,), si, [si], [], num[i], 0)
+
+    # the order of a scan per consequent; ``_report`` sorts by text, stably,
+    # so this order shows only where statements share a text
+    found.sort(key=lambda v: (v[0], len(v[1]), v[1]))
+    violations = [
+        Violation(
+            "IE",
+            (texts[psi],) + tuple(texts[i] for i in family),
+            Fraction(num[psi] + even, denominator),
+            Fraction(odd, denominator),
+            f"pi({texts[psi]}) + even conjunctions >= odd conjunctions",
+        )
+        for psi, family, even, odd in found
+    ]
     return _report("IE", violations, untestable, {"n_max": n_max})
 
 

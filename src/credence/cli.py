@@ -106,7 +106,7 @@ def _report_lines(report) -> list[str]:
 @click.argument("which", nargs=-1)
 @click.option("--theory", "theory_path", type=click.Path(), default=None,
               help="Theory file overriding the session's for s-i.")
-@click.option("--n-max", type=int, default=3, show_default=True,
+@click.option("--n-max", type=click.IntRange(min=1), default=3, show_default=True,
               help="Largest antecedent family size for the IE check.")
 @click.pass_obj
 def check(ctx, session_file, which, theory_path, n_max):

@@ -235,14 +235,14 @@ def verify_integral_equality(
 # -- the maximal model, in affine form ---------------------------------------
 
 
-def strategy_events(model: SubjectiveModel, strategies) -> list[frozenset]:
-    """The distinct layer upper-set events named by the strategies,
-    excluding the full and empty event; these are the coordinates of the
-    maximal model."""
+def strategy_events(model: SubjectiveModel, layerings) -> list[frozenset]:
+    """The distinct layer upper-set events named by the strategies'
+    layers (each strategy's ``layer_decompose`` of its ``t_circ``
+    vector), excluding the full and empty event; these are the
+    coordinates of the maximal model."""
     events = set()
-    for s in strategies:
-        x = t_circ(model, s)
-        for _, f in layer_decompose(x, model):
+    for layers in layerings:
+        for _, f in layers:
             ev = model.truth_of(f)
             if ev and ev != model.omega:
                 events.add(ev)
@@ -250,16 +250,16 @@ def strategy_events(model: SubjectiveModel, strategies) -> list[frozenset]:
 
 
 def transported_vector(
-    model: SubjectiveModel, coordinates, strategy: Strategy
+    model: SubjectiveModel, coordinates, layers
 ) -> tuple[Fraction, list[Fraction]]:
-    """The strategy's payoffs transported into the maximal model, whose
-    states are the bit vectors m saying which coordinate events hold.
-    The layer sum is affine in those bits: y(m) = constant + sum_j
-    coefficient_j * m_j, where the constant is the weight of the
-    full-event layers and coefficient_j the weight of the layer on
-    coordinate j.  Returns (constant, coefficients in coordinate order)."""
+    """A strategy's payoffs, given by its layers, transported into the
+    maximal model, whose states are the bit vectors m saying which
+    coordinate events hold.  The layer sum is affine in those bits:
+    y(m) = constant + sum_j coefficient_j * m_j, where the constant is
+    the weight of the full-event layers and coefficient_j the weight of
+    the layer on coordinate j.  Returns (constant, coefficients in
+    coordinate order)."""
     index = {ev: j for j, ev in enumerate(coordinates)}
-    layers = layer_decompose(t_circ(model, strategy), model)
     constant = ZERO
     coefficients = [ZERO] * len(index)
     for w, (_, f) in zip(_layer_weights(layers), layers):
@@ -543,8 +543,9 @@ def rationalizable(
                 raise InternalError("internal: additive witness failed verification")
         return result
 
-    events = strategy_events(model, pool)
-    forms = [transported_vector(model, events, s) for s in pool]
+    layerings = [layer_decompose(x, model) for x in base_vectors]
+    events = strategy_events(model, layerings)
+    forms = [transported_vector(model, events, layers) for layers in layerings]
     dom = _affine_dominance(forms, pool.index(strategy), weak)
     if dom.mixture is not None:
         return RationalizabilityResult(

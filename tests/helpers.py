@@ -3,8 +3,9 @@
 The oracles here recompute expected values by routes independent of the
 implementation under test: direct recursive truth-table evaluation for
 entailment, the statement-pair loops the axiom checkers ran before the
-statement index, the textbook alternating-sum formula for Mobius masses
-and the literal subset sum for its inverse, the defining inequalities of
+statement index, the per-consequent family loop of axiom IE, the
+textbook alternating-sum formula for Mobius masses and the literal
+subset sum for its inverse, the defining inequalities of
 total monotonicity, a simplex-grid search for dominance, and the
 materialized maximal model with one state per subset of the coordinate
 events, on which dominance is the plain state-by-state LP, and the exact
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from credence._simplex import GameSolution, LpResult, SimplexError
-from credence.assessment import Assessment, Violation
+from credence.assessment import Assessment, AxiomReport, Violation, _report
 from credence.games import GamesError, Strategy, layer_decompose, t_circ
 from credence.logic import And, Atom, Const, Formula, Language, Not, Or, Theory
 from credence.model import SubjectiveModel, event_label
@@ -136,6 +137,59 @@ def passes_s_i_oracle(assessment: Assessment, valuations: int) -> bool:
             if lang.sat(f) & valuations & ~lang.sat(g) == 0:
                 return False
     return True
+
+
+def check_ie_oracle(a: Assessment, n_max: int = 3) -> AxiomReport:
+    """Axiom IE as ``check_ie`` computed it before the family-once scan:
+    for every consequent, every family below it re-enumerated and its
+    alternating conjunction sum rebuilt in Fractions."""
+    violations = []
+    untestable = []
+    sats, values, texts = a.sats, a.values, a.texts
+    full = a.language.full_mask
+    for psi, sat_psi in enumerate(sats):
+        ants = [i for i, si in enumerate(sats) if si & ~sat_psi == 0]
+        for k in range(1, n_max + 1):
+            for family in itertools.combinations(ants, k):
+                even = ZERO
+                odd = ZERO
+                missing = None
+                for r in range(1, k + 1):
+                    for subset in itertools.combinations(family, r):
+                        if r == 1:
+                            member = subset[0]
+                        else:
+                            bits = full
+                            for i in subset:
+                                bits &= sats[i]
+                            member = a.index_of(bits)
+                        if member is None:
+                            missing = " & ".join(texts[i] for i in subset)
+                            break
+                        if r % 2 == 0:
+                            even += values[member]
+                        else:
+                            odd += values[member]
+                    if missing:
+                        break
+                if missing:
+                    untestable.append(
+                        "family {%s} under %s: conjunction (%s) not assessed"
+                        % (", ".join(texts[i] for i in family), texts[psi], missing)
+                    )
+                    continue
+                lhs = values[psi] + even
+                if lhs < odd:
+                    violations.append(
+                        Violation(
+                            "IE",
+                            (texts[psi],) + tuple(texts[i] for i in family),
+                            lhs,
+                            odd,
+                            f"pi({texts[psi]}) + even conjunctions >= odd conjunctions",
+                        )
+                    )
+    return _report("IE", violations, untestable, {"n_max": n_max})
 
 
 def inverse_mobius_oracle(masses, states) -> dict[frozenset, Fraction]:
@@ -311,6 +365,12 @@ def maximal_model(model: SubjectiveModel, events) -> MaximalModel:
     if len(set(events)) != len(events):
         raise GamesError("duplicate coordinate events")
     return MaximalModel(model, tuple(events))
+
+
+def layerings(model: SubjectiveModel, pool) -> list:
+    """Each strategy's layers, as ``rationalizable`` computes them before
+    ``strategy_events`` and ``transported_vector``."""
+    return [layer_decompose(t_circ(model, s), model) for s in pool]
 
 
 def transported_vector_oracle(

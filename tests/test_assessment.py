@@ -168,6 +168,11 @@ class TestIE:
         assert r.untestable
         assert any("(p & q)" in u or "p & q" in u for u in r.untestable)
 
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_empty_families_are_refused(self, linda_assessment, n_max):
+        with pytest.raises(AssessmentError, match=f"n_max = {n_max}"):
+            check_ie(linda_assessment, n_max=n_max)
+
 
 class TestA:
     def test_complementary_pair(self):

@@ -46,6 +46,14 @@ class TestCheck:
         res = invoke(runner, "check", FIXTURES / "linda" / "nope.json", "i")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("n_max", [0, -2])
+    def test_n_max_below_one_is_input_error(self, runner, n_max):
+        res = invoke(runner, "check", FIXTURES / "linda" / "session.json", "ie",
+                     f"--n-max={n_max}")
+        assert res.exit_code == 2
+        assert f"'--n-max': {n_max} is not in the range" in res.output
+        assert "Inclusion/Exclusion" not in res.output
+
     def test_json_format_deterministic(self, runner):
         args = ["--format", "json", "check", str(FIXTURES / "voting" / "session.json")]
         out1 = runner.invoke(main, args).output

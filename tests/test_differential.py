@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from credence._simplex import maximize, solve_matrix_game
-from credence.assessment import Assessment, check_i, check_nt, check_s_i
+from credence.assessment import Assessment, check_i, check_ie, check_nt, check_s_i
 from credence.games import (
     Strategy,
     pointwise_undominated,
@@ -27,13 +27,16 @@ from credence.model import SubjectiveModel, choquet, inverse_mobius, mobius
 
 from helpers import (
     check_i_oracle,
+    check_ie_oracle,
     check_s_i_oracle,
     full_closure_classes,
     inverse_mobius_oracle,
+    layerings,
     maximal_model,
     maximize_oracle,
     passes_s_i_oracle,
     random_capacity,
+    random_fraction,
     solve_matrix_game_oracle,
     transported_vector_oracle,
     truth_table_implies,
@@ -140,6 +143,54 @@ def test_inverse_mobius_is_the_subset_sum_and_undoes_mobius(n, data):
     assert mobius(model) == masses
 
 
+# -- inclusion/exclusion: one scan per family against one per consequent ----
+
+# mixed denominators, so the common denominator is not any one value's
+IE_VALUES = [F(0), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(5, 6), F(1)]
+
+
+@st.composite
+def ie_universes(draw):
+    """A random assessment on 2-3 atoms with values drawn from
+    ``IE_VALUES`` (so not monotone) and an ``n_max`` of 1 to 4.  Picked classes are sometimes
+    closed under pairwise conjunction, so that families are testable;
+    otherwise conjunctions are often missing and families untestable."""
+    n = draw(st.sampled_from([2, 3]))
+    lang = LANGUAGES[n]
+    classes = CLASSES[n]
+    picks = draw(st.lists(st.integers(0, len(classes) - 1), min_size=1, max_size=7))
+    if draw(st.booleans()):
+        picks += [a & b for a, b in itertools.combinations(picks, 2)][:5]
+    formulas = []
+    for i in picks:
+        _, f = classes[i]
+        if f in formulas or draw(st.booleans()):
+            f = And(f, TRUE)
+        if f not in formulas:
+            formulas.append(f)
+    pi = {f: draw(st.sampled_from(IE_VALUES)) for f in formulas}
+    return Assessment(lang, pi), draw(st.integers(1, 4))
+
+
+@given(ie_universes())
+@settings(max_examples=200, deadline=None)
+def test_check_ie_matches_the_per_consequent_loop(case):
+    a, n_max = case
+    assert check_ie(a, n_max).to_dict() == check_ie_oracle(a, n_max).to_dict()
+
+
+def test_check_ie_matches_the_oracle_on_64_classes():
+    """64 of the 256 classes of 3 atoms, values at random: the universe
+    lacks many conjunctions, so violations and untestables both run long."""
+    rng = random.Random(64)
+    lang = LANGUAGES[3]
+    picked = rng.sample(CLASSES[3], 64)
+    a = Assessment(lang, {f: random_fraction(rng, 12) for _, f in picked})
+    report = check_ie(a)
+    assert report.violations and report.untestable
+    assert report.to_dict() == check_ie_oracle(a).to_dict()
+
+
 # -- rationalizability: affine LP against the materialized maximal model ----
 
 # the atom sets of the fixture sessions, one language per size
@@ -202,12 +253,13 @@ def pools(draw):
 @settings(max_examples=150, deadline=None)
 def test_affine_lp_matches_the_maximal_model(case, weak):
     pool, chosen, model = case
-    events = strategy_events(model, pool)
+    layers = layerings(model, pool)
+    events = strategy_events(model, layers)
     assume(len(events) <= ORACLE_COORDINATES[weak])
     mm = maximal_model(model, events)
     ys = [transported_vector_oracle(mm, model, s) for s in pool]
-    for s, y in zip(pool, ys):
-        constant, coefficients = transported_vector(model, events, s)
+    for s_layers, y in zip(layers, ys):
+        constant, coefficients = transported_vector(model, events, s_layers)
         for i, state in enumerate(mm.states):
             bits = sum(c for j, c in enumerate(coefficients) if (i >> j) & 1)
             assert constant + bits == y[state]
@@ -244,7 +296,7 @@ def test_pool_above_sixteen_coordinates_is_decided_and_witnessed():
         for i in range(8)
     ]
     pool.append(Strategy({**pool[0].payoffs, TRUE: F(1, 4)}, name="s9"))
-    assert len(strategy_events(model, pool)) > 16
+    assert len(strategy_events(model, layerings(model, pool))) > 16
 
     decided = [rationalizable(s, pool, model) for s in pool]
     assert not decided[0].rationalizable and decided[0].epsilon == F(1, 4)

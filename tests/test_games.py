@@ -24,6 +24,7 @@ from credence.construct import build_canonical_sound, build_interval_additive
 from helpers import (
     full_closure_classes,
     grid_dominance_oracle,
+    layerings,
     maximal_model,
     random_monotone_assessment,
     transported_vector_oracle,
@@ -277,7 +278,7 @@ class TestMaximalModel:
 
     def test_two_coordinates_four_states(self, hedging):
         m = hedging.models["objective"]
-        events = strategy_events(m, hedging.strategies)
+        events = strategy_events(m, layerings(m, hedging.strategies))
         assert events == [frozenset(["w1"]), frozenset(["w2"])]
         mm = maximal_model(m, events)
         assert len(mm.states) == 4
@@ -290,7 +291,7 @@ class TestMaximalModel:
     def test_transported_strategies(self, hedging):
         m = hedging.models["objective"]
         by_name = {s.name: s for s in hedging.strategies}
-        mm = maximal_model(m, strategy_events(m, hedging.strategies))
+        mm = maximal_model(m, strategy_events(m, layerings(m, hedging.strategies)))
         y3 = transported_vector_oracle(mm, m, by_name["s3"])
         assert set(y3.values()) == {F(1, 3)}
         y1 = transported_vector_oracle(mm, m, by_name["s1"])
@@ -300,16 +301,17 @@ class TestMaximalModel:
     def test_affine_transport(self, hedging):
         m = hedging.models["objective"]
         by_name = {s.name: s for s in hedging.strategies}
-        events = strategy_events(m, hedging.strategies)
-        assert transported_vector(m, events, by_name["s1"]) == (F(0), [F(1), F(0)])
-        assert transported_vector(m, events, by_name["s2"]) == (F(0), [F(0), F(1)])
-        assert transported_vector(m, events, by_name["s3"]) == (F(1, 3), [F(0), F(0)])
+        layers = dict(zip(by_name, layerings(m, hedging.strategies)))
+        events = strategy_events(m, layers.values())
+        assert transported_vector(m, events, layers["s1"]) == (F(0), [F(1), F(0)])
+        assert transported_vector(m, events, layers["s2"]) == (F(0), [F(0), F(1)])
+        assert transported_vector(m, events, layers["s3"]) == (F(1, 3), [F(0), F(0)])
 
     def test_affine_transport_rejects_unknown_event(self, hedging):
         m = hedging.models["objective"]
         by_name = {s.name: s for s in hedging.strategies}
         with pytest.raises(GamesError):
-            transported_vector(m, [frozenset(["w1"])], by_name["s2"])
+            transported_vector(m, [frozenset(["w1"])], *layerings(m, [by_name["s2"]]))
 
     def test_cylinder_rejects_unknown_event(self, hedging):
         m = hedging.models["objective"]
@@ -539,7 +541,7 @@ class TestRationalizable:
                 assert not additive.rationalizable
                 # the dominating mixture strictly beats the choice at
                 # every state of the materialized maximal model
-                mm = maximal_model(m, strategy_events(m, pool))
+                mm = maximal_model(m, strategy_events(m, layerings(m, pool)))
                 ys = [transported_vector_oracle(mm, m, s) for s in pool]
                 yx = transported_vector_oracle(mm, m, chosen)
                 mix = [w for _, w in general.dominating_mixture]

@@ -1,8 +1,10 @@
 """Source hygiene of the ``credence`` package, read from its syntax trees:
 no ``assert`` (stripped under ``python -O``, so it cannot guard anything),
 no bare or blanket ``except`` (it would turn a programming error into a
-verdict), and no big-M constant (exact LPs need none, and a big-M penalty
-is only correct while every other number stays below it)."""
+verdict), no big-M constant (exact LPs need none, and a big-M penalty
+is only correct while every other number stays below it), and no float
+literal or ``float(...)`` call (every value is an exact rational, and the
+integer fast paths rely on it)."""
 
 import ast
 from pathlib import Path
@@ -37,9 +39,17 @@ def _is_blanket(handler: ast.ExceptHandler) -> bool:
     return any(isinstance(n, ast.Name) and n.id in BLANKET for n in names)
 
 
+def _float_use(node) -> str | None:
+    if isinstance(node, ast.Constant) and type(node.value) is float:
+        return f"float literal {node.value!r}"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+        return "float call"
+    return None
+
+
 def offences(source: str, name: str = "<source>") -> list[str]:
-    """Every assert, bare or blanket except, and big-M constant in the
-    source, as ``name:line: what``."""
+    """Every assert, bare or blanket except, big-M constant, float literal
+    and float call in the source, as ``name:line: what``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Assert):
@@ -48,6 +58,8 @@ def offences(source: str, name: str = "<source>") -> list[str]:
             found.append(f"{name}:{node.lineno}: bare or blanket except")
         elif _is_big_m(node):
             found.append(f"{name}:{node.lineno}: big-M constant {ast.unparse(node)}")
+        elif what := _float_use(node):
+            found.append(f"{name}:{node.lineno}: {what}")
     return found
 
 
@@ -73,6 +85,9 @@ def test_module_is_clean(path):
         ("m = Fraction(-10**12)", "big-M constant 10 ** 12"),
         ("m = 1e9", "big-M constant 1000000000.0"),
         ("m = 2_000_000", "big-M constant 2000000"),
+        ("half = 0.5", "float literal 0.5"),
+        ("tol = 1e-9", "float literal 1e-09"),
+        ("x = float(v)", "float call"),
     ],
 )
 def test_offences_are_found(snippet, what):
@@ -87,6 +102,9 @@ def test_offences_are_found(snippet, what):
         "n = 2 ** 16",
         "eps = 10 ** -9",
         "flag = True",
+        "half = Fraction(1, 2)",
+        '"""Floats such as 0.5 are rejected."""',
+        "isinstance(v, float)",
     ],
 )
 def test_ordinary_code_passes(snippet):
