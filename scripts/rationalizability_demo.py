@@ -17,7 +17,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from credence import layer_decompose, rationalizable, t_circ, transported_vector  # noqa: E402
 from credence.files import load_session  # noqa: E402
 from credence.games import strategy_events  # noqa: E402
-from credence.model import event_label  # noqa: E402
 
 FIXTURE = (
     Path(__file__).resolve().parent.parent
@@ -33,7 +32,7 @@ def main():
 
     print("base payoff vectors:")
     for s in pool:
-        print(f"  {s.name}: { {k: str(v) for k, v in t_circ(model, s).items()} }")
+        print(f"  {s.name}: { {k: str(v) for k, v in zip(model.states, t_circ(model, s))} }")
 
     additive = rationalizable(chosen, pool, model, additive_only=True)
     print(f"\nadditive priors only: rationalizable={additive.rationalizable}")
@@ -43,7 +42,7 @@ def main():
 
     layerings = [layer_decompose(t_circ(model, s), model) for s in pool]
     events = strategy_events(model, layerings)
-    labels = [event_label(e) for e in events]
+    labels = [model.label(e) for e in events]
     print(f"\nmaximal model coordinates: {labels} (m[e] = 1 where event e holds)")
     for s, layers in zip(pool, layerings):
         constant, coefficients = transported_vector(model, events, layers)
@@ -53,8 +52,8 @@ def main():
     general = rationalizable(chosen, pool, model)
     print(f"\ngeneral likelihood appraisals: rationalizable={general.rationalizable}")
     print(f"  witness ({general.witness_source}):")
-    for ev, v in sorted(general.witness_events.items(), key=lambda kv: (len(kv[0]), event_label(kv[0]))):
-        print(f"    lambda({event_label(ev) or 'empty'}) = {v}")
+    for label, v in model.labelled(general.witness_events):
+        print(f"    lambda({label or 'empty'}) = {v}")
     print("  verified Choquet values:",
           ", ".join(f"{n}={v}" for n, v in general.choquet_values))
 

@@ -20,7 +20,7 @@ from . import assessment as axioms
 from . import construct, files, games, identify
 from .errors import InternalError
 from .logic import LogicError
-from .model import ModelError, choquet, event_label, inverse_mobius, mobius
+from .model import ModelError, choquet, inverse_mobius, mobius
 
 PASS, FAIL, BAD_INPUT, INTERNAL = 0, 1, 2, 3
 
@@ -344,22 +344,14 @@ def mobius_cmd(ctx, session_file, model_name, invert):
         if invert:
             if model.mass is None:
                 _fail_input("model carries no masses to invert")
-            lam = inverse_mobius(
-                {frozenset([s]): v for s, v in model.mass.items()}, model.states
+            values = inverse_mobius(
+                {1 << i: v for i, v in enumerate(model.mass)}, len(model.states)
             )
-            out = {
-                event_label(ev): str(v)
-                for ev, v in sorted(lam.items(), key=lambda kv: (len(kv[0]), event_label(kv[0])))
-            }
             title = "appraisal from masses"
         else:
-            masses = mobius(model)
-            out = {
-                event_label(ev): str(v)
-                for ev, v in sorted(masses.items(), key=lambda kv: (len(kv[0]), event_label(kv[0])))
-                if v != 0
-            }
+            values = {ev: v for ev, v in mobius(model).items() if v != 0}
             title = "mobius masses (zeros omitted)"
+        out = {label: str(v) for label, v in model.labelled(values)}
     except ModelError as e:
         _fail_input(str(e))
     lines = [f"{title}:"] + [f"  {k or '(empty)'}: {v}" for k, v in out.items()]

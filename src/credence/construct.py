@@ -15,10 +15,19 @@ Five constructions are provided:
   an additive measure; requires a totally monotone source appraisal.
 * ``additive_sound``: classical truth plus a genuine probability on the
   valuations, when one exists and is pinned down by the universe.
+
+Models are built on the indexed core of ``model``: states are bit
+positions and events int masks.  The product measure is built by
+pattern doubling, one coordinate at a time in int numerators over one
+denominator, and the canonical inner extension is a subset-max
+transform over the field's blocks.  Every certificate is checked on the
+built model, never assumed.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,7 +35,17 @@ from ._simplex import pivot
 from .assessment import Assessment, check_a, check_e, check_i, check_nt
 from .errors import InternalError
 from .logic import FALSE, TRUE, unparse
-from .model import ModelError, SubjectiveModel, classify_truth, mobius, represents
+from .model import (
+    MAX_FIELD_ATOMS,
+    ModelError,
+    SubjectiveModel,
+    _bit_slices,
+    _subset_fold,
+    _unions,
+    classify_truth,
+    mobius,
+    represents,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -34,7 +53,6 @@ ONE = Fraction(1)
 MAX_PRODUCT_COORDS = 16
 MAX_SOLVER_ATOMS = 10
 MAX_LIFT_STATES = 12
-_MAX_MATERIALIZED_FIELD_ATOMS = 12
 
 
 class BuildError(ValueError):
@@ -86,16 +104,13 @@ def _require(report, axiom: str, what: str):
 
 def _valuation_states(assessment: Assessment):
     """The atom valuations as state labels, and each statement's classical
-    truth event over them, read from the statement index."""
+    truth event over them, read from the statement index: state i is
+    valuation i, so the event is the statement's valuation set."""
     lang = assessment.language
     n = len(lang.atoms)
     states = ["v" + format(i, f"0{n}b")[::-1] if n else "v" for i in range(lang.n_valuations)]
     sat = dict(zip(assessment.statements, assessment.sats))
-    truth = {
-        f: frozenset(s for i, s in enumerate(states) if (sat[f] >> i) & 1)
-        for f in assessment.formulas
-    }
-    return states, truth
+    return states, {f: sat[f] for f in assessment.formulas}
 
 
 def _certify_represents(model, assessment) -> CertEntry:
@@ -117,19 +132,24 @@ def build_product_model(assessment: Assessment) -> BuildOutcome:
         )
     m = len(coords)
     states = ["w" + format(i, f"0{m}b")[::-1] if m else "w" for i in range(1 << m)]
-    mass = {}
-    for i, s in enumerate(states):
-        p = ONE
-        for j, f in enumerate(coords):
-            pj = assessment.value(f)
-            p *= pj if (i >> j) & 1 else ONE - pj
-        mass[s] = p
-    truth = {
-        f: frozenset(states[i] for i in range(1 << m) if (i >> j) & 1)
-        for j, f in enumerate(coords)
-    }
+    # state i sets coordinate j exactly when bit j of i is set: adding
+    # coordinate j doubles the states, the new upper half making it true
+    numerators, denominator, size = [1], 1, 1
+    events = []
+    for f in coords:
+        p = assessment.value(f)
+        yes, no = p.numerator, p.denominator - p.numerator
+        numerators = [x * no for x in numerators] + [x * yes for x in numerators]
+        denominator *= p.denominator
+        events = [ev | ev << size for ev in events] + [((1 << size) - 1) << size]
+        size *= 2
     model = SubjectiveModel(
-        assessment.language, states, truth, mass=mass, name="product"
+        assessment.language,
+        states,
+        dict(zip(coords, events)),
+        mass=numerators,
+        denominator=denominator,
+        name="product",
     )
     cert = [
         _certify_represents(model, assessment),
@@ -151,24 +171,35 @@ def build_canonical_sound(assessment: Assessment) -> BuildOutcome:
     lam = {}
     for f in assessment.formulas:
         lam[truth[f]] = assessment.value(f)
-    lam[frozenset()] = ZERO
-    lam[frozenset(states)] = ONE
+    lam[0] = ZERO
+    lam[lang.full_mask] = ONE
 
     model = SubjectiveModel(assessment.language, states, truth, lam=lam, name="canonical-sound")
     notes = []
-    atoms = model.field_atoms()
-    if len(atoms) <= _MAX_MATERIALIZED_FIELD_ATOMS and lang.n_valuations <= 4096:
-        state_bit = {s: 1 << i for i, s in enumerate(states)}
-        statements = list(zip(assessment.sats, assessment.values))
-        for ev in model.field_events():
-            if ev in model.lam:
-                continue
-            bits = 0
-            for s in ev:
-                bits |= state_bit[s]
-            model.lam[ev] = max(
-                (v for sat, v in statements if sat & ~bits == 0), default=ZERO
-            )
+    blocks = model.field_atoms()
+    small = len(blocks) <= MAX_FIELD_ATOMS
+    if small:
+        # the field's events as bitmasks over its blocks, and the appraisal
+        # on them as int numerators over the values' common denominator
+        events = _unions(blocks)
+        index = {ev: s for s, ev in enumerate(events)}
+        den = math.lcm(*(v.denominator for v in assessment.values))
+
+        def scaled(v: Fraction) -> int:
+            return v.numerator * (den // v.denominator)
+
+        known = {index[ev]: scaled(v) for ev, v in model.lam.items()}
+    if small and lang.n_valuations <= 4096:
+        # inner extension: the largest value of a statement whose event lies inside
+        inner = [0] * len(events)
+        for sat, v in zip(assessment.sats, assessment.values):
+            inner[index[sat]] = max(inner[index[sat]], scaled(v))
+        _subset_fold(inner, max)
+        value_of = {scaled(v): v for v in assessment.values}
+        for s, v in enumerate(inner):
+            if s not in known:
+                known[s] = v
+                model.lam[events[s]] = value_of.get(v, ZERO)
         notes.append("appraisal inner-extended to the generated field")
     else:
         notes.append("generated field too large to materialize; appraisal kept on named events")
@@ -179,13 +210,14 @@ def build_canonical_sound(assessment: Assessment) -> BuildOutcome:
         CertEntry("t sound", flags.sound, "classical valuation over atom assignments")
     )
     i_report = check_i(assessment)
-    if i_report.passed and len(atoms) <= _MAX_MATERIALIZED_FIELD_ATOMS:
-        blocks = atoms
+    if i_report.passed and small:
+        # one block more never lowers the value; an event without one
+        # reads lowest as the smaller and highest as the larger of a pair
+        below = [known.get(s, -1) for s in range(len(events))]
+        above = [known.get(s, den + 1) for s in range(len(events))]
         mono = all(
-            model.lam[ev] <= model.lam[ev | b]
-            for ev in model.lam
-            for b in blocks
-            if not b <= ev and (ev | b) in model.lam
+            all(map(operator.le, below[low], above[high]))
+            for high, low in _bit_slices(len(events))
         )
         cert.append(CertEntry("lambda monotone on field", mono, "follows from axiom I"))
     elif not i_report.passed:
@@ -199,13 +231,12 @@ def build_interval_additive(assessment: Assessment) -> BuildOutcome:
     nested segments make truth monotone."""
     _require(check_nt(assessment), "NT", "interval construction")
     _require(check_i(assessment), "I", "interval construction")
-    cuts = sorted({ZERO, ONE} | {assessment.value(f) for f in assessment.formulas})
+    cuts = sorted({ZERO, ONE} | set(assessment.values))
     states = [f"({cuts[i]},{cuts[i + 1]}]" for i in range(len(cuts) - 1)]
-    mass = {s: cuts[i + 1] - cuts[i] for i, s in enumerate(states)}
-    truth = {}
-    for f in assessment.formulas:
-        v = assessment.value(f)
-        truth[f] = frozenset(states[i] for i in range(len(states)) if cuts[i + 1] <= v)
+    mass = [cuts[i + 1] - cuts[i] for i in range(len(states))]
+    # the segment [0, pi] is the first k states, pi being the k-th cut
+    position = {v: k for k, v in enumerate(cuts)}
+    truth = {f: (1 << position[assessment.value(f)]) - 1 for f in assessment.formulas}
     model = SubjectiveModel(
         assessment.language,
         states,
@@ -229,32 +260,29 @@ def build_belief_lift(
     statement is true at a state-event exactly when that event sits inside
     its old truth set.  Zero-mass events are omitted; they would never
     contribute to any likelihood."""
-    if len(model.states) > MAX_LIFT_STATES:
-        raise BuildError(f"belief lift capped at {MAX_LIFT_STATES} states")
+    n = len(model.states)
+    if n > MAX_LIFT_STATES:
+        raise BuildError(f"belief lift capped at {MAX_LIFT_STATES} states, got {n}")
     try:
         masses = mobius(model)
     except ModelError as e:
         raise BuildError(f"belief lift needs the appraisal on the full powerset: {e}")
-    negative = sorted(
-        "|".join(sorted(ev)) for ev, m in masses.items() if m < 0
-    )
+    negative = sorted(model.label(ev) for ev, m in masses.items() if m < 0)
     if negative:
         raise BuildError(
             "not a belief function: negative Mobius mass on " + ", ".join(negative)
         )
 
-    def label(ev: frozenset) -> str:
-        return "+".join(sorted(ev))
-
-    subsets = sorted(
-        (ev for ev, m in masses.items() if m > 0), key=lambda ev: (len(ev), label(ev))
+    # each focal event becomes a state labelled by its states joined by '+'
+    focal = sorted(
+        (ev.bit_count(), "+".join(model.labels(ev)), ev) for ev, m in masses.items() if m > 0
     )
-    states = [label(ev) for ev in subsets]
-    mass = {label(ev): masses[ev] for ev in subsets}
+    states = [label for _, label, _ in focal]
+    mass = [masses[ev] for _, _, ev in focal]
     truth = {}
     for f in model.truth_domain():
         base = model.truth[f]
-        truth[f] = frozenset(label(ev) for ev in subsets if ev <= base)
+        truth[f] = sum(1 << j for j, (_, _, ev) in enumerate(focal) if not ev & ~base)
     lifted = SubjectiveModel(
         model.language,
         states,
@@ -344,7 +372,10 @@ def build_additive_sound(
     _require(check_a(assessment), "A", "additive sound construction")
     lang = assessment.language
     if len(lang.atoms) > MAX_SOLVER_ATOMS:
-        raise BuildError(f"additive sound construction capped at {MAX_SOLVER_ATOMS} atoms")
+        raise BuildError(
+            f"additive sound construction capped at {MAX_SOLVER_ATOMS} atoms, "
+            f"got {len(lang.atoms)}"
+        )
     nv = lang.n_valuations
     status, data = _solve_valuation_masses(assessment)
     notes = []
@@ -393,10 +424,7 @@ def build_additive_sound(
         )
 
     states, truth = _valuation_states(assessment)
-    mass = {states[i]: masses[i] for i in range(nv)}
-    model = SubjectiveModel(
-        lang, states, truth, mass=mass, name="additive-sound"
-    )
+    model = SubjectiveModel(lang, states, truth, mass=masses, name="additive-sound")
     cert = [_certify_represents(model, assessment)]
     flags = classify_truth(model, assessment.formulas)
     cert.append(CertEntry("t sound", flags.sound, "classical valuation over atom assignments"))

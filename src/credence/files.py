@@ -13,7 +13,7 @@ from pathlib import Path
 from .assessment import Assessment
 from .games import Strategy
 from .logic import FALSE, TRUE, Language, Theory, unparse
-from .model import SubjectiveModel, event_label
+from .model import ModelError, SubjectiveModel, check_states
 
 
 class FileFormatError(ValueError):
@@ -89,31 +89,56 @@ def load_theory(path: Path, language: Language) -> Theory:
     return Theory.from_texts(language, texts)
 
 
-def _event_from_key(key: str, states) -> frozenset:
+def _event_from_key(key: str, index: dict[str, int]) -> int:
     if key == "":
-        return frozenset()
+        return 0
     labels = key.split("|")
-    unknown = [l for l in labels if l not in states]
-    if unknown:
+    mask = _mask(labels, index)
+    if mask is None:
+        unknown = [l for l in labels if l not in index]
         raise FileFormatError(f"unknown state labels in event {key!r}: {unknown}")
-    return frozenset(labels)
+    return mask
+
+
+def _mask(labels, index: dict[str, int]) -> int | None:
+    """The event mask of the given state labels, or None when one of them
+    is not a state."""
+    mask = 0
+    for s in labels:
+        i = index.get(s)
+        if i is None:
+            return None
+        mask |= 1 << i
+    return mask
 
 
 def load_model(path: Path, language: Language, name: str | None = None) -> SubjectiveModel:
+    """A model file: events are lists of state labels (``t``) or labels
+    joined by '|' (``lambda`` keys), and masses are keyed by label; the
+    model holds them as bit masks and per-state masses."""
     data = _read_json(path)
     states = _expect(data, "states", path, list)
-    truth = {}
-    for text, labels in _expect(data, "t", path).items():
-        truth[language.parse(text)] = frozenset(labels)
+    index = {s: i for i, s in enumerate(states)}
+    truth_labels = {
+        language.parse(text): labels for text, labels in _expect(data, "t", path).items()
+    }
     lam = None
     if "lambda" in data:
-        lam = {
-            _event_from_key(k, set(states)): parse_rational(v)
-            for k, v in data["lambda"].items()
-        }
+        lam = {_event_from_key(k, index): parse_rational(v) for k, v in data["lambda"].items()}
     mass = None
     if "mass" in data:
         mass = {s: parse_rational(v) for s, v in data["mass"].items()}
+    check_states(states)
+    truth = {}
+    for f, labels in truth_labels.items():
+        truth[f] = _mask(labels, index)
+        if truth[f] is None:
+            raise ModelError(f"truth event for {unparse(f)} mentions unknown states")
+    if mass is not None:
+        for s in mass:
+            if s not in index:
+                raise ModelError(f"mass assigned to unknown state {s!r}")
+        mass = [mass.get(s, 0) for s in states]
     return SubjectiveModel(
         language,
         states,
@@ -129,17 +154,14 @@ def model_to_dict(model: SubjectiveModel) -> dict:
     out = {
         "states": list(model.states),
         "t": {
-            unparse(f): sorted(ev)
+            unparse(f): model.labels(ev)
             for f, ev in model.truth.items()
             if f not in (TRUE, FALSE)
         },
-        "lambda": {
-            event_label(ev): format_rational(v)
-            for ev, v in sorted(model.lam.items(), key=lambda kv: (len(kv[0]), event_label(kv[0])))
-        },
+        "lambda": {label: format_rational(v) for label, v in model.labelled(model.lam)},
     }
     if model.mass is not None:
-        out["mass"] = {s: format_rational(model.mass[s]) for s in model.states}
+        out["mass"] = {s: format_rational(v) for s, v in zip(model.states, model.mass)}
     if model.exact_lookup:
         out["exact_lookup"] = True
     return out
@@ -159,14 +181,16 @@ def load_strategies(path: Path, language: Language) -> list[Strategy]:
     return out
 
 
-def load_payoff_vector(path: Path, model: SubjectiveModel) -> dict[str, Fraction]:
+def load_payoff_vector(path: Path, model: SubjectiveModel) -> list[Fraction]:
+    """A payoff file keyed by state label, as one value per state in state
+    order."""
     data = _read_json(path)
     vec = {s: parse_rational(v) for s, v in data.items()}
     if set(vec) != set(model.states):
         raise FileFormatError(
             f"{path}: payoff vector must value exactly the model's states"
         )
-    return vec
+    return [vec[s] for s in model.states]
 
 
 @dataclass

@@ -27,7 +27,7 @@ from . import _simplex
 from .assessment import Assessment
 from .errors import InternalError
 from .logic import Formula, unparse
-from .model import ModelError, SubjectiveModel, choquet, event_label, represents
+from .model import ModelError, SubjectiveModel, bits, choquet, represents, upper_sets
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -86,24 +86,22 @@ def _require_sound(model: SubjectiveModel, what: str):
         )
 
 
-def t_circ(model: SubjectiveModel, strategy: Strategy) -> dict[str, Fraction]:
-    """State payoff vector of a strategy under a sound valuation: at each
-    state, the sum of payoffs of the statements true there.  Linear in
-    the strategy."""
+def t_circ(model: SubjectiveModel, strategy: Strategy) -> list[Fraction]:
+    """State payoff vector of a strategy under a sound valuation, in state
+    order: at each state, the sum of payoffs of the statements true
+    there.  Linear in the strategy."""
     _require_sound(model, "strategy evaluation")
-    out = {s: ZERO for s in model.states}
+    out = [ZERO] * len(model.states)
     for f, v in strategy.payoffs.items():
-        ev = model.truth_of(f)
-        for s in ev:
-            out[s] += v
+        for i in bits(model.truth_of(f)):
+            out[i] += v
     return out
 
 
-def layer_decompose(
-    payoff: dict[str, Fraction], model: SubjectiveModel
-) -> list[tuple[Fraction, Formula]]:
-    """Split a state payoff vector into layers (alpha_k, phi_k) with
-    alpha_1 > alpha_2 > ... and t(phi_k) = the upper set {payoff >= alpha_k};
+def layer_decompose(payoff, model: SubjectiveModel) -> list[tuple[Fraction, Formula]]:
+    """Split a state payoff vector, one value per state in state order,
+    into layers (alpha_k, phi_k) with alpha_1 > alpha_2 > ... and
+    t(phi_k) = the upper set {payoff >= alpha_k};
     sum_k (alpha_k - alpha_{k+1}) * 1_{t(phi_k)} rebuilds the vector
     (alpha after the last layer is 0, and a final zero layer is dropped).
 
@@ -112,26 +110,22 @@ def layer_decompose(
     an upper set share a valuation, no statement names it.
     """
     _require_sound(model, "layer decomposition")
-    x = {s: Fraction(v) for s, v in payoff.items()}
-    if set(x) != set(model.states):
+    x = [Fraction(v) for v in payoff]
+    if len(x) != len(model.states):
         raise GamesError("payoff must value exactly the model's states")
-    if any(v < 0 for v in x.values()):
+    if any(v < 0 for v in x):
         raise GamesError("payoff must be nonnegative")
     lang = model.language
-    vals = model.state_valuation
-    levels = sorted(set(x.values()), reverse=True)
-    if levels and levels[-1] == 0:
-        levels = levels[:-1]
     layers = []
-    for a in levels:
-        inside = [s for s in model.states if x[s] >= a]
-        include = 0
-        for s in inside:
-            include |= 1 << vals[s]
-        exclude = 0
-        for s in model.states:
-            if x[s] < a:
-                exclude |= 1 << vals[s]
+    for a, inside in upper_sets(x):
+        if a == 0:
+            break
+        include = exclude = 0
+        for v, states in model.valuation_events.items():
+            if states & inside:
+                include |= 1 << v
+            if states & ~inside:
+                exclude |= 1 << v
         if include & exclude:
             raise GamesError(
                 f"upper set at level {a} has no statement naming it: states "
@@ -179,7 +173,7 @@ def t_bullet(
     target: SubjectiveModel,
     strategy: Strategy,
     assessment: Assessment | None = None,
-) -> dict[str, Fraction]:
+) -> list[Fraction]:
     """Transport a strategy's payoffs into another representation: rebuild
     the layer sum with the target's truth events.  The two models must
     value the layer statements identically (checked; also checked across
@@ -197,11 +191,10 @@ def t_bullet(
     _agreement_check(source, target, [f for _, f in layers], required=True)
     _agreement_check(source, target, target.truth_domain(), required=False)
     weights = _layer_weights(layers)
-    out = {s: ZERO for s in target.states}
+    out = [ZERO] * len(target.states)
     for w, (_, f) in zip(weights, layers):
-        tev = target.truth_of(f)
-        for s in tev:
-            out[s] += w
+        for i in bits(target.truth_of(f)):
+            out[i] += w
     return out
 
 
@@ -235,18 +228,18 @@ def verify_integral_equality(
 # -- the maximal model, in affine form ---------------------------------------
 
 
-def strategy_events(model: SubjectiveModel, layerings) -> list[frozenset]:
+def strategy_events(model: SubjectiveModel, layerings) -> list[int]:
     """The distinct layer upper-set events named by the strategies'
     layers (each strategy's ``layer_decompose`` of its ``t_circ``
-    vector), excluding the full and empty event; these are the
-    coordinates of the maximal model."""
+    vector), excluding the full and empty event, in report order; these
+    are the coordinates of the maximal model."""
     events = set()
     for layers in layerings:
         for _, f in layers:
             ev = model.truth_of(f)
             if ev and ev != model.omega:
                 events.add(ev)
-    return sorted(events, key=lambda e: (len(e), event_label(e)))
+    return sorted(events, key=model.event_key)
 
 
 def transported_vector(
@@ -268,7 +261,7 @@ def transported_vector(
             constant += w
         elif ev not in index:
             raise GamesError(
-                f"event {event_label(ev)} is not a coordinate of the maximal model"
+                f"event {model.label(ev)} is not a coordinate of the maximal model"
             )
         else:
             coefficients[index[ev]] += w
@@ -427,16 +420,19 @@ class RationalizabilityResult:
     rationalizable: bool
     mode: str
     choice: str
+    model: SubjectiveModel = field(repr=False, compare=False)
     epsilon: Fraction | None = None
     dominating_mixture: list[tuple[str, Fraction]] | None = None
-    witness_events: dict[frozenset, Fraction] | None = None
+    witness_events: dict[int, Fraction] | None = None
     witness_mass: dict[str, Fraction] | None = None
     witness_source: str | None = None
     choquet_values: list[tuple[str, Fraction]] | None = None
-    coordinates: list[frozenset] = field(default_factory=list)
+    coordinates: list[int] = field(default_factory=list)
     verified: bool = False
 
     def to_dict(self) -> dict:
+        """The verdict, with events rendered by the labels of ``model``,
+        the model it was decided in."""
         return {
             "rationalizable": self.rationalizable,
             "mode": self.mode,
@@ -447,9 +443,7 @@ class RationalizabilityResult:
             else {n: str(v) for n, v in self.dominating_mixture},
             "witness_lambda": None
             if self.witness_events is None
-            else {event_label(e): str(v) for e, v in sorted(
-                self.witness_events.items(), key=lambda kv: (len(kv[0]), event_label(kv[0]))
-            )},
+            else {label: str(v) for label, v in self.model.labelled(self.witness_events)},
             "witness_mass": None
             if self.witness_mass is None
             else {s: str(v) for s, v in sorted(self.witness_mass.items())},
@@ -457,7 +451,7 @@ class RationalizabilityResult:
             "choquet_values": None
             if self.choquet_values is None
             else {n: str(v) for n, v in self.choquet_values},
-            "coordinates": [event_label(e) for e in self.coordinates],
+            "coordinates": [self.model.label(e) for e in self.coordinates],
             "verified": self.verified,
         }
 
@@ -471,7 +465,7 @@ def _witness_from_events(model, events) -> SubjectiveModel:
         model.language,
         model.states,
         dict(model.truth),
-        lam={e: v for e, v in events.items()},
+        lam=events,
         name="witness",
     )
 
@@ -515,25 +509,27 @@ def rationalizable(
     mode = "weak" if weak else "strict"
 
     base_vectors = [t_circ(model, s) for s in pool]
-    x_choice = base_vectors[pool.index(strategy)]
 
     if additive_only:
-        dom = pointwise_undominated(x_choice, base_vectors, weak=weak)
+        # keyed by label, so that the dominance LP orders its states by label
+        labelled = [dict(zip(model.states, x)) for x in base_vectors]
+        dom = pointwise_undominated(labelled[pool.index(strategy)], labelled, weak=weak)
         if dom.dominated:
             return RationalizabilityResult(
                 False,
                 f"additive-{mode}",
                 choice_name,
+                model,
                 epsilon=dom.epsilon,
                 dominating_mixture=list(zip(names, dom.mixture)),
             )
         result = RationalizabilityResult(
-            True, f"additive-{mode}", choice_name, epsilon=dom.epsilon
+            True, f"additive-{mode}", choice_name, model, epsilon=dom.epsilon
         )
         if dom.prior is not None:
             witness = SubjectiveModel(
-                model.language, model.states, dict(model.truth), mass=dom.prior,
-                name="additive-witness",
+                model.language, model.states, dict(model.truth),
+                mass=[dom.prior[s] for s in model.states], name="additive-witness",
             )
             values, best = _best_response(witness, names, base_vectors, choice_name)
             result.witness_mass = dom.prior
@@ -552,13 +548,14 @@ def rationalizable(
             False,
             mode,
             choice_name,
+            model,
             epsilon=dom.epsilon,
             dominating_mixture=list(zip(names, dom.mixture)),
             coordinates=list(events),
         )
 
     result = RationalizabilityResult(
-        True, mode, choice_name, epsilon=dom.epsilon, coordinates=list(events)
+        True, mode, choice_name, model, epsilon=dom.epsilon, coordinates=list(events)
     )
 
     candidates = []
@@ -567,7 +564,7 @@ def rationalizable(
     if dom.marginals is not None:
         pulled = dict(zip(events, dom.marginals))
         pulled[model.omega] = ONE
-        pulled[frozenset()] = ZERO
+        pulled[0] = ZERO
         candidates.append(("maximal-model prior", _witness_from_events(model, pulled)))
 
     for source, witness in candidates:
@@ -579,7 +576,7 @@ def rationalizable(
             result.witness_source = source
             result.choquet_values = values
             result.witness_events = {
-                ev: witness.lambda_of(ev) for ev in list(events) + [model.omega, frozenset()]
+                ev: witness.lambda_of(ev) for ev in list(events) + [model.omega, 0]
             }
             result.verified = True
             break

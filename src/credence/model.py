@@ -2,6 +2,15 @@
 sending statements to events, and a likelihood appraisal on a field of
 events.
 
+The core is indexed.  A state is its bit position in ``states`` and an
+event is an int mask over those positions: ``truth`` maps formulas to
+masks and ``lam`` is keyed by mask.  An additive appraisal keeps its
+state masses as int numerators over one common denominator, so the
+likelihood of an event is one int sum and one ``Fraction``.  State labels
+serve only to read and write models and to render reports
+(``labels``, ``label`` and ``event_key``, which orders events by size,
+then by label text).
+
 The module grades truth valuations (exact / monotone / symmetric /
 and-distributive / sound) and likelihood appraisals (symmetric /
 monotone / totally monotone / additive), computes Mobius mass
@@ -12,9 +21,11 @@ and tests whether a model reproduces an assessment.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .assessment import Assessment
 from .logic import FALSE, TRUE, Atom, Formula, Language, unparse
@@ -30,22 +41,40 @@ class ModelError(ValueError):
     pass
 
 
-def event_label(event: frozenset) -> str:
-    return "|".join(sorted(event))
+def bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+def check_states(states) -> tuple[str, ...]:
+    """The state labels as a tuple, once they are known to be nonempty,
+    distinct and free of the event separator '|'."""
+    states = tuple(states)
+    if not states:
+        raise ModelError("a model needs at least one state")
+    if len(set(states)) != len(states):
+        raise ModelError("duplicate state labels")
+    for s in states:
+        if "|" in s:
+            raise ModelError(f"state label {s!r} may not contain '|'")
+    return states
 
 
 class SubjectiveModel:
     """A triple (states, truth valuation, likelihood appraisal).
 
-    ``truth`` maps formulas to explicit events.  T and F are always
-    valued (the full and empty event); a conflicting explicit entry is
-    rejected.  ``lam`` holds explicit appraisal values per event; an
-    optional additive ``mass`` backend makes the appraisal total on the
-    powerset by summation.  When every atom has an explicit truth event
-    and all explicit compounds agree with pointwise evaluation, the
-    model is *grounded*: its valuation extends soundly to every formula.
+    ``truth`` maps formulas to event masks (bit i is ``states[i]``).  T
+    and F are always valued (the full and empty event); a conflicting
+    explicit entry is rejected.  ``lam`` holds explicit appraisal values
+    per event mask.  ``mass`` gives an optional additive backend, one
+    rational per state (or, with ``denominator``, one int numerator per
+    state over it); it makes the appraisal total on the powerset by
+    summation.  When every atom has an explicit truth event and all
+    explicit compounds agree with pointwise evaluation, the model is
+    *grounded*: its valuation extends soundly to every formula.
     ``exact_lookup`` lets an exact (equivalence-respecting) valuation
     answer for any formula equivalent to an explicitly valued one.
+    The explicit truth events are fixed once the model is built.
     """
 
     def __init__(
@@ -57,108 +86,131 @@ class SubjectiveModel:
         mass=None,
         name: str | None = None,
         exact_lookup: bool = False,
+        denominator: int | None = None,
     ):
         self.language = language
-        self.states = tuple(states)
-        if not self.states:
-            raise ModelError("a model needs at least one state")
-        if len(set(self.states)) != len(self.states):
-            raise ModelError("duplicate state labels")
-        for s in self.states:
-            if "|" in s:
-                raise ModelError(f"state label {s!r} may not contain '|'")
+        self.states = check_states(states)
         self.name = name
         self.exact_lookup = exact_lookup
-        omega = frozenset(self.states)
+        n = len(self.states)
+        omega = (1 << n) - 1
         self.omega = omega
 
-        self.truth: dict[Formula, frozenset] = {}
+        self.truth: dict[Formula, int] = {}
         for f, ev in (truth or {}).items():
-            ev = frozenset(ev)
-            if not ev <= omega:
+            if ev < 0 or ev & ~omega:
                 raise ModelError(f"truth event for {unparse(f)} mentions unknown states")
             self.truth[f] = ev
-        for const, ev in ((TRUE, omega), (FALSE, frozenset())):
+        for const, ev in ((TRUE, omega), (FALSE, 0)):
             if const in self.truth and self.truth[const] != ev:
-                raise ModelError(f"{unparse(const)} must be valued as {sorted(ev)}")
+                raise ModelError(f"{unparse(const)} must be valued as {self.labels(ev)}")
             self.truth[const] = ev
 
-        self.mass: dict[str, Fraction] | None = None
+        self.mass_numerators: tuple[int, ...] | None = None
+        self.denominator = 1
         if mass is not None:
-            self.mass = {s: Fraction(v) for s, v in mass.items()}
-            for s in self.mass:
-                if s not in omega:
-                    raise ModelError(f"mass assigned to unknown state {s!r}")
-            for s in self.states:
-                self.mass.setdefault(s, ZERO)
-            if sum(self.mass.values()) != ONE:
+            mass = tuple(mass)
+            if len(mass) != n:
+                raise ModelError(f"masses must give one value per state, got {len(mass)}")
+            if denominator is None:
+                mass = [Fraction(v) for v in mass]
+                denominator = math.lcm(*(v.denominator for v in mass))
+                mass = [v.numerator * (denominator // v.denominator) for v in mass]
+            self.mass_numerators = tuple(mass)
+            self.denominator = denominator
+            if sum(self.mass_numerators) != denominator:
                 raise ModelError("state masses must sum to exactly 1")
 
-        self.lam: dict[frozenset, Fraction] = {}
+        self.lam: dict[int, Fraction] = {}
         for ev, v in (lam or {}).items():
-            ev = frozenset(ev)
-            if not ev <= omega:
+            if ev < 0 or ev & ~omega:
                 raise ModelError("lambda valued on an event with unknown states")
             self.lam[ev] = Fraction(v)
-        for ev, v in ((frozenset(), ZERO), (omega, ONE)):
+        for ev, v in ((0, ZERO), (omega, ONE)):
             if ev in self.lam and self.lam[ev] != v:
-                raise ModelError(
-                    f"lambda({event_label(ev) or 'empty'}) must equal {v}"
-                )
+                raise ModelError(f"lambda({self.label(ev) or 'empty'}) must equal {v}")
             self.lam.setdefault(ev, v)
-        if self.mass is not None:
+        if self.mass_numerators is not None:
             for ev, v in self.lam.items():
-                total = sum(self.mass[s] for s in ev)
-                if total != v:
+                total = self._mass_sum(ev)
+                if v.numerator * self.denominator != total * v.denominator:
                     raise ModelError(
-                        f"explicit lambda({event_label(ev)}) = {v} disagrees "
-                        f"with the additive masses ({total})"
+                        f"explicit lambda({self.label(ev)}) = {v} disagrees "
+                        f"with the additive masses ({Fraction(total, self.denominator)})"
                     )
 
-        self.state_valuation: dict[str, int] | None = None
+        self.valuation_events: dict[int, int] | None = None
         self.grounded = False
         self.grounding_mismatches: list[str] = []
+        self._by_sat: dict[int, int] | None = None
         self._ground()
+
+    # -- state labels, for reading, writing and reports ---------------------
+
+    @cached_property
+    def _label_order(self) -> list[int]:
+        return sorted(range(len(self.states)), key=self.states.__getitem__)
+
+    def labels(self, event: int) -> list[str]:
+        """The labels of the event's states, in text order."""
+        return [self.states[i] for i in self._label_order if event >> i & 1]
+
+    def label(self, event: int) -> str:
+        return "|".join(self.labels(event))
+
+    def event_key(self, event: int) -> tuple[int, str]:
+        """The report order of events: by size, then by label."""
+        return event.bit_count(), self.label(event)
+
+    def labelled(self, values: dict) -> list[tuple[str, object]]:
+        """(label, value) for each event keyed in ``values``, in report
+        order."""
+        keyed = sorted((self.event_key(ev), v) for ev, v in values.items())
+        return [(label, v) for (_, label), v in keyed]
 
     # -- truth valuation ------------------------------------------------
 
     def _ground(self):
+        """Split the states by the atoms' truth events into the states
+        realizing each valuation; each statement's event is then the
+        union of the parts its valuation set picks."""
         lang = self.language
-        atom_events = {}
-        for a in lang.atoms:
+        parts = [(0, self.omega)]
+        for j, a in enumerate(lang.atoms):
             ev = self.truth.get(Atom(a))
             if ev is None:
                 return
-            atom_events[a] = ev
-        vals = {}
-        for s in self.states:
-            vals[s] = sum(
-                1 << j for j, a in enumerate(lang.atoms) if s in atom_events[a]
-            )
-        mismatches = []
-        for f, ev in self.truth.items():
-            sat = lang.sat(f)
-            derived = frozenset(s for s in self.states if (sat >> vals[s]) & 1)
-            if derived != ev:
-                mismatches.append(unparse(f))
-        self.state_valuation = vals
-        self.grounding_mismatches = sorted(mismatches)
-        self.grounded = not mismatches
+            parts = [
+                part
+                for v, states in parts
+                for part in ((v, states & ~ev), (v | 1 << j, states & ev))
+                if part[1]
+            ]
+        self.valuation_events = dict(parts)
+        self.grounding_mismatches = sorted(
+            unparse(f) for f, ev in self.truth.items() if self._derived(lang.sat(f)) != ev
+        )
+        self.grounded = not self.grounding_mismatches
 
-    def truth_of(self, f: Formula) -> frozenset | None:
+    def _derived(self, sat: int) -> int:
+        ev = 0
+        for v, states in self.valuation_events.items():
+            if sat >> v & 1:
+                ev |= states
+        return ev
+
+    def truth_of(self, f: Formula) -> int | None:
         ev = self.truth.get(f)
         if ev is not None:
             return ev
         if self.grounded:
-            sat = self.language.sat(f)
-            return frozenset(
-                s for s in self.states if (sat >> self.state_valuation[s]) & 1
-            )
+            return self._derived(self.language.sat(f))
         if self.exact_lookup:
-            sat = self.language.sat(f)
-            for g in sorted(self.truth, key=unparse):
-                if self.language.sat(g) == sat:
-                    return self.truth[g]
+            if self._by_sat is None:
+                self._by_sat = {}
+                for g in sorted(self.truth, key=unparse):
+                    self._by_sat.setdefault(self.language.sat(g), self.truth[g])
+            return self._by_sat.get(self.language.sat(f))
         return None
 
     def truth_domain(self) -> list[Formula]:
@@ -166,33 +218,44 @@ class SubjectiveModel:
 
     # -- likelihood appraisal --------------------------------------------
 
-    def lambda_of(self, event) -> Fraction | None:
-        ev = frozenset(event)
-        v = self.lam.get(ev)
+    def _mass_sum(self, event: int) -> int:
+        nums = self.mass_numerators
+        return sum(nums[i] for i in bits(event))
+
+    @cached_property
+    def mass(self) -> tuple[Fraction, ...] | None:
+        """Each state's mass, in state order (None without masses)."""
+        if self.mass_numerators is None:
+            return None
+        return tuple(Fraction(v, self.denominator) for v in self.mass_numerators)
+
+    def lambda_of(self, event: int) -> Fraction | None:
+        v = self.lam.get(event)
         if v is not None:
             return v
-        if self.mass is not None:
-            return sum((self.mass[s] for s in ev), ZERO)
+        if self.mass_numerators is not None:
+            return Fraction(self._mass_sum(event), self.denominator)
         return None
 
-    def field_atoms(self) -> list[frozenset]:
+    def field_atoms(self) -> list[int]:
         """Blocks of the coarsest partition from which every explicit
-        truth event is built; the generated field is their union closure."""
-        events = sorted(set(self.truth.values()), key=event_label)
-        blocks: dict[tuple, set] = {}
-        for s in self.states:
-            sig = tuple(s in ev for ev in events)
-            blocks.setdefault(sig, set()).add(s)
-        return sorted((frozenset(b) for b in blocks.values()), key=event_label)
+        truth event is built, in order of their first state; the
+        generated field is their union closure."""
+        blocks = [self.omega]
+        for ev in set(self.truth.values()):
+            blocks = [part for b in blocks for part in (b & ev, b & ~ev) if part]
+        return sorted(blocks, key=lambda b: b & -b)
 
-    def field_events(self) -> list[frozenset]:
+    def field_events(self) -> list[int]:
+        """Every event of the generated field: entry S is the union of the
+        field atoms that bitmask S picks."""
         atoms = self.field_atoms()
         if len(atoms) > MAX_FIELD_ATOMS:
             raise ModelError(
                 f"generated field has {len(atoms)} atoms; "
                 f"enumeration is capped at {MAX_FIELD_ATOMS}"
             )
-        return sorted(_unions(atoms), key=lambda e: (len(e), event_label(e)))
+        return _unions(atoms)
 
 
 # -- truth classification ------------------------------------------------
@@ -238,9 +301,9 @@ def classify_truth(model: SubjectiveModel, formulas=None) -> TruthFlags:
         if ev is None:
             raise ModelError(f"model does not value {unparse(f)}")
         t[f] = ev
-        bits = lang.sat(f)
-        sat_bits[f] = bits
-        by_sat.setdefault(bits, []).append(f)
+        sat = lang.sat(f)
+        sat_bits[f] = sat
+        by_sat.setdefault(sat, []).append(f)
     wit: dict[str, list] = {"exact": [], "monotone": [], "symmetric": [], "and_distributive": []}
 
     for group in by_sat.values():
@@ -249,12 +312,12 @@ def classify_truth(model: SubjectiveModel, formulas=None) -> TruthFlags:
                 wit["exact"].append((unparse(f), unparse(g)))
     for f in fs:
         for g in fs:
-            if f is not g and sat_bits[f] & ~sat_bits[g] == 0 and not t[f] <= t[g]:
+            if f is not g and sat_bits[f] & ~sat_bits[g] == 0 and t[f] & ~t[g]:
                 wit["monotone"].append((unparse(f), unparse(g)))
     for f in fs:
         neg = lang.full_mask & ~sat_bits[f]
         for g in by_sat.get(neg, ()):
-            if t[g] != model.omega - t[f]:
+            if t[g] != model.omega ^ t[f]:
                 wit["symmetric"].append((unparse(f), unparse(g)))
     for f, g in itertools.combinations_with_replacement(fs, 2):
         members = by_sat.get(sat_bits[f] & sat_bits[g])
@@ -296,16 +359,12 @@ class LambdaFlags:
         }
 
 
-def _sigma_values(model: SubjectiveModel) -> tuple[list[frozenset], dict[frozenset, Fraction]]:
+def _sigma_values(model: SubjectiveModel) -> tuple[list[int], list[Fraction]]:
+    """The generated field's events (entry S the union of the field atoms
+    bitmask S picks) and the appraisal's value on each."""
     events = model.field_events()
-    values = {}
-    missing = []
-    for ev in events:
-        v = model.lambda_of(ev)
-        if v is None:
-            missing.append(event_label(ev) or "(empty)")
-        else:
-            values[ev] = v
+    values = [model.lambda_of(ev) for ev in events]
+    missing = [model.label(ev) or "(empty)" for ev, v in zip(events, values) if v is None]
     if missing:
         raise ModelError(
             "lambda is not total on the generated field; missing: "
@@ -319,31 +378,26 @@ def classify_lambda(model: SubjectiveModel) -> LambdaFlags:
     model's truth events.  Total monotonicity is decided exactly through
     the Mobius masses over the field's atoms."""
     events, lam = _sigma_values(model)
-    atoms = model.field_atoms()
-    omega = model.omega
+    full = len(events) - 1
+    singles = [1 << j for j in range(full.bit_length())]
+    label = model.label
     wit: dict[str, list] = {"symmetric": [], "monotone": [], "totally_monotone": [], "additive": []}
 
-    for ev in events:
-        comp = omega - ev
-        if lam[ev] + lam[comp] != ONE:
-            wit["symmetric"].append((event_label(ev), event_label(comp)))
-    for ev in events:
-        for block in atoms:
-            if not block <= ev:
-                bigger = ev | block
-                if lam[ev] > lam[bigger]:
-                    wit["monotone"].append((event_label(ev), event_label(bigger)))
-    # additive: every event's value is the sum over the field atoms inside it
-    for ev in events:
-        total = sum((lam[b] for b in atoms if b <= ev), ZERO)
-        if lam[ev] != total:
-            wit["additive"].append((event_label(ev), str(lam[ev]), str(total)))
+    for s, ev in enumerate(events):
+        if lam[s] + lam[full ^ s] != ONE:
+            wit["symmetric"].append((label(ev), label(events[full ^ s])))
+        for b in singles:
+            if not s & b and lam[s] > lam[s | b]:
+                wit["monotone"].append((label(ev), label(events[s | b])))
+        # additive: every event's value is the sum over the field atoms inside it
+        total = sum((lam[b] for b in singles if s & b), ZERO)
+        if lam[s] != total:
+            wit["additive"].append((label(ev), str(lam[s]), str(total)))
 
     # Mobius masses over the powerset of field atoms, each block a point
-    unions = _unions(atoms)
-    for ev, m in zip(unions, _subset_sums([lam[ev] for ev in unions], inverse=True)):
+    for ev, m in zip(events, _rational_subset_sums(lam, operator.sub)):
         if m < 0:
-            wit["totally_monotone"].append((event_label(ev), str(m)))
+            wit["totally_monotone"].append((label(ev), str(m)))
 
     wit = {k: sorted(set(v)) for k, v in wit.items()}
     return LambdaFlags(
@@ -355,95 +409,135 @@ def classify_lambda(model: SubjectiveModel) -> LambdaFlags:
     )
 
 
-# -- Mobius transform ------------------------------------------------------
+# -- transforms over bitmasks -------------------------------------------------
 
 
-def _unions(blocks) -> list[frozenset]:
+def _unions(blocks) -> list[int]:
     """The union of the blocks each bitmask picks, indexed by the mask
-    (bit j picks ``blocks[j]``)."""
-    out = [frozenset()]
+    (bit j picks ``blocks[j]``); maps field blocks to state masks."""
+    out = [0]
     for block in blocks:
         out += [ev | block for ev in out]
     return out
 
 
-def _subset_sums(arr: list, inverse: bool = False) -> list:
-    """The zeta transform over bitmasks, in place: each entry becomes the
-    sum of the entries at its submasks.  ``inverse`` runs the Mobius
-    transform instead, which undoes it."""
-    combine = operator.sub if inverse else operator.add
+def _bit_slices(n: int):
+    """For each bit b below ``n``, in order, slices (high, low) of a list
+    of length ``n`` that pair every mask holding b with the mask without
+    it.  Those masks come in runs of b, every 2b entries: a slice takes
+    a whole run, or a whole stride across the runs when those are
+    fewer."""
     bit = 1
-    while bit < len(arr):
-        for mask in range(len(arr)):
-            if mask & bit:
-                arr[mask] = combine(arr[mask], arr[mask ^ bit])
-        bit <<= 1
+    while bit < n:
+        step = 2 * bit
+        if bit < n // step:
+            for r in range(bit):
+                yield slice(bit + r, None, step), slice(r, None, step)
+        else:
+            for base in range(0, n, step):
+                yield slice(base + bit, base + step), slice(base, base + bit)
+        bit = step
+
+
+def _subset_fold(arr: list, combine=operator.add) -> list:
+    """The transform over bitmasks, in place, that folds each entry with
+    its submasks' one bit at a time: ``add`` gives the zeta transform
+    (each entry the sum over its submasks), ``sub`` the Mobius
+    transform that undoes it, and ``max`` the largest entry at a
+    submask."""
+    for high, low in _bit_slices(len(arr)):
+        arr[high] = map(combine, arr[high], arr[low])
     return arr
 
 
-def mobius(model: SubjectiveModel) -> dict[frozenset, Fraction]:
-    """Mobius masses of an appraisal that is total on the full powerset.
-    Inverse of :func:`inverse_mobius`; masses sum to 1 and are all
-    nonnegative exactly when the appraisal is totally monotone."""
-    if len(model.states) > MAX_POWERSET_STATES:
-        raise ModelError(f"powerset Mobius capped at {MAX_POWERSET_STATES} states")
-    events = _unions(frozenset([s]) for s in model.states)
-    arr = []
-    for ev in events:
+def _rational_subset_sums(values, combine) -> list[Fraction]:
+    """``_subset_fold`` of rationals with ``add`` or ``sub``, run in ints
+    over the values' common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    ints = _subset_fold([v.numerator * (den // v.denominator) for v in values], combine)
+    return [Fraction(v, den) for v in ints]
+
+
+def _check_powerset(n: int):
+    if n > MAX_POWERSET_STATES:
+        raise ModelError(f"powerset Mobius capped at {MAX_POWERSET_STATES} states, got {n}")
+
+
+def mobius(model: SubjectiveModel) -> dict[int, Fraction]:
+    """Mobius masses of an appraisal that is total on the full powerset,
+    keyed by nonempty event.  Inverse of :func:`inverse_mobius`; masses
+    sum to 1 and are all nonnegative exactly when the appraisal is
+    totally monotone."""
+    n = len(model.states)
+    _check_powerset(n)
+    values = []
+    for ev in range(1 << n):
         v = model.lambda_of(ev)
         if v is None:
             raise ModelError(
-                f"lambda is not total on the powerset; missing {event_label(ev) or '(empty)'}"
+                f"lambda is not total on the powerset; missing {model.label(ev) or '(empty)'}"
             )
-        arr.append(v)
-    return dict(zip(events[1:], _subset_sums(arr, inverse=True)[1:]))
+        values.append(v)
+    masses = _rational_subset_sums(values, operator.sub)
+    return {ev: m for ev, m in enumerate(masses) if ev}
 
 
-def inverse_mobius(masses, states) -> dict[frozenset, Fraction]:
-    """Rebuild the appraisal from Mobius masses: each event sums the
-    masses of its subsets."""
-    events = _unions(frozenset([s]) for s in states)
-    mask_of = {ev: mask for mask, ev in enumerate(events)}
-    arr = [ZERO] * len(events)
+def inverse_mobius(masses, n: int) -> dict[int, Fraction]:
+    """Rebuild the appraisal on the powerset of ``n`` states from Mobius
+    masses keyed by event: each event sums the masses of its subsets."""
+    _check_powerset(n)
+    values = [ZERO] * (1 << n)
     for ev, v in masses.items():
-        v = Fraction(v)
-        mask = mask_of.get(frozenset(ev))
-        if mask is not None:  # a mass off the states lies below no event
-            arr[mask] += v
-    return dict(zip(events, _subset_sums(arr)))
+        if 0 <= ev < len(values):  # a mass off the states lies below no event
+            values[ev] += Fraction(v)
+    return dict(enumerate(_rational_subset_sums(values, operator.add)))
 
 
 # -- Choquet integration ----------------------------------------------------
 
 
+def upper_sets(values) -> list[tuple[Fraction, int]]:
+    """Each distinct value a of a per-state vector, largest first, with the
+    mask of the states valued at least a."""
+    level: dict[Fraction, int] = {}
+    for i, v in enumerate(values):
+        level[v] = level.get(v, 0) | 1 << i
+    out = []
+    upper = 0
+    for a in sorted(level, reverse=True):
+        upper |= level[a]
+        out.append((a, upper))
+    return out
+
+
 def choquet(model: SubjectiveModel, payoff) -> Fraction:
-    """Finite Choquet integral of a nonnegative state-indexed payoff:
-    with distinct values a_1 > ... > a_k and a_{k+1} = 0,
+    """Finite Choquet integral of a nonnegative payoff, one value per
+    state in state order: with distinct values a_1 > ... > a_k and
+    a_{k+1} = 0,
 
         sum_j (a_j - a_{j+1}) * lambda({payoff >= a_j}).
 
     Every upper set must carry an appraisal value.  Equals the
     mass-weighted dot product when the appraisal is additive.
     """
-    x = {s: Fraction(v) for s, v in payoff.items()}
-    if set(x) != set(model.states):
+    x = [Fraction(v) for v in payoff]
+    if len(x) != len(model.states):
         raise ModelError("payoff must value exactly the model's states")
-    if any(v < 0 for v in x.values()):
+    if any(v < 0 for v in x):
         raise ModelError(
             "payoff must be nonnegative; shift it up and subtract the shift "
             "from the result (the shift adds exactly shift * lambda(omega))"
         )
-    levels = sorted(set(x.values()), reverse=True)
+    levels = upper_sets(x)
     total = ZERO
-    for i, a in enumerate(levels):
-        nxt = levels[i + 1] if i + 1 < len(levels) else ZERO
+    for i, (a, upper) in enumerate(levels):
+        nxt = levels[i + 1][0] if i + 1 < len(levels) else ZERO
         if a == nxt:
             continue
-        upper = frozenset(s for s, v in x.items() if v >= a)
         lv = model.lambda_of(upper)
         if lv is None:
             raise ModelError(
-                f"upper set {event_label(upper)} is not in the appraisal's domain"
+                f"upper set {model.label(upper)} is not in the appraisal's domain"
             )
         total += (a - nxt) * lv
     return total

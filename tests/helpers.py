@@ -12,20 +12,65 @@ events, on which dominance is the plain state-by-state LP, and the exact
 simplex and matrix-game solver as they ran before the single tableau
 (a separate objective row, a big-M phase 2 and a game tableau of its
 own), which must give the same pivots and hence the same exact results.
+Last come the subjective model with events as frozensets of state
+labels, its grading, Mobius, Choquet and representation functions and
+the five builders on it, as they ran before states became bit
+positions; ``indexed`` turns such a model into its indexed twin.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from credence._simplex import GameSolution, LpResult, SimplexError
-from credence.assessment import Assessment, AxiomReport, Violation, _report
+from credence.assessment import (
+    Assessment,
+    AxiomReport,
+    Violation,
+    _report,
+    check_a,
+    check_e,
+    check_i,
+    check_nt,
+)
+from credence.construct import (
+    MAX_LIFT_STATES,
+    MAX_PRODUCT_COORDS,
+    MAX_SOLVER_ATOMS,
+    BuildError,
+    BuildOutcome,
+    CertEntry,
+    _require,
+    _solve_valuation_masses,
+)
+from credence.errors import InternalError
 from credence.games import GamesError, Strategy, layer_decompose, t_circ
-from credence.logic import And, Atom, Const, Formula, Language, Not, Or, Theory
-from credence.model import SubjectiveModel, event_label
+from credence.logic import (
+    FALSE,
+    TRUE,
+    And,
+    Atom,
+    Const,
+    Formula,
+    Language,
+    Not,
+    Or,
+    Theory,
+    unparse,
+)
+from credence.model import (
+    MAX_FIELD_ATOMS,
+    MAX_POWERSET_STATES,
+    LambdaFlags,
+    ModelError,
+    RepresentationReport,
+    SubjectiveModel,
+    TruthFlags,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -214,14 +259,16 @@ def totally_monotone_direct(model: SubjectiveModel, max_family: int = 4) -> bool
     nonempty = [e for e in events if e]
     for k in range(2, max_family + 1):
         for family in itertools.combinations(nonempty, k):
-            union = frozenset().union(*family)
+            union = 0
+            for e in family:
+                union |= e
             alternating = ZERO
             for r in range(1, k + 1):
                 for subset in itertools.combinations(family, r):
-                    inter = frozenset(subset[0])
+                    inter = subset[0]
                     for e in subset[1:]:
                         inter &= e
-                    alternating += (-1) ** (r + 1) * lam[frozenset(inter)]
+                    alternating += (-1) ** (r + 1) * lam[inter]
             if lam[union] < alternating:
                 return False
     return True
@@ -328,10 +375,11 @@ def grid_dominance_oracle(x, alternatives, denominator: int = 12):
 @dataclass
 class MaximalModel:
     """The maximal model, materialized: one state per subset of the k
-    coordinate events, labelled by its bit vector."""
+    coordinate events (event masks of ``base``), labelled by its bit
+    vector."""
 
     base: SubjectiveModel
-    coordinates: tuple[frozenset, ...]
+    coordinates: tuple[int, ...]
 
     def __post_init__(self):
         k = len(self.coordinates)
@@ -339,7 +387,7 @@ class MaximalModel:
             "m" + format(i, f"0{k}b")[::-1] if k else "m" for i in range(1 << k)
         )
 
-    def cylinder(self, event: frozenset) -> frozenset:
+    def cylinder(self, event: int) -> frozenset:
         """States whose coordinate for ``event`` reads 1; the full or empty
         event maps to the full or empty state set."""
         if event == self.base.omega:
@@ -350,7 +398,7 @@ class MaximalModel:
             j = self.coordinates.index(event)
         except ValueError:
             raise GamesError(
-                f"event {event_label(event)} is not a coordinate of the maximal model"
+                f"event {self.base.label(event)} is not a coordinate of the maximal model"
             ) from None
         return frozenset(
             self.states[i] for i in range(len(self.states)) if (i >> j) & 1
@@ -358,7 +406,7 @@ class MaximalModel:
 
 
 def maximal_model(model: SubjectiveModel, events) -> MaximalModel:
-    events = [frozenset(e) for e in events]
+    events = list(events)
     for e in events:
         if not e or e == model.omega:
             raise GamesError("coordinates must be proper nonempty events")
@@ -574,3 +622,600 @@ def solve_matrix_game_oracle(matrix) -> GameSolution:
     row_mixture = [v / u for v in y]
     col_mixture = [v / u for v in z]
     return GameSolution(value, row_mixture, col_mixture)
+
+
+# -- the frozenset model, as it ran before the indexed core ---------------
+
+
+def event_label(event: frozenset) -> str:
+    return "|".join(sorted(event))
+
+
+class LabelModel:
+    """``SubjectiveModel`` as it was before states became bit positions:
+    events are frozensets of state labels, ``lam`` is keyed by them and
+    masses are a dict from label to ``Fraction``."""
+
+    def __init__(
+        self,
+        language: Language,
+        states,
+        truth=None,
+        lam=None,
+        mass=None,
+        name: str | None = None,
+        exact_lookup: bool = False,
+    ):
+        self.language = language
+        self.states = tuple(states)
+        if not self.states:
+            raise ModelError("a model needs at least one state")
+        if len(set(self.states)) != len(self.states):
+            raise ModelError("duplicate state labels")
+        for s in self.states:
+            if "|" in s:
+                raise ModelError(f"state label {s!r} may not contain '|'")
+        self.name = name
+        self.exact_lookup = exact_lookup
+        omega = frozenset(self.states)
+        self.omega = omega
+
+        self.truth: dict[Formula, frozenset] = {}
+        for f, ev in (truth or {}).items():
+            ev = frozenset(ev)
+            if not ev <= omega:
+                raise ModelError(f"truth event for {unparse(f)} mentions unknown states")
+            self.truth[f] = ev
+        for const, ev in ((TRUE, omega), (FALSE, frozenset())):
+            if const in self.truth and self.truth[const] != ev:
+                raise ModelError(f"{unparse(const)} must be valued as {sorted(ev)}")
+            self.truth[const] = ev
+
+        self.mass: dict[str, Fraction] | None = None
+        if mass is not None:
+            self.mass = {s: Fraction(v) for s, v in mass.items()}
+            for s in self.mass:
+                if s not in omega:
+                    raise ModelError(f"mass assigned to unknown state {s!r}")
+            for s in self.states:
+                self.mass.setdefault(s, ZERO)
+            if sum(self.mass.values()) != ONE:
+                raise ModelError("state masses must sum to exactly 1")
+
+        self.lam: dict[frozenset, Fraction] = {}
+        for ev, v in (lam or {}).items():
+            ev = frozenset(ev)
+            if not ev <= omega:
+                raise ModelError("lambda valued on an event with unknown states")
+            self.lam[ev] = Fraction(v)
+        for ev, v in ((frozenset(), ZERO), (omega, ONE)):
+            if ev in self.lam and self.lam[ev] != v:
+                raise ModelError(f"lambda({event_label(ev) or 'empty'}) must equal {v}")
+            self.lam.setdefault(ev, v)
+        if self.mass is not None:
+            for ev, v in self.lam.items():
+                total = sum(self.mass[s] for s in ev)
+                if total != v:
+                    raise ModelError(
+                        f"explicit lambda({event_label(ev)}) = {v} disagrees "
+                        f"with the additive masses ({total})"
+                    )
+
+        self.state_valuation: dict[str, int] | None = None
+        self.grounded = False
+        self.grounding_mismatches: list[str] = []
+        self._ground()
+
+    def _ground(self):
+        lang = self.language
+        atom_events = {}
+        for a in lang.atoms:
+            ev = self.truth.get(Atom(a))
+            if ev is None:
+                return
+            atom_events[a] = ev
+        vals = {}
+        for s in self.states:
+            vals[s] = sum(1 << j for j, a in enumerate(lang.atoms) if s in atom_events[a])
+        mismatches = []
+        for f, ev in self.truth.items():
+            sat = lang.sat(f)
+            derived = frozenset(s for s in self.states if (sat >> vals[s]) & 1)
+            if derived != ev:
+                mismatches.append(unparse(f))
+        self.state_valuation = vals
+        self.grounding_mismatches = sorted(mismatches)
+        self.grounded = not mismatches
+
+    def truth_of(self, f: Formula) -> frozenset | None:
+        ev = self.truth.get(f)
+        if ev is not None:
+            return ev
+        if self.grounded:
+            sat = self.language.sat(f)
+            return frozenset(s for s in self.states if (sat >> self.state_valuation[s]) & 1)
+        if self.exact_lookup:
+            sat = self.language.sat(f)
+            for g in sorted(self.truth, key=unparse):
+                if self.language.sat(g) == sat:
+                    return self.truth[g]
+        return None
+
+    def truth_domain(self) -> list[Formula]:
+        return sorted(self.truth, key=unparse)
+
+    def lambda_of(self, event) -> Fraction | None:
+        ev = frozenset(event)
+        v = self.lam.get(ev)
+        if v is not None:
+            return v
+        if self.mass is not None:
+            return sum((self.mass[s] for s in ev), ZERO)
+        return None
+
+    def field_atoms(self) -> list[frozenset]:
+        events = sorted(set(self.truth.values()), key=event_label)
+        blocks: dict[tuple, set] = {}
+        for s in self.states:
+            sig = tuple(s in ev for ev in events)
+            blocks.setdefault(sig, set()).add(s)
+        return sorted((frozenset(b) for b in blocks.values()), key=event_label)
+
+    def field_events(self) -> list[frozenset]:
+        atoms = self.field_atoms()
+        if len(atoms) > MAX_FIELD_ATOMS:
+            raise ModelError(
+                f"generated field has {len(atoms)} atoms; "
+                f"enumeration is capped at {MAX_FIELD_ATOMS}"
+            )
+        return sorted(_label_unions(atoms), key=lambda e: (len(e), event_label(e)))
+
+
+def _label_unions(blocks) -> list[frozenset]:
+    out = [frozenset()]
+    for block in blocks:
+        out += [ev | block for ev in out]
+    return out
+
+
+def _label_subset_sums(arr: list, inverse: bool = False) -> list:
+    combine = operator.sub if inverse else operator.add
+    bit = 1
+    while bit < len(arr):
+        for mask in range(len(arr)):
+            if mask & bit:
+                arr[mask] = combine(arr[mask], arr[mask ^ bit])
+        bit <<= 1
+    return arr
+
+
+def classify_truth_oracle(model: LabelModel, formulas=None) -> TruthFlags:
+    lang = model.language
+    fs = sorted(formulas if formulas is not None else model.truth_domain(), key=unparse)
+    t = {}
+    by_sat: dict[int, list[Formula]] = {}
+    sat_bits = {}
+    for f in fs:
+        ev = model.truth_of(f)
+        if ev is None:
+            raise ModelError(f"model does not value {unparse(f)}")
+        t[f] = ev
+        bits = lang.sat(f)
+        sat_bits[f] = bits
+        by_sat.setdefault(bits, []).append(f)
+    wit: dict[str, list] = {"exact": [], "monotone": [], "symmetric": [], "and_distributive": []}
+    for group in by_sat.values():
+        for f, g in itertools.combinations(group, 2):
+            if t[f] != t[g]:
+                wit["exact"].append((unparse(f), unparse(g)))
+    for f in fs:
+        for g in fs:
+            if f is not g and sat_bits[f] & ~sat_bits[g] == 0 and not t[f] <= t[g]:
+                wit["monotone"].append((unparse(f), unparse(g)))
+    for f in fs:
+        neg = lang.full_mask & ~sat_bits[f]
+        for g in by_sat.get(neg, ()):
+            if t[g] != model.omega - t[f]:
+                wit["symmetric"].append((unparse(f), unparse(g)))
+    for f, g in itertools.combinations_with_replacement(fs, 2):
+        members = by_sat.get(sat_bits[f] & sat_bits[g])
+        if not members:
+            continue
+        meet = t[f] & t[g]
+        for h in members:
+            if t[h] != meet:
+                wit["and_distributive"].append((unparse(f), unparse(g), unparse(h)))
+    wit = {k: sorted(set(v)) for k, v in wit.items()}
+    return TruthFlags(
+        exact=not wit["exact"],
+        monotone=not wit["monotone"],
+        symmetric=not wit["symmetric"],
+        and_distributive=not wit["and_distributive"],
+        witnesses={k: v for k, v in wit.items() if v},
+    )
+
+
+def classify_lambda_oracle(model: LabelModel) -> LambdaFlags:
+    events = model.field_events()
+    lam = {}
+    missing = []
+    for ev in events:
+        v = model.lambda_of(ev)
+        if v is None:
+            missing.append(event_label(ev) or "(empty)")
+        else:
+            lam[ev] = v
+    if missing:
+        raise ModelError(
+            "lambda is not total on the generated field; missing: " + ", ".join(sorted(missing))
+        )
+    atoms = model.field_atoms()
+    omega = model.omega
+    wit: dict[str, list] = {"symmetric": [], "monotone": [], "totally_monotone": [], "additive": []}
+    for ev in events:
+        comp = omega - ev
+        if lam[ev] + lam[comp] != ONE:
+            wit["symmetric"].append((event_label(ev), event_label(comp)))
+    for ev in events:
+        for block in atoms:
+            if not block <= ev:
+                bigger = ev | block
+                if lam[ev] > lam[bigger]:
+                    wit["monotone"].append((event_label(ev), event_label(bigger)))
+    for ev in events:
+        total = sum((lam[b] for b in atoms if b <= ev), ZERO)
+        if lam[ev] != total:
+            wit["additive"].append((event_label(ev), str(lam[ev]), str(total)))
+    unions = _label_unions(atoms)
+    for ev, m in zip(unions, _label_subset_sums([lam[ev] for ev in unions], inverse=True)):
+        if m < 0:
+            wit["totally_monotone"].append((event_label(ev), str(m)))
+    wit = {k: sorted(set(v)) for k, v in wit.items()}
+    return LambdaFlags(
+        symmetric=not wit["symmetric"],
+        monotone=not wit["monotone"],
+        totally_monotone=not wit["totally_monotone"],
+        additive=not wit["additive"],
+        witnesses={k: v for k, v in wit.items() if v},
+    )
+
+
+def mobius_model_oracle(model: LabelModel) -> dict[frozenset, Fraction]:
+    if len(model.states) > MAX_POWERSET_STATES:
+        raise ModelError(f"powerset Mobius capped at {MAX_POWERSET_STATES} states")
+    events = _label_unions(frozenset([s]) for s in model.states)
+    arr = []
+    for ev in events:
+        v = model.lambda_of(ev)
+        if v is None:
+            raise ModelError(
+                f"lambda is not total on the powerset; missing {event_label(ev) or '(empty)'}"
+            )
+        arr.append(v)
+    return dict(zip(events[1:], _label_subset_sums(arr, inverse=True)[1:]))
+
+
+def choquet_oracle(model: LabelModel, payoff) -> Fraction:
+    x = {s: Fraction(v) for s, v in payoff.items()}
+    if set(x) != set(model.states):
+        raise ModelError("payoff must value exactly the model's states")
+    if any(v < 0 for v in x.values()):
+        raise ModelError(
+            "payoff must be nonnegative; shift it up and subtract the shift "
+            "from the result (the shift adds exactly shift * lambda(omega))"
+        )
+    levels = sorted(set(x.values()), reverse=True)
+    total = ZERO
+    for i, a in enumerate(levels):
+        nxt = levels[i + 1] if i + 1 < len(levels) else ZERO
+        if a == nxt:
+            continue
+        upper = frozenset(s for s, v in x.items() if v >= a)
+        lv = model.lambda_of(upper)
+        if lv is None:
+            raise ModelError(f"upper set {event_label(upper)} is not in the appraisal's domain")
+        total += (a - nxt) * lv
+    return total
+
+
+def represents_oracle(model: LabelModel, assessment: Assessment) -> RepresentationReport:
+    residuals = {}
+    missing = []
+    for f in assessment.sorted_formulas():
+        ev = model.truth_of(f)
+        if ev is None:
+            missing.append(assessment.text(f))
+            continue
+        lv = model.lambda_of(ev)
+        if lv is None:
+            missing.append(assessment.text(f))
+            continue
+        residuals[assessment.text(f)] = assessment.value(f) - lv
+    ok = not missing and all(r == 0 for r in residuals.values())
+    return RepresentationReport(ok, residuals, missing)
+
+
+def model_to_dict_oracle(model: LabelModel) -> dict:
+    out = {
+        "states": list(model.states),
+        "t": {unparse(f): sorted(ev) for f, ev in model.truth.items() if f not in (TRUE, FALSE)},
+        "lambda": {
+            event_label(ev): str(v)
+            for ev, v in sorted(model.lam.items(), key=lambda kv: (len(kv[0]), event_label(kv[0])))
+        },
+    }
+    if model.mass is not None:
+        out["mass"] = {s: str(model.mass[s]) for s in model.states}
+    if model.exact_lookup:
+        out["exact_lookup"] = True
+    return out
+
+
+def from_labels(language, states, truth=None, lam=None, mass=None, **kwargs) -> SubjectiveModel:
+    """An indexed model given the way model files give one: events as
+    collections of state labels and masses keyed by label."""
+    index = {s: i for i, s in enumerate(states)}
+
+    def mask(event) -> int:
+        return sum(1 << index[s] for s in set(event))
+
+    return SubjectiveModel(
+        language,
+        states,
+        {f: mask(ev) for f, ev in (truth or {}).items()},
+        lam=None if lam is None else {mask(ev): v for ev, v in lam.items()},
+        mass=None if mass is None else [mass.get(s, ZERO) for s in states],
+        **kwargs,
+    )
+
+
+def indexed(model: LabelModel) -> SubjectiveModel:
+    """The indexed twin of a frozenset model."""
+    twin = from_labels(
+        model.language, model.states, model.truth, model.lam, model.mass,
+        name=model.name, exact_lookup=model.exact_lookup,
+    )
+    twin.grounded = model.grounded
+    return twin
+
+
+def event_labels(model: SubjectiveModel, event: int) -> frozenset:
+    """The labels of an indexed model's event, as the frozenset model holds it."""
+    return frozenset(model.labels(event))
+
+
+def event_mask(model: SubjectiveModel, labels) -> int:
+    """The event of the given state labels in an indexed model."""
+    return sum(1 << model.states.index(s) for s in set(labels))
+
+
+def by_labels(model: SubjectiveModel, values: dict) -> dict:
+    """Values keyed by event mask, re-keyed by the event's state labels."""
+    return {event_labels(model, ev): v for ev, v in values.items()}
+
+
+def vector(model: SubjectiveModel, payoff: dict) -> list:
+    """A payoff keyed by state label, in the model's state order."""
+    return [payoff[s] for s in model.states]
+
+
+# -- the builders, as they ran on the frozenset model ---------------------
+
+
+def _label_valuation_states(assessment: Assessment):
+    lang = assessment.language
+    n = len(lang.atoms)
+    states = ["v" + format(i, f"0{n}b")[::-1] if n else "v" for i in range(lang.n_valuations)]
+    sat = dict(zip(assessment.statements, assessment.sats))
+    truth = {
+        f: frozenset(s for i, s in enumerate(states) if (sat[f] >> i) & 1)
+        for f in assessment.formulas
+    }
+    return states, truth
+
+
+def _certify_represents_oracle(model, assessment) -> CertEntry:
+    if not represents_oracle(model, assessment).ok:
+        raise InternalError("internal: built model fails to reproduce the assessment")
+    return CertEntry("represents", True, "zero residual on every assessed statement")
+
+
+def build_product_oracle(assessment: Assessment) -> BuildOutcome:
+    _require(check_nt(assessment), "NT", "product construction")
+    coords = [f for f in assessment.formulas if f not in (TRUE, FALSE)]
+    if len(coords) > MAX_PRODUCT_COORDS:
+        raise BuildError(
+            f"product construction capped at {MAX_PRODUCT_COORDS} statements, "
+            f"got {len(coords)}"
+        )
+    m = len(coords)
+    states = ["w" + format(i, f"0{m}b")[::-1] if m else "w" for i in range(1 << m)]
+    mass = {}
+    for i, s in enumerate(states):
+        p = ONE
+        for j, f in enumerate(coords):
+            pj = assessment.value(f)
+            p *= pj if (i >> j) & 1 else ONE - pj
+        mass[s] = p
+    truth = {
+        f: frozenset(states[i] for i in range(1 << m) if (i >> j) & 1)
+        for j, f in enumerate(coords)
+    }
+    model = LabelModel(assessment.language, states, truth, mass=mass, name="product")
+    cert = [
+        _certify_represents_oracle(model, assessment),
+        CertEntry("lambda additive", True, "product measure over independent coordinates"),
+    ]
+    notes = ["truth valuation ignores all logical structure between statements"]
+    return BuildOutcome(model, "product", cert, notes)
+
+
+def build_canonical_sound_oracle(assessment: Assessment) -> BuildOutcome:
+    _require(check_nt(assessment), "NT", "canonical sound construction")
+    _require(check_e(assessment), "E", "canonical sound construction")
+    lang = assessment.language
+    states, truth = _label_valuation_states(assessment)
+    lam = {}
+    for f in assessment.formulas:
+        lam[truth[f]] = assessment.value(f)
+    lam[frozenset()] = ZERO
+    lam[frozenset(states)] = ONE
+    model = LabelModel(assessment.language, states, truth, lam=lam, name="canonical-sound")
+    notes = []
+    atoms = model.field_atoms()
+    if len(atoms) <= MAX_FIELD_ATOMS and lang.n_valuations <= 4096:
+        state_bit = {s: 1 << i for i, s in enumerate(states)}
+        statements = list(zip(assessment.sats, assessment.values))
+        for ev in model.field_events():
+            if ev in model.lam:
+                continue
+            bits = 0
+            for s in ev:
+                bits |= state_bit[s]
+            model.lam[ev] = max((v for sat, v in statements if sat & ~bits == 0), default=ZERO)
+        notes.append("appraisal inner-extended to the generated field")
+    else:
+        notes.append("generated field too large to materialize; appraisal kept on named events")
+    cert = [_certify_represents_oracle(model, assessment)]
+    flags = classify_truth_oracle(model, assessment.formulas)
+    cert.append(CertEntry("t sound", flags.sound, "classical valuation over atom assignments"))
+    i_report = check_i(assessment)
+    if i_report.passed and len(atoms) <= MAX_FIELD_ATOMS:
+        mono = all(
+            model.lam[ev] <= model.lam[ev | b]
+            for ev in model.lam
+            for b in atoms
+            if not b <= ev and (ev | b) in model.lam
+        )
+        cert.append(CertEntry("lambda monotone on field", mono, "follows from axiom I"))
+    elif not i_report.passed:
+        notes.append("axiom I fails, so the appraisal is not monotone")
+    return BuildOutcome(model, "canonical-sound", cert, notes)
+
+
+def build_interval_additive_oracle(assessment: Assessment) -> BuildOutcome:
+    _require(check_nt(assessment), "NT", "interval construction")
+    _require(check_i(assessment), "I", "interval construction")
+    cuts = sorted({ZERO, ONE} | {assessment.value(f) for f in assessment.formulas})
+    states = [f"({cuts[i]},{cuts[i + 1]}]" for i in range(len(cuts) - 1)]
+    mass = {s: cuts[i + 1] - cuts[i] for i, s in enumerate(states)}
+    truth = {}
+    for f in assessment.formulas:
+        v = assessment.value(f)
+        truth[f] = frozenset(states[i] for i in range(len(states)) if cuts[i + 1] <= v)
+    model = LabelModel(
+        assessment.language, states, truth, mass=mass, name="interval-additive",
+        exact_lookup=True,
+    )
+    cert = [_certify_represents_oracle(model, assessment)]
+    flags = classify_truth_oracle(model, assessment.formulas)
+    cert.append(CertEntry("t monotone", flags.monotone, "initial segments are nested"))
+    cert.append(CertEntry("lambda additive", True, "length measure on a finite partition"))
+    return BuildOutcome(model, "interval-additive", cert, [])
+
+
+def build_belief_lift_oracle(model: LabelModel, assessment: Assessment | None = None):
+    if len(model.states) > MAX_LIFT_STATES:
+        raise BuildError(f"belief lift capped at {MAX_LIFT_STATES} states")
+    try:
+        masses = mobius_model_oracle(model)
+    except ModelError as e:
+        raise BuildError(f"belief lift needs the appraisal on the full powerset: {e}")
+    negative = sorted("|".join(sorted(ev)) for ev, m in masses.items() if m < 0)
+    if negative:
+        raise BuildError("not a belief function: negative Mobius mass on " + ", ".join(negative))
+
+    def label(ev: frozenset) -> str:
+        return "+".join(sorted(ev))
+
+    subsets = sorted(
+        (ev for ev, m in masses.items() if m > 0), key=lambda ev: (len(ev), label(ev))
+    )
+    states = [label(ev) for ev in subsets]
+    mass = {label(ev): masses[ev] for ev in subsets}
+    truth = {}
+    for f in model.truth_domain():
+        base = model.truth[f]
+        truth[f] = frozenset(label(ev) for ev in subsets if ev <= base)
+    lifted = LabelModel(
+        model.language, states, truth, mass=mass, name="belief-lift", exact_lookup=True
+    )
+    lifted.grounded = False
+    preserved = all(
+        model.lambda_of(model.truth[f]) == lifted.lambda_of(lifted.truth[f])
+        for f in model.truth_domain()
+    )
+    if not preserved:
+        raise InternalError("internal: lift failed to preserve statement likelihoods")
+    cert = [
+        CertEntry("likelihoods preserved", True, "lambda(t(phi)) unchanged for every statement"),
+        CertEntry("lambda additive", True, "Mobius masses as state masses"),
+    ]
+    flags = classify_truth_oracle(lifted, model.truth_domain())
+    cert.append(
+        CertEntry(
+            "t exact and and-distributive",
+            flags.exact and flags.and_distributive,
+            "subset test distributes over intersections",
+        )
+    )
+    if assessment is not None:
+        cert.insert(0, _certify_represents_oracle(lifted, assessment))
+    return BuildOutcome(lifted, "belief-lift", cert, [])
+
+
+def build_additive_sound_oracle(assessment: Assessment, complete_maxent: bool = False):
+    _require(check_nt(assessment), "NT", "additive sound construction")
+    _require(check_a(assessment), "A", "additive sound construction")
+    lang = assessment.language
+    if len(lang.atoms) > MAX_SOLVER_ATOMS:
+        raise BuildError(f"additive sound construction capped at {MAX_SOLVER_ATOMS} atoms")
+    nv = lang.n_valuations
+    status, data = _solve_valuation_masses(assessment)
+    notes = []
+    if status == "inconsistent":
+        raise BuildError(
+            "no additive measure on the valuations reproduces the assessment "
+            "(additivity fails at the representation level)",
+            axiom="A",
+        )
+    if status == "unique":
+        masses = data
+    else:
+        pinned, free_cols = data
+        unresolved = sorted(unparse(lang.minterm(c)) for c in range(nv) if c not in pinned)
+        if not complete_maxent:
+            raise BuildError(
+                "universe under-determined: no assessed combination pins down "
+                + ", ".join(unresolved)
+            )
+        residual = ONE - sum(pinned.values(), ZERO)
+        share = residual / (nv - len(pinned))
+        masses = [pinned.get(c, share) for c in range(nv)]
+        for f in assessment.formulas:
+            bits = lang.sat(f)
+            got = sum(masses[i] for i in range(nv) if (bits >> i) & 1)
+            if got != assessment.value(f):
+                raise BuildError(
+                    "uniform completion of the unresolved valuations does not "
+                    f"reproduce pi({assessment.text(f)}); the universe is "
+                    "genuinely under-determined"
+                )
+        notes.append(
+            "non-canonical: unresolved valuations filled uniformly (" + ", ".join(unresolved) + ")"
+        )
+    bad = [i for i, v in enumerate(masses) if v < 0]
+    if bad:
+        raise BuildError(
+            "no additive measure reproduces the assessment: forced negative "
+            "mass on " + ", ".join(unparse(lang.minterm(i)) for i in bad),
+            axiom="A",
+        )
+    states, truth = _label_valuation_states(assessment)
+    mass = {states[i]: masses[i] for i in range(nv)}
+    model = LabelModel(lang, states, truth, mass=mass, name="additive-sound")
+    cert = [_certify_represents_oracle(model, assessment)]
+    flags = classify_truth_oracle(model, assessment.formulas)
+    cert.append(CertEntry("t sound", flags.sound, "classical valuation over atom assignments"))
+    cert.append(CertEntry("lambda additive", True, "measure on the valuations"))
+    return BuildOutcome(model, "additive-sound", cert, notes)

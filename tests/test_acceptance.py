@@ -35,7 +35,6 @@ from credence.identify import (
 )
 from credence.logic import Language, unparse
 from credence.model import (
-    SubjectiveModel,
     choquet,
     classify_lambda,
     classify_truth,
@@ -44,6 +43,7 @@ from credence.model import (
 )
 
 from helpers import (
+    from_labels,
     grid_dominance_oracle,
     random_and_closed_universe,
     random_capacity,
@@ -153,14 +153,14 @@ def test_criterion_5_belief_lift_suite():
         lam = dict(zip(proper, values))
         lam[frozenset()] = F(0)
         lam[frozenset(states)] = F(1)
-        model = SubjectiveModel(lang, states, dict(truth), lam=lam)
+        model = from_labels(lang, states, truth, lam=lam)
         masses = mobius(model)
         if any(m < 0 for m in masses.values()):
             continue
         out = build_belief_lift(model)
         lifted = out.model
-        for f, ev in truth.items():
-            assert model.lambda_of(ev) == lifted.lambda_of(lifted.truth[f])
+        for f in truth:
+            assert model.lambda_of(model.truth[f]) == lifted.lambda_of(lifted.truth[f])
         flags = classify_truth(lifted, list(truth))
         assert flags.and_distributive
         tested += 1
@@ -175,16 +175,16 @@ def test_criterion_6_choquet_properties():
         n = rng.randint(2, 4)
         states = [f"s{i}" for i in range(n)]
         lam = random_capacity(rng, states, den_max=6)
-        m = SubjectiveModel(Language([]), states, {}, lam=lam)
-        order = states[:]
+        m = from_labels(Language([]), states, {}, lam=lam)
+        order = list(range(n))
         rng.shuffle(order)
         xs = sorted(F(rng.randint(0, 12), 4) for _ in states)
         ys = sorted(F(rng.randint(0, 12), 4) for _ in states)
-        x = dict(zip(order, xs))
-        y = dict(zip(order, ys))
-        total = {s: x[s] + y[s] for s in states}
+        x = [xs[order.index(i)] for i in range(n)]
+        y = [ys[order.index(i)] for i in range(n)]
+        total = [a + b for a, b in zip(x, y)]
         assert choquet(m, total) == choquet(m, x) + choquet(m, y)
-        bigger = {s: x[s] + F(rng.randint(0, 4), 4) for s in states}
+        bigger = [a + F(rng.randint(0, 4), 4) for a in x]
         assert choquet(m, bigger) >= choquet(m, x)
         checked += 1
     # additive case: integral is exactly the mass-weighted dot product
@@ -196,9 +196,9 @@ def test_criterion_6_choquet_properties():
             weights[0] = F(1)
         total_w = sum(weights)
         mass = {s: w / total_w for s, w in zip(states, weights)}
-        m = SubjectiveModel(Language([]), states, {}, mass=mass)
-        x = {s: F(rng.randint(0, 9), 3) for s in states}
-        assert choquet(m, x) == sum(mass[s] * x[s] for s in states)
+        m = from_labels(Language([]), states, {}, mass=mass)
+        x = [F(rng.randint(0, 9), 3) for _ in states]
+        assert choquet(m, x) == sum(mass[s] * v for s, v in zip(states, x))
     assert checked == 1000
     report(6, "comonotone additivity, monotonicity and the additive case hold")
 
@@ -208,11 +208,11 @@ def test_criterion_7_transport_maps(transport_maps):
     exact = transport_maps.models["exact"]
     s = transport_maps.strategies[0]
     x = t_circ(capacity, s)
-    assert x == {"w1": F(3), "w2": F(4), "w3": F(2)}
+    assert dict(zip(capacity.states, x)) == {"w1": F(3), "w2": F(4), "w3": F(2)}
     layers = [(a, unparse(f)) for a, f in layer_decompose(x, capacity)]
     assert layers == [(F(4), "(p & !q)"), (F(3), "p"), (F(2), "T")]
     y = t_bullet(capacity, exact, s)
-    assert y == {"w1": F(3), "w2": F(2), "w3": F(2)}
+    assert dict(zip(exact.states, y)) == {"w1": F(3), "w2": F(2), "w3": F(2)}
     res = verify_integral_equality(capacity, exact, s)
     assert res.equal and res.source_value == F(7, 3)
     report(7, "payoff maps reproduce (3,4,2) -> layers -> (3,2,2), integrals 7/3")

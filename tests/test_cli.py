@@ -197,7 +197,7 @@ class TestInternalErrors:
         # every witness fail its re-verification
         from credence import games
 
-        monkeypatch.setattr(games, "choquet", lambda model, vec: sum(vec.values()))
+        monkeypatch.setattr(games, "choquet", lambda model, vec: sum(vec))
         res = invoke(
             runner, "rationalize", FIXTURES / "strategies" / "session-rationalize.json"
         )

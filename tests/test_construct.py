@@ -6,6 +6,9 @@ import pytest
 
 from credence.assessment import Assessment, check_e, check_i, check_nt
 from credence.construct import (
+    MAX_LIFT_STATES,
+    MAX_PRODUCT_COORDS,
+    MAX_SOLVER_ATOMS,
     BuildError,
     build_additive_sound,
     build_belief_lift,
@@ -15,6 +18,7 @@ from credence.construct import (
 )
 from credence.logic import FALSE, TRUE, Language
 from credence.model import (
+    MAX_FIELD_ATOMS,
     SubjectiveModel,
     classify_lambda,
     classify_truth,
@@ -22,6 +26,7 @@ from credence.model import (
 )
 
 from helpers import (
+    from_labels,
     full_closure_classes,
     random_and_closed_universe,
     random_monotone_assessment,
@@ -56,7 +61,7 @@ class TestProduct:
         f = linda.language.parse("f")
         # oracle: sum the product masses over the f-coordinate directly
         ev = m.truth_of(f)
-        assert sum(m.mass[s] for s in ev) == F(3, 4)
+        assert sum(m.mass[i] for i in range(len(m.states)) if ev >> i & 1) == F(3, 4)
         assert m.lambda_of(ev) == F(3, 4)
         assert represents(m, linda.assessment).ok
 
@@ -71,6 +76,13 @@ class TestProduct:
         with pytest.raises(BuildError) as e:
             build_product_model(a)
         assert e.value.axiom == "NT"
+
+    def test_cap_names_the_statement_count(self):
+        n = MAX_PRODUCT_COORDS + 1
+        lang = Language(["p", "q", "r"])
+        a = Assessment(lang, {f: F(1, 2) for _, f in full_closure_classes(lang)[1:n + 1]})
+        with pytest.raises(BuildError, match=f"capped at {MAX_PRODUCT_COORDS} statements, got {n}"):
+            build_product_model(a)
 
 
 class TestCanonicalSound:
@@ -107,6 +119,16 @@ class TestCanonicalSound:
             build_canonical_sound(a)
         assert e.value.axiom == "E"
 
+    def test_field_above_the_cap_is_not_materialized(self):
+        # one block per assessed minterm, and one for the rest
+        lang = Language(["p", "q", "r", "s"])
+        a = Assessment(lang, {lang.minterm(i): F(1, 16) for i in range(MAX_FIELD_ATOMS)})
+        out = build_canonical_sound(a)
+        assert len(out.model.field_atoms()) == MAX_FIELD_ATOMS + 1
+        assert "generated field too large to materialize" in out.notes[0]
+        assert set(out.model.lam) == {a.language.sat(f) for f in a.formulas}
+        assert "lambda monotone on field" not in {c.name for c in out.certificate}
+
     def test_monotone_certificate_when_i_holds(self):
         rng = random.Random(2)
         a = random_monotone_assessment(rng, PQ)
@@ -122,7 +144,8 @@ class TestIntervalAdditive:
         m = out.model
         t_pq = m.truth_of(PQ.parse("(p & q)"))
         t_p = m.truth_of(PQ.parse("p"))
-        assert t_pq < t_p < m.omega
+        assert t_pq & ~t_p == 0 and t_p & ~m.omega == 0
+        assert t_pq != t_p != m.omega
         assert represents(m, a).ok
         assert classify_lambda(m).additive
 
@@ -134,7 +157,7 @@ class TestIntervalAdditive:
     def test_zero_value_maps_to_empty(self):
         a = make(PQ, {"(p & !p)": "0", "p": "1/2"})
         out = build_interval_additive(a)
-        assert out.model.truth_of(PQ.parse("(p & !p)")) == frozenset()
+        assert out.model.truth_of(PQ.parse("(p & !p)")) == 0
 
 
 class TestBeliefLift:
@@ -142,34 +165,33 @@ class TestBeliefLift:
         lang = Language(["p"])
         states = ["a", "b"]
         lam = {ev: F(1) if "a" in ev else F(0) for ev in powerset(states)}
-        m = SubjectiveModel(lang, states, {lang.parse("p"): frozenset(["a"])}, lam=lam)
+        m = from_labels(lang, states, {lang.parse("p"): frozenset(["a"])}, lam=lam)
         out = build_belief_lift(m)
         lifted = out.model
-        assert lifted.mass[ "a"] == 1
+        assert lifted.states == ("a",)
+        assert lifted.mass == (1,)
         assert lifted.lambda_of(lifted.truth_of(lang.parse("p"))) == 1
 
     def test_vacuous_capacity(self):
         lang = Language(["p"])
         states = ["a", "b"]
         lam = {ev: F(1) if ev == frozenset(states) else F(0) for ev in powerset(states)}
-        m = SubjectiveModel(
-            lang, states, {lang.parse("p"): frozenset(["a"])}, lam=lam
-        )
+        m = from_labels(lang, states, {lang.parse("p"): frozenset(["a"])}, lam=lam)
         out = build_belief_lift(m)
         lifted = out.model
         assert lifted.states == ("a+b",)
-        assert lifted.mass["a+b"] == 1
+        assert lifted.mass == (1,)
         # p's old event is a proper subset, so no lifted state sits inside it
-        assert lifted.truth_of(lang.parse("p")) == frozenset()
+        assert lifted.truth_of(lang.parse("p")) == 0
 
     def test_uniform_additive_two_states(self):
         lang = Language(["p"])
         states = ["a", "b"]
         lam = {ev: F(len(ev), 2) for ev in powerset(states)}
-        m = SubjectiveModel(lang, states, {lang.parse("p"): frozenset(["a"])}, lam=lam)
+        m = from_labels(lang, states, {lang.parse("p"): frozenset(["a"])}, lam=lam)
         out = build_belief_lift(m)
-        assert out.model.mass["a"] == F(1, 2)
-        assert out.model.mass["b"] == F(1, 2)
+        assert out.model.states == ("a", "b")
+        assert out.model.mass == (F(1, 2), F(1, 2))
         assert out.model.lambda_of(out.model.truth_of(lang.parse("p"))) == F(1, 2)
 
     def test_not_belief_function_rejected(self, linda):
@@ -183,6 +205,12 @@ class TestBeliefLift:
         flags = classify_truth(out.model, transport_maps.models["capacity"].truth_domain())
         assert flags.exact and flags.and_distributive
 
+    def test_cap_names_the_state_count(self):
+        n = MAX_LIFT_STATES + 1
+        m = SubjectiveModel(Language([]), [f"s{i}" for i in range(n)], {})
+        with pytest.raises(BuildError, match=f"capped at {MAX_LIFT_STATES} states, got {n}"):
+            build_belief_lift(m)
+
 
 class TestAdditiveSound:
     def test_uniform_distribution_recovered(self):
@@ -193,7 +221,7 @@ class TestAdditiveSound:
         }
         a = Assessment(PQ, table)
         out = build_additive_sound(a)
-        assert set(out.model.mass.values()) == {F(1, 4)}
+        assert set(out.model.mass) == {F(1, 4)}
         assert represents(out.model, a).ok
         assert classify_truth(out.model, a.formulas).sound
 
@@ -206,7 +234,7 @@ class TestAdditiveSound:
         lang = Language([])
         out = build_additive_sound(Assessment(lang, {}))
         assert out.model.states == ("v",)
-        assert out.model.mass["v"] == 1
+        assert out.model.mass == (1,)
 
     def test_underdetermined_refused(self):
         a = make(PQ, {"(p | q)": "3/4"})
@@ -220,13 +248,19 @@ class TestAdditiveSound:
         assert represents(out.model, a).ok
         assert out.notes and "non-canonical" in out.notes[0]
         # the pinned valuation keeps its solved mass
-        assert out.model.mass["v00"] == F(1, 4)
+        assert out.model.mass[out.model.states.index("v00")] == F(1, 4)
 
     def test_maxent_failure_reported(self):
         # marginals pin nothing down and the uniform fill breaks them
         a = make(PQ, {"p": "1/3", "q": "1/3"})
         with pytest.raises(BuildError):
             build_additive_sound(a, complete_maxent=True)
+
+    def test_cap_names_the_atom_count(self):
+        n = MAX_SOLVER_ATOMS + 1
+        lang = Language([f"a{i}" for i in range(n)])
+        with pytest.raises(BuildError, match=f"capped at {MAX_SOLVER_ATOMS} atoms, got {n}"):
+            build_additive_sound(Assessment(lang, {}))
 
 
 class TestDualityRoundtrip:
@@ -288,7 +322,7 @@ class TestLiftRoundtrip:
                 ev: sum((m for sub, m in masses.items() if sub <= ev), F(0))
                 for ev in powerset(states)
             }
-            m = SubjectiveModel(lang, states, truth, lam=lam)
+            m = from_labels(lang, states, truth, lam=lam)
             out = build_belief_lift(m)
             for f in truth:
                 assert m.lambda_of(m.truth[f]) == out.model.lambda_of(

@@ -1,7 +1,9 @@
 """Differential tests of the indexed fast paths against the pair-loop and
 subset-sum oracles in ``helpers``, of the affine rationalizability LP
-against dominance in the materialized maximal model, and of the single
-simplex tableau against the simplex and game solver it replaced."""
+against dominance in the materialized maximal model, of the single
+simplex tableau against the simplex and game solver it replaced, and of
+the indexed model core and its builders against the frozenset model and
+builders they replaced."""
 
 import itertools
 import random
@@ -13,6 +15,15 @@ from hypothesis import strategies as st
 
 from credence._simplex import maximize, solve_matrix_game
 from credence.assessment import Assessment, check_i, check_ie, check_nt, check_s_i
+from credence.construct import (
+    BuildError,
+    build_additive_sound,
+    build_belief_lift,
+    build_canonical_sound,
+    build_interval_additive,
+    build_product_model,
+)
+from credence.files import model_to_dict
 from credence.games import (
     Strategy,
     pointwise_undominated,
@@ -22,11 +33,37 @@ from credence.games import (
     transported_vector,
 )
 from credence.identify import IdentifyError, largest_subtheory, understood_implications
-from credence.logic import TRUE, And, Atom, Language, Theory
-from credence.model import SubjectiveModel, choquet, inverse_mobius, mobius
+from credence.logic import FALSE, TRUE, And, Atom, Language, Not, Or, Theory
+from credence.model import (
+    ModelError,
+    SubjectiveModel,
+    choquet,
+    classify_lambda,
+    classify_truth,
+    inverse_mobius,
+    mobius,
+    represents,
+)
 
 from helpers import (
+    LabelModel,
+    by_labels,
+    build_additive_sound_oracle,
+    build_belief_lift_oracle,
+    build_canonical_sound_oracle,
+    build_interval_additive_oracle,
+    build_product_oracle,
     check_i_oracle,
+    choquet_oracle,
+    classify_lambda_oracle,
+    classify_truth_oracle,
+    event_labels,
+    event_mask,
+    from_labels,
+    indexed,
+    mobius_model_oracle,
+    model_to_dict_oracle,
+    represents_oracle,
     check_ie_oracle,
     check_s_i_oracle,
     full_closure_classes,
@@ -137,10 +174,11 @@ def test_inverse_mobius_is_the_subset_sum_and_undoes_mobius(n, data):
     ]
     masses = {ev: data.draw(st.sampled_from([F(-1, 2), F(0), F(1, 3), F(1)])) for ev in events}
     masses[frozenset(states)] += 1 - sum(masses.values())
-    lam = inverse_mobius(masses, states)
-    assert lam == inverse_mobius_oracle(masses, states)
-    model = SubjectiveModel(Language([]), states, {}, lam=lam)
-    assert mobius(model) == masses
+    model = from_labels(Language([]), states, {}, lam=inverse_mobius_oracle(masses, states))
+    by_mask = {event_mask(model, ev): v for ev, v in masses.items()}
+    lam = inverse_mobius(by_mask, n)
+    assert lam == model.lam
+    assert mobius(model) == by_mask
 
 
 # -- inclusion/exclusion: one scan per family against one per consequent ----
@@ -208,7 +246,7 @@ def sound_model(lang: Language, lam=None) -> SubjectiveModel:
         Atom(a): frozenset(s for i, s in enumerate(states) if lang.valuation_atoms(i)[a])
         for a in lang.atoms
     }
-    return SubjectiveModel(lang, states, truth, lam=lam)
+    return from_labels(lang, states, truth, lam=lam)
 
 
 def witness_confirms(result, pool, model) -> bool:
@@ -354,3 +392,173 @@ def test_matrix_game_matches_its_own_tableau(g):
     assert got.value == want.value
     assert got.row_mixture == want.row_mixture
     assert got.col_mixture == want.col_mixture
+
+
+# -- the indexed model core against the frozenset model -------------------
+
+# labels whose text order differs from any drawn state order
+STATE_LABELS = ["b", "a10", "a2", "w", "A", "z3", "m1"]
+MODEL_LANGUAGES = [Language([]), Language(["p"]), Language(["p", "q"])]
+MODEL_VALUES = [F(0), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)]
+
+
+def model_formulas(lang: Language) -> list:
+    """Atoms, their negations and pairwise connectives, plus restatements
+    equivalent to an atom under other texts."""
+    atoms = [Atom(a) for a in lang.atoms]
+    out = list(atoms) + [Not(a) for a in atoms]
+    for a, b in itertools.combinations(atoms, 2):
+        out += [And(a, b), Or(a, b), And(a, Not(b))]
+    for a in atoms:
+        out += [And(a, TRUE), Not(Not(a))]
+    return out
+
+
+@st.composite
+def label_models(draw):
+    """A frozenset model on 1-6 states: truth either grounded in a state
+    valuation (sometimes with one compound off it) or arbitrary; the
+    appraisal a full random capacity, a partial one, masses, or masses
+    with explicit values that agree; exact lookup on or off.  Now and
+    then an entry is invalid, so that both models must refuse alike.
+    Returns the model's arguments."""
+    n = draw(st.integers(1, 6))
+    states = draw(st.permutations(STATE_LABELS))[:n]
+    lang = draw(st.sampled_from(MODEL_LANGUAGES))
+    pool = model_formulas(lang)
+    picked = draw(st.lists(st.sampled_from(pool), unique=True, max_size=6)) if pool else []
+    if pool and draw(st.booleans()):
+        valuation = {s: draw(st.integers(0, lang.n_valuations - 1)) for s in states}
+        picked = [Atom(a) for a in lang.atoms] + [f for f in picked if not isinstance(f, Atom)]
+        truth = {
+            f: frozenset(s for s in states if (lang.sat(f) >> valuation[s]) & 1) for f in picked
+        }
+        if picked[len(lang.atoms):] and draw(st.booleans()):
+            truth[picked[-1]] = frozenset(draw(st.sets(st.sampled_from(states))))
+    else:
+        truth = {f: frozenset(draw(st.sets(st.sampled_from(states)))) for f in picked}
+    events = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(states, r)]
+    kind = draw(st.sampled_from(["capacity", "partial", "mass", "mass+lam"]))
+    lam = mass = None
+    if kind in ("capacity", "partial"):
+        lam = random_capacity(random.Random(draw(st.integers(0, 2**16))), states)
+        if kind == "partial":
+            lam = {ev: v for ev, v in lam.items() if draw(st.booleans())}
+    else:
+        weights = [draw(st.integers(0, 3)) for _ in states]
+        if not any(weights):
+            weights[0] = 1
+        mass = {s: F(w, sum(weights)) for s, w in zip(states, weights)}
+        if kind == "mass+lam":
+            lam = {ev: sum((mass[s] for s in ev), F(0))
+                   for ev in draw(st.lists(st.sampled_from(events), max_size=4))}
+    invalid = draw(st.sampled_from([None] * 8 + ["T", "lam", "mass"]))
+    if invalid == "T":
+        truth[TRUE] = frozenset(states[:-1])
+    elif invalid == "lam":
+        lam = dict(lam or {})
+        lam[frozenset(states)] = F(1, 2)
+    elif invalid == "mass":
+        mass = {s: F(1, 2) for s in states}
+    return lang, states, truth, lam, mass, draw(st.booleans())
+
+
+def outcome(fn, *args):
+    """What a call returns, or the message of the model or build error it
+    raises."""
+    try:
+        return fn(*args)
+    except (ModelError, BuildError) as e:
+        return (type(e).__name__, str(e))
+
+
+@given(label_models(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_indexed_model_matches_the_frozenset_model(args, data):
+    lang, states, truth, lam, mass, exact_lookup = args
+    kwargs = dict(lam=lam, mass=mass, exact_lookup=exact_lookup)
+    oracle = outcome(lambda: LabelModel(lang, states, truth, **kwargs))
+    model = outcome(lambda: from_labels(lang, states, truth, **kwargs))
+    if isinstance(oracle, tuple):
+        assert model == oracle
+        return
+    assert model.grounded == oracle.grounded
+    assert model.grounding_mismatches == oracle.grounding_mismatches
+    assert model_to_dict(model) == model_to_dict_oracle(oracle)
+
+    for f in model_formulas(lang) + [TRUE, FALSE]:
+        ev = model.truth_of(f)
+        assert (None if ev is None else event_labels(model, ev)) == oracle.truth_of(f)
+    for ev in data.draw(st.lists(st.sets(st.sampled_from(states)), max_size=4)):
+        assert model.lambda_of(event_mask(model, ev)) == oracle.lambda_of(ev)
+    assert {event_labels(model, b) for b in model.field_atoms()} == set(oracle.field_atoms())
+    fields = outcome(model.field_events), outcome(oracle.field_events)
+    if isinstance(fields[1], tuple):
+        assert fields[0] == fields[1]
+    else:
+        assert len(fields[0]) == len(fields[1])
+        assert {event_labels(model, ev) for ev in fields[0]} == set(fields[1])
+
+    pool = model_formulas(lang)
+    graded = data.draw(st.lists(st.sampled_from(pool + [TRUE]), max_size=5))
+    for formulas in (None, graded):
+        assert outcome(lambda: classify_truth(model, formulas).to_dict()) == outcome(
+            lambda: classify_truth_oracle(oracle, formulas).to_dict())
+    assert outcome(lambda: classify_lambda(model).to_dict()) == outcome(
+        lambda: classify_lambda_oracle(oracle).to_dict())
+    assert outcome(lambda: by_labels(model, mobius(model))) == outcome(
+        mobius_model_oracle, oracle)
+    if mass is not None:
+        singletons = {1 << i: v for i, v in enumerate(model.mass)}
+        assert by_labels(model, inverse_mobius(singletons, len(states))) == inverse_mobius_oracle(
+            {frozenset([s]): v for s, v in oracle.mass.items()}, states)
+
+    payoff = data.draw(st.lists(st.sampled_from(MODEL_VALUES), min_size=len(states),
+                                max_size=len(states)))
+    assert outcome(choquet, model, payoff) == outcome(
+        choquet_oracle, oracle, dict(zip(states, payoff)))
+
+    universe = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=5)) if pool else []
+    pi = {}
+    for f in universe:
+        exact_value = outcome(lambda: oracle.lambda_of(oracle.truth_of(f) or ()))
+        pi[f] = data.draw(st.sampled_from(MODEL_VALUES + [exact_value]
+                                          if isinstance(exact_value, Fraction) else MODEL_VALUES))
+    a = Assessment(lang, pi)
+    assert represents(model, a).to_dict() == represents_oracle(oracle, a).to_dict()
+
+    lifted = outcome(lambda: build_belief_lift(model).to_dict())
+    lifted_oracle = outcome(lambda: build_belief_lift_oracle(oracle).to_dict())
+    if isinstance(lifted, dict) or isinstance(lifted_oracle, dict):
+        assert lifted == lifted_oracle
+
+
+def built(builder, *args):
+    """A build's outcome and model as dicts, or the message it refuses with."""
+    try:
+        out = builder(*args)
+    except BuildError as e:
+        return ("BuildError", str(e), e.axiom)
+    if isinstance(out.model, LabelModel):
+        return out.to_dict(), model_to_dict_oracle(out.model)
+    return out.to_dict(), model_to_dict(out.model)
+
+
+@given(assessments_and_masks())
+@settings(max_examples=150, deadline=None)
+def test_builders_match_the_frozenset_builders(case):
+    a, _ = case
+    pairs = [
+        (build_product_model, build_product_oracle),
+        (build_canonical_sound, build_canonical_sound_oracle),
+        (build_interval_additive, build_interval_additive_oracle),
+        (build_additive_sound, build_additive_sound_oracle),
+    ]
+    for builder, oracle in pairs:
+        assert built(builder, a) == built(oracle, a)
+    assert built(build_additive_sound, a, True) == built(build_additive_sound_oracle, a, True)
+    try:
+        sound = build_canonical_sound_oracle(a).model
+    except BuildError:
+        return
+    assert built(build_belief_lift, indexed(sound), a) == built(build_belief_lift_oracle, sound, a)

@@ -13,6 +13,7 @@ from credence.files import (
     parse_rational,
 )
 from credence.logic import Language, LogicError
+from credence.model import ModelError
 
 
 class TestRationals:
@@ -55,6 +56,32 @@ class TestSchemas:
         )
         with pytest.raises(FileFormatError):
             load_model(path, Language(["p"]))
+
+    @pytest.mark.parametrize("data,error,message", [
+        ({"states": [], "t": {}}, ModelError, "a model needs at least one state"),
+        ({"states": ["w1", "w1"], "t": {"p": ["w9"]}}, ModelError, "duplicate state labels"),
+        ({"states": ["w|1"], "t": {}}, ModelError, "state label 'w|1' may not contain '|'"),
+        ({"states": ["w1"], "t": {"p": ["w1", "w9"]}}, ModelError,
+         "truth event for p mentions unknown states"),
+        ({"states": ["w1"], "t": {"T": []}}, ModelError, "T must be valued as ['w1']"),
+        ({"states": ["w1", "w2"], "t": {}, "mass": {"w9": "1"}}, ModelError,
+         "mass assigned to unknown state 'w9'"),
+        ({"states": ["w1", "w2"], "t": {}, "mass": {"w1": "1/2"}}, ModelError,
+         "state masses must sum to exactly 1"),
+        ({"states": ["w1", "w2"], "t": {}, "lambda": {"w1|w9": "1/2"}}, FileFormatError,
+         "unknown state labels in event 'w1|w9': ['w9']"),
+        ({"states": ["w1", "w2"], "t": {}, "lambda": {"w1|w2": "1/2"}}, ModelError,
+         "lambda(w1|w2) must equal 1"),
+        ({"states": ["w1", "w2"], "t": {}, "lambda": {"w2": "1/3"},
+          "mass": {"w1": "1/2", "w2": "1/2"}}, ModelError,
+         "explicit lambda(w2) = 1/3 disagrees with the additive masses (1/2)"),
+    ])
+    def test_invalid_model_named(self, tmp_path, data, error, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(error) as e:
+            load_model(path, Language(["p"]))
+        assert str(e.value) == message
 
     def test_undeclared_atom_in_formula(self, tmp_path):
         path = tmp_path / "assessment.json"

@@ -22,12 +22,15 @@ from credence.model import SubjectiveModel, choquet
 from credence.construct import build_canonical_sound, build_interval_additive
 
 from helpers import (
+    event_mask,
+    from_labels,
     full_closure_classes,
     grid_dominance_oracle,
     layerings,
     maximal_model,
     random_monotone_assessment,
     transported_vector_oracle,
+    vector,
 )
 
 F = Fraction
@@ -35,6 +38,11 @@ F = Fraction
 
 def strat(lang, table, name=None):
     return Strategy({lang.parse(t): F(v) for t, v in table.items()}, name=name)
+
+
+def by_label(model, x):
+    """A payoff vector in state order, keyed by state label."""
+    return dict(zip(model.states, x))
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +67,7 @@ def maps_strategy(transport_maps):
 
 class TestTCirc:
     def test_worked_example(self, capacity, maps_strategy):
-        assert t_circ(capacity, maps_strategy) == {
+        assert by_label(capacity, t_circ(capacity, maps_strategy)) == {
             "w1": F(3),
             "w2": F(4),
             "w3": F(2),
@@ -68,11 +76,11 @@ class TestTCirc:
     def test_primitive_bet_is_indicator(self, capacity):
         lang = capacity.language
         s = strat(lang, {"p": "1"})
-        assert t_circ(capacity, s) == {"w1": F(1), "w2": F(1), "w3": F(0)}
+        assert by_label(capacity, t_circ(capacity, s)) == {"w1": F(1), "w2": F(1), "w3": F(0)}
 
     def test_empty_support_is_zero(self, capacity):
         s = Strategy({})
-        assert set(t_circ(capacity, s).values()) == {F(0)}
+        assert set(t_circ(capacity, s)) == {F(0)}
 
     def test_linear_in_the_strategy(self, capacity):
         lang = capacity.language
@@ -90,7 +98,7 @@ class TestTCirc:
             lhs = t_circ(capacity, strat(lang, combo))
             x1 = t_circ(capacity, strat(lang, pay1))
             x2 = t_circ(capacity, strat(lang, pay2))
-            assert lhs == {s_: a * x1[s_] + b * x2[s_] for s_ in lhs}
+            assert lhs == [a * v1 + b * v2 for v1, v2 in zip(x1, x2)]
 
     def test_rejects_unsound_model(self, linda):
         s = strat(linda.language, {"f": "1"})
@@ -118,43 +126,44 @@ class TestLayerDecompose:
         ]
 
     def test_constant_payoff_single_layer(self, capacity):
-        x = {s: F(5, 7) for s in capacity.states}
+        x = [F(5, 7)] * len(capacity.states)
         layers = layer_decompose(x, capacity)
         assert [(a, unparse(f)) for a, f in layers] == [(F(5, 7), "T")]
 
     def test_indicator_single_layer(self, capacity):
-        x = {"w1": F(1), "w2": F(1), "w3": F(0)}
+        x = vector(capacity, {"w1": F(1), "w2": F(1), "w3": F(0)})
         layers = layer_decompose(x, capacity)
         assert [(a, unparse(f)) for a, f in layers] == [(F(1), "p")]
 
     def test_reconstruction_identity(self, capacity):
         rng = random.Random(5)
         for _ in range(40):
-            x = {s: F(rng.randint(0, 6), 2) for s in capacity.states}
+            x = [F(rng.randint(0, 6), 2) for _ in capacity.states]
             layers = layer_decompose(x, capacity)
-            rebuilt = {s: F(0) for s in capacity.states}
+            rebuilt = [F(0)] * len(capacity.states)
             for i, (a, f) in enumerate(layers):
                 nxt = layers[i + 1][0] if i + 1 < len(layers) else F(0)
-                for s in capacity.truth_of(f):
-                    rebuilt[s] += a - nxt
+                for j in range(len(capacity.states)):
+                    if capacity.truth_of(f) >> j & 1:
+                        rebuilt[j] += a - nxt
             assert rebuilt == x
 
     def test_unnameable_upper_set(self):
         lang = Language(["p"])
-        m = SubjectiveModel(
+        m = from_labels(
             lang,
             ["w1", "w2", "w3"],
             {lang.parse("p"): frozenset(["w1", "w2"])},
             mass={"w1": F(1, 3), "w2": F(1, 3), "w3": F(1, 3)},
         )
-        x = {"w1": F(1), "w2": F(2), "w3": F(0)}
+        x = vector(m, {"w1": F(1), "w2": F(2), "w3": F(0)})
         with pytest.raises(GamesError):
             layer_decompose(x, m)
 
 
 class TestTBullet:
     def test_worked_example(self, capacity, exact, maps_strategy):
-        assert t_bullet(capacity, exact, maps_strategy) == {
+        assert by_label(exact, t_bullet(capacity, exact, maps_strategy)) == {
             "w1": F(3),
             "w2": F(2),
             "w3": F(2),
@@ -164,7 +173,7 @@ class TestTBullet:
         lang = capacity.language
         s = strat(lang, {"p": "1"})
         y = t_bullet(capacity, exact, s)
-        assert y == {"w1": F(1), "w2": F(0), "w3": F(0)}
+        assert by_label(exact, y) == {"w1": F(1), "w2": F(0), "w3": F(0)}
 
     def test_source_choice_is_irrelevant(self, capacity, alt, exact, maps_strategy):
         y1 = t_bullet(capacity, exact, maps_strategy)
@@ -177,8 +186,11 @@ class TestTBullet:
         lang = capacity.language
         tilde = SubjectiveModel(
             lang,
-            ["w1", "w2", "w3"],
-            {lang.parse("p"): frozenset(["w1"]), lang.parse("q"): frozenset(["w1", "w2"])},
+            capacity.states,
+            {
+                lang.parse("p"): event_mask(capacity, ["w1"]),
+                lang.parse("q"): event_mask(capacity, ["w1", "w2"]),
+            },
             lam=dict(capacity.lam),
         )
         with pytest.raises(GamesError) as e:
@@ -187,7 +199,7 @@ class TestTBullet:
 
     def test_missing_layer_statement_in_target(self, capacity, maps_strategy):
         lang = capacity.language
-        bare = SubjectiveModel(
+        bare = from_labels(
             lang,
             ["u1", "u2"],
             {lang.parse("p"): frozenset(["u1"])},
@@ -254,16 +266,15 @@ class TestIntegralEquality:
         for _ in range(10):
             a = random_monotone_assessment(rng, lang)
             m1 = build_canonical_sound(a).model
+            # the new state vdup is the last bit, and copies the first state
             states2 = list(m1.states) + ["vdup"]
-            dup_of = m1.states[0]
-            truth2 = {
-                f: ev | {"vdup"} if dup_of in ev else ev for f, ev in m1.truth.items()
-            }
+            dup = 1 << len(m1.states)
+            truth2 = {f: ev | dup if ev & 1 else ev for f, ev in m1.truth.items()}
             lam2 = {}
             for ev, v in m1.lam.items():
                 lam2[ev] = v
-                if dup_of in ev:
-                    lam2[ev | {"vdup"}] = v
+                if ev & 1:
+                    lam2[ev | dup] = v
             m2 = SubjectiveModel(lang, states2, truth2, lam=lam2)
             target = build_interval_additive(a).model
             members = [a.text(f) for f in a.sorted_formulas()]
@@ -279,13 +290,13 @@ class TestMaximalModel:
     def test_two_coordinates_four_states(self, hedging):
         m = hedging.models["objective"]
         events = strategy_events(m, layerings(m, hedging.strategies))
-        assert events == [frozenset(["w1"]), frozenset(["w2"])]
+        assert events == [event_mask(m, ["w1"]), event_mask(m, ["w2"])]
         mm = maximal_model(m, events)
         assert len(mm.states) == 4
 
     def test_single_coordinate_two_states(self, hedging):
         m = hedging.models["objective"]
-        mm = maximal_model(m, [frozenset(["w1"])])
+        mm = maximal_model(m, [event_mask(m, ["w1"])])
         assert len(mm.states) == 2
 
     def test_transported_strategies(self, hedging):
@@ -295,7 +306,7 @@ class TestMaximalModel:
         y3 = transported_vector_oracle(mm, m, by_name["s3"])
         assert set(y3.values()) == {F(1, 3)}
         y1 = transported_vector_oracle(mm, m, by_name["s1"])
-        cyl = mm.cylinder(frozenset(["w1"]))
+        cyl = mm.cylinder(event_mask(m, ["w1"]))
         assert all((y1[s] == 1) == (s in cyl) for s in mm.states)
 
     def test_affine_transport(self, hedging):
@@ -311,13 +322,13 @@ class TestMaximalModel:
         m = hedging.models["objective"]
         by_name = {s.name: s for s in hedging.strategies}
         with pytest.raises(GamesError):
-            transported_vector(m, [frozenset(["w1"])], *layerings(m, [by_name["s2"]]))
+            transported_vector(m, [event_mask(m, ["w1"])], *layerings(m, [by_name["s2"]]))
 
     def test_cylinder_rejects_unknown_event(self, hedging):
         m = hedging.models["objective"]
-        mm = maximal_model(m, [frozenset(["w1"])])
+        mm = maximal_model(m, [event_mask(m, ["w1"])])
         with pytest.raises(GamesError):
-            mm.cylinder(frozenset(["w2"]))
+            mm.cylinder(event_mask(m, ["w2"]))
 
     def test_coordinate_validation(self, hedging):
         m = hedging.models["objective"]
@@ -444,7 +455,7 @@ class TestRationalizable:
         assert res.witness_source == "model"
         # witness is a genuine likelihood appraisal
         assert res.witness_events[m.omega] == 1
-        assert res.witness_events[frozenset()] == 0
+        assert res.witness_events[0] == 0
 
     def test_pulled_back_witness_when_model_lambda_absent(self, hedging):
         m = hedging.models["objective"]

@@ -6,6 +6,7 @@ import pytest
 
 from credence.logic import Language
 from credence.model import (
+    MAX_POWERSET_STATES,
     ModelError,
     SubjectiveModel,
     choquet,
@@ -16,7 +17,16 @@ from credence.model import (
     represents,
 )
 
-from helpers import mobius_oracle, random_capacity, totally_monotone_direct
+from helpers import (
+    LabelModel,
+    by_labels,
+    event_mask,
+    from_labels,
+    mobius_oracle,
+    random_capacity,
+    totally_monotone_direct,
+    vector,
+)
 
 F = Fraction
 
@@ -30,7 +40,7 @@ def powerset(states):
 
 def model_from_lambda(states, lam, language=None, truth=None):
     lang = language or Language([])
-    return SubjectiveModel(lang, states, truth or {}, lam=lam)
+    return from_labels(lang, states, truth or {}, lam=lam)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +70,7 @@ class TestClassifyTruth:
             )
             for t in ("p", "q", "(p & q)", "!p", "(p | q)")
         }
-        m = SubjectiveModel(lang, states, truth, mass={s: F(1, 4) for s in states})
+        m = from_labels(lang, states, truth, mass={s: F(1, 4) for s in states})
         assert classify_truth(m).sound
 
 
@@ -119,7 +129,7 @@ class TestClassifyLambda:
         states = ["a", "b"]
         lam = {frozenset(): F(0), frozenset(states): F(1), frozenset(["a"]): F(1, 2)}
         lang = Language(["p"])
-        m = SubjectiveModel(lang, states, {lang.parse("p"): frozenset(["a"])}, lam=lam)
+        m = from_labels(lang, states, {lang.parse("p"): frozenset(["a"])}, lam=lam)
         with pytest.raises(ModelError):
             classify_lambda(m)
 
@@ -129,14 +139,15 @@ class TestMobius:
         states = ["a", "b"]
         lam = {ev: F(1) if "a" in ev else F(0) for ev in powerset(states)}
         m = model_from_lambda(states, lam)
-        masses = mobius(m)
+        masses = by_labels(m, mobius(m))
         assert masses[frozenset(["a"])] == 1
         assert all(v == 0 for ev, v in masses.items() if ev != frozenset(["a"]))
 
     def test_uniform_additive_two_states(self):
         states = ["a", "b"]
         lam = {ev: F(len(ev), 2) for ev in powerset(states)}
-        masses = mobius(model_from_lambda(states, lam))
+        m = model_from_lambda(states, lam)
+        masses = by_labels(m, mobius(m))
         assert masses[frozenset(["a"])] == F(1, 2)
         assert masses[frozenset(["b"])] == F(1, 2)
         assert masses[frozenset(states)] == 0
@@ -144,9 +155,10 @@ class TestMobius:
     def test_vacuous_capacity(self):
         states = ["a", "b", "c"]
         lam = {ev: F(1) if ev == frozenset(states) else F(0) for ev in powerset(states)}
-        masses = mobius(model_from_lambda(states, lam))
+        m = model_from_lambda(states, lam)
+        masses = by_labels(m, mobius(m))
         oracle = mobius_oracle(states, lam)
-        assert masses == {ev: v for ev, v in oracle.items()}
+        assert masses == oracle
         assert masses[frozenset(states)] == 1
 
     def test_matches_oracle_and_inverts_exhaustively(self):
@@ -162,9 +174,9 @@ class TestMobius:
             }
             m = model_from_lambda(states, lam)
             masses = mobius(m)
-            assert masses == mobius_oracle(states, lam)
-            back = inverse_mobius(masses, states)
-            assert back == lam
+            assert by_labels(m, masses) == mobius_oracle(states, lam)
+            back = inverse_mobius(masses, len(states))
+            assert by_labels(m, back) == lam
 
     def test_roundtrip_random_up_to_six_states(self):
         rng = random.Random(17)
@@ -177,26 +189,34 @@ class TestMobius:
                         lam[ev] = F(rng.randint(0, 12), 12)
                 m = model_from_lambda(states, lam)
                 masses = mobius(m)
-                assert inverse_mobius(masses, states) == lam
+                assert by_labels(m, inverse_mobius(masses, n)) == lam
                 assert sum(masses.values()) == 1
+
+    def test_cap_names_the_state_count(self):
+        n = MAX_POWERSET_STATES + 1
+        m = SubjectiveModel(Language([]), [f"s{i}" for i in range(n)], {})
+        with pytest.raises(ModelError, match=f"capped at {MAX_POWERSET_STATES} states, got {n}"):
+            mobius(m)
+        with pytest.raises(ModelError, match=f"capped at {MAX_POWERSET_STATES} states, got {n}"):
+            inverse_mobius({1: F(1)}, n)
 
 
 class TestChoquet:
     def test_constant_payoff(self, transport_capacity):
-        x = {s: F(1, 3) for s in transport_capacity.states}
+        x = [F(1, 3)] * len(transport_capacity.states)
         assert choquet(transport_capacity, x) == F(1, 3)
 
     def test_indicator_under_quarter_capacity(self, hedging):
         m = hedging.models["objective"]
-        assert choquet(m, {"w1": F(1), "w2": F(0)}) == F(1, 4)
+        assert choquet(m, vector(m, {"w1": F(1), "w2": F(0)})) == F(1, 4)
 
     def test_hand_evaluated_layer_sum(self, transport_capacity):
         x = {"w1": F(3), "w2": F(4), "w3": F(2)}
-        assert choquet(transport_capacity, x) == F(7, 3)
+        assert choquet(transport_capacity, vector(transport_capacity, x)) == F(7, 3)
 
     def test_negative_payoff_rejected(self, transport_capacity):
         with pytest.raises(ModelError):
-            choquet(transport_capacity, {"w1": F(-1), "w2": F(0), "w3": F(0)})
+            choquet(transport_capacity, [F(-1), F(0), F(0)])
 
     def test_comonotone_additivity(self):
         rng = random.Random(23)
@@ -211,7 +231,9 @@ class TestChoquet:
             x = dict(zip(order, xs))
             y = dict(zip(order, ys))
             both = {s: x[s] + y[s] for s in states}
-            assert choquet(m, both) == choquet(m, x) + choquet(m, y)
+            assert choquet(m, vector(m, both)) == choquet(m, vector(m, x)) + choquet(
+                m, vector(m, y)
+            )
 
     def test_monotone_in_payoff_under_capacity(self):
         rng = random.Random(29)
@@ -221,7 +243,7 @@ class TestChoquet:
             m = model_from_lambda(states, lam)
             x = {s: F(rng.randint(0, 8), 4) for s in states}
             y = {s: x[s] + F(rng.randint(0, 4), 4) for s in states}
-            assert choquet(m, y) >= choquet(m, x)
+            assert choquet(m, vector(m, y)) >= choquet(m, vector(m, x))
 
     def test_additive_equals_dot_product(self):
         rng = random.Random(31)
@@ -232,9 +254,9 @@ class TestChoquet:
                 weights[0] = F(1)
             total = sum(weights)
             mass = {s: w / total for s, w in zip(states, weights)}
-            m = SubjectiveModel(Language([]), states, {}, mass=mass)
+            m = from_labels(Language([]), states, {}, mass=mass)
             x = {s: F(rng.randint(0, 9), 3) for s in states}
-            assert choquet(m, x) == sum(mass[s] * x[s] for s in states)
+            assert choquet(m, vector(m, x)) == sum(mass[s] * x[s] for s in states)
 
 
 class TestRepresents:
@@ -247,7 +269,7 @@ class TestRepresents:
     def test_perturbed_value_reports_residual(self, linda):
         m2 = linda.models["model2"]
         lam = dict(m2.lam)
-        lam[frozenset(["w2", "w3"])] = F(1, 3)
+        lam[event_mask(m2, ["w2", "w3"])] = F(1, 3)
         perturbed = SubjectiveModel(
             m2.language, m2.states, dict(m2.truth), lam=lam
         )
@@ -265,3 +287,22 @@ class TestRepresents:
         rep = represents(stripped, linda.assessment)
         assert not rep.ok
         assert "t" in rep.missing
+
+
+class TestTruthOf:
+    def test_exact_lookup_takes_the_first_equivalent_by_text(self):
+        # p and (p & T) are equivalent but carry different events; any other
+        # equivalent formula gets the event of the first of them by text
+        lang = Language(["p", "q"])
+        states = ["a", "b"]
+        truth = {lang.parse("p"): ["a"], lang.parse("(p & T)"): ["b"]}
+        m = from_labels(lang, states, truth, mass={"a": F(1, 2), "b": F(1, 2)}, exact_lookup=True)
+        oracle = LabelModel(lang, states, truth, mass={"a": F(1, 2), "b": F(1, 2)},
+                            exact_lookup=True)
+        assert not m.grounded
+        for text in ("(T & p)", "!!p", "(p | F)"):
+            f = lang.parse(text)
+            assert m.truth_of(f) == event_mask(m, ["b"])
+            assert oracle.truth_of(f) == frozenset(["b"])
+        assert m.truth_of(lang.parse("q")) is None
+        assert m.truth_of(lang.parse("!p")) is None
