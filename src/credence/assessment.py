@@ -86,11 +86,6 @@ class Assessment:
         valuation set."""
         return self._by_sat.get(sat_bits)
 
-    def find_equivalent(self, sat_bits: int) -> Formula | None:
-        """The first (by text) universe member with the given valuation set."""
-        i = self.index_of(sat_bits)
-        return None if i is None else self.statements[i]
-
     def sorted_formulas(self) -> list[Formula]:
         return list(self.statements)
 

@@ -189,7 +189,6 @@ def build_canonical_sound(assessment: Assessment) -> BuildOutcome:
             return v.numerator * (den // v.denominator)
 
         known = {index[ev]: scaled(v) for ev, v in model.lam.items()}
-    if small and lang.n_valuations <= 4096:
         # inner extension: the largest value of a statement whose event lies inside
         inner = [0] * len(events)
         for sat, v in zip(assessment.sats, assessment.values):

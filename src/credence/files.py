@@ -73,16 +73,6 @@ def load_assessment(path: Path, language: Language | None = None) -> Assessment:
     return Assessment(language, pi, texts=texts)
 
 
-def assessment_to_dict(assessment: Assessment) -> dict:
-    return {
-        "atoms": list(assessment.language.atoms),
-        "pi": {
-            assessment.text(f): format_rational(assessment.value(f))
-            for f in assessment.sorted_formulas()
-        },
-    }
-
-
 def load_theory(path: Path, language: Language) -> Theory:
     data = _read_json(path)
     texts = _expect(data, "generators", path, list)

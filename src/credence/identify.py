@@ -4,12 +4,15 @@ agent can be credited with understanding.
 
 An entailment between assessed statements counts as understood exactly
 when the consequent is valued at least as high as the antecedent.  For a
-background theory, candidate sub-theories are enumerated through their
-valuation sets (every theory over the session's atoms is the set of
-formulas true on some nonempty valuation set), which makes the
-largest-understood-sub-theory question finitely decidable.  Because the
-assessed universe is finite, the largest passing sub-theory need not be
-unique; competing maximal candidates are surfaced rather than resolved.
+background theory, sub-theories are handled through their valuation sets
+(every theory over the session's atoms is the set of formulas true on
+some nonempty valuation set).  A valuation set passes relative
+implication exactly when it meets every reversal gap, so the largest
+understood sub-theories are the theory's valuation set joined with each
+minimal transversal of the gaps it misses, listed by Berge
+multiplication.  Because the assessed universe is finite, the largest
+passing sub-theory need not be unique; competing maximal candidates are
+surfaced rather than resolved.
 """
 
 from __future__ import annotations
@@ -20,9 +23,7 @@ from fractions import Fraction
 from .assessment import Assessment, AxiomReport, check_i, check_ie, check_nt, check_s_i
 from .logic import Language, Theory, unparse
 
-ONE = Fraction(1)
-
-MAX_ENUMERATION_ATOMS = 4
+MAX_TRANSVERSALS = 1024
 
 
 class IdentifyError(ValueError):
@@ -117,14 +118,28 @@ def _theory_for_valuations(
     return Theory(language, gens, texts), tuple(texts)
 
 
+def _minimal(sets) -> list[int]:
+    """The inclusion-minimal members of ``sets`` (bitmasks), ordered by
+    size and then by value."""
+    out: list[int] = []
+    for s in sorted(set(sets), key=lambda s: (s.bit_count(), s)):
+        if not any(t & ~s == 0 for t in out):
+            out.append(s)
+    return out
+
+
 def largest_subtheory(assessment: Assessment, theory: Theory) -> SubtheoryResult:
     """The largest sub-theory whose relative entailments the assessment
-    respects, found by enumerating valuation supersets of the theory's
-    valuation set.
+    respects.
 
-    When the passing valuation sets are closed under intersection the
-    answer is the unique smallest passing set; otherwise every minimal
-    passing set is reported and ``unique`` is False.
+    A valuation set ``base | X`` passes S-I exactly when X meets every
+    reversal gap that the theory's valuation set ``base`` misses, so the
+    minimal passing sets are ``base`` joined with the minimal
+    transversals of those residual gaps, built one gap at a time by
+    Berge multiplication.  With a single minimal transversal the answer
+    is unique; otherwise every minimal passing set is reported, the
+    smallest first, and ``unique`` is False.  More than
+    ``MAX_TRANSVERSALS`` partial transversals after any gap is refused.
     """
     i_report = check_i(assessment)
     if not i_report.passed:
@@ -132,40 +147,27 @@ def largest_subtheory(assessment: Assessment, theory: Theory) -> SubtheoryResult
             "largest sub-theory search requires axiom I to hold outright", i_report
         )
     lang = assessment.language
-    if len(lang.atoms) > MAX_ENUMERATION_ATOMS:
-        raise IdentifyError(
-            f"sub-theory enumeration capped at {MAX_ENUMERATION_ATOMS} atoms"
-        )
-    # V passes S-I exactly when it meets every reversal gap D_fg.
-    gaps = [gap for _, _, gap in assessment.reversals()]
     base = theory.valuations
-    free_bits = [i for i in range(lang.n_valuations) if not (base >> i) & 1]
-    passing = []
-    for pick in range(1 << len(free_bits)):
-        v = base
-        for j, i in enumerate(free_bits):
-            if (pick >> j) & 1:
-                v |= 1 << i
-        if all(gap & v for gap in gaps):
-            passing.append(v)
-    # The axiom-I gate read these same gaps under the full mask, so the
-    # full valuation set is always among the passing sets.
-
-    meet = lang.full_mask
-    for v in passing:
-        meet &= v
-    passing_set = set(passing)
-    if meet in passing_set:
-        chosen = meet
-        unique = True
-        minimal = [meet]
-    else:
-        minimal = [
-            v for v in passing if not any(w != v and w & ~v == 0 for w in passing)
-        ]
-        minimal.sort(key=lambda v: (bin(v).count("1"), v))
-        chosen = minimal[0]
-        unique = False
+    # Axiom I makes every gap nonempty, so every gap has a transversal.
+    edges = _minimal(gap for _, _, gap in assessment.reversals() if gap & base == 0)
+    transversals = [0]
+    for done, edge in enumerate(edges, 1):
+        bits = [1 << i for i in range(edge.bit_length()) if (edge >> i) & 1]
+        transversals = _minimal(
+            [t for t in transversals if t & edge]
+            + [t | b for t in transversals if not t & edge for b in bits]
+        )
+        if len(transversals) > MAX_TRANSVERSALS:
+            raise IdentifyError(
+                f"sub-theory search holds {len(transversals)} minimal transversals "
+                f"after {done} of {len(edges)} residual gaps, over the cap of "
+                f"{MAX_TRANSVERSALS}"
+            )
+    # base and each transversal are disjoint, so the (size, value) order
+    # of the transversals is that of the passing sets
+    minimal = [base | t for t in transversals]
+    chosen = minimal[0]
+    unique = len(minimal) == 1
 
     sub, texts = _theory_for_valuations(lang, chosen, theory)
     verification = check_s_i(assessment, sub)
@@ -176,7 +178,8 @@ def largest_subtheory(assessment: Assessment, theory: Theory) -> SubtheoryResult
             candidates.append(ctexts)
     diagnostics = {
         "relative_to_universe": list(assessment.texts),
-        "passing_valuation_sets": len(passing),
+        "residual_gaps": len(edges),
+        "minimal_passing_sets": len(minimal),
     }
     return SubtheoryResult(
         theory=sub,
@@ -204,15 +207,14 @@ def subtheory_via_certainty(assessment: Assessment, theory: Theory) -> Subtheory
             ie_report,
         )
     lang = assessment.language
-    gens = []
-    texts = []
-    for f in assessment.sorted_formulas():
-        if assessment.value(f) == ONE and theory.contains(f):
-            if lang.tautology(f):
-                continue  # adds nothing to the closure
-            gens.append(f)
-            texts.append(assessment.text(f))
-    sub = Theory(lang, gens, texts)
+    # certain theory members; a tautology adds nothing to the closure
+    picked = [
+        i
+        for i, (bits, v) in enumerate(zip(assessment.sats, assessment.values))
+        if v == 1 and theory.valuations & ~bits == 0 and bits != lang.full_mask
+    ]
+    texts = [assessment.texts[i] for i in picked]
+    sub = Theory(lang, [assessment.statements[i] for i in picked], texts)
     verification = check_s_i(assessment, sub)
     return SubtheoryResult(
         theory=sub,

@@ -258,9 +258,6 @@ class Language:
     def tautology(self, f: Formula) -> bool:
         return self.sat(f) == self.full_mask
 
-    def satisfiable(self, f: Formula) -> bool:
-        return self.sat(f) != 0
-
     def valuation_atoms(self, i: int) -> dict[str, bool]:
         return {a: bool((i >> j) & 1) for j, a in enumerate(self.atoms)}
 

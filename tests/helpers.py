@@ -3,7 +3,8 @@
 The oracles here recompute expected values by routes independent of the
 implementation under test: direct recursive truth-table evaluation for
 entailment, the statement-pair loops the axiom checkers ran before the
-statement index, the per-consequent family loop of axiom IE, the
+statement index, the enumeration of every valuation superset that the
+sub-theory search ran before minimal transversals, the per-consequent family loop of axiom IE, the
 textbook alternating-sum formula for Mobius masses and the literal
 subset sum for its inverse, the defining inequalities of
 total monotonicity, a simplex-grid search for dominance, and the
@@ -36,6 +37,7 @@ from credence.assessment import (
     check_e,
     check_i,
     check_nt,
+    check_s_i,
 )
 from credence.construct import (
     MAX_LIFT_STATES,
@@ -49,6 +51,7 @@ from credence.construct import (
 )
 from credence.errors import InternalError
 from credence.games import GamesError, Strategy, layer_decompose, t_circ
+from credence.identify import IdentifyError, SubtheoryResult, _theory_for_valuations
 from credence.logic import (
     FALSE,
     TRUE,
@@ -182,6 +185,82 @@ def passes_s_i_oracle(assessment: Assessment, valuations: int) -> bool:
             if lang.sat(f) & valuations & ~lang.sat(g) == 0:
                 return False
     return True
+
+
+def largest_subtheory_oracle(assessment: Assessment, theory: Theory) -> SubtheoryResult:
+    """The largest understood sub-theory as ``largest_subtheory`` found it
+    before minimal transversals: every valuation superset of the theory's
+    valuation set is tried against every reversal gap, and the minimal
+    passing sets are filtered pairwise.  Exponential in the number of
+    free valuations, so keep those few."""
+    i_report = check_i(assessment)
+    if not i_report.passed:
+        raise IdentifyError(
+            "largest sub-theory search requires axiom I to hold outright", i_report
+        )
+    lang = assessment.language
+    # V passes S-I exactly when it meets every reversal gap D_fg.
+    gaps = [gap for _, _, gap in assessment.reversals()]
+    base = theory.valuations
+    free_bits = [i for i in range(lang.n_valuations) if not (base >> i) & 1]
+    passing = []
+    for pick in range(1 << len(free_bits)):
+        v = base
+        for j, i in enumerate(free_bits):
+            if (pick >> j) & 1:
+                v |= 1 << i
+        if all(gap & v for gap in gaps):
+            passing.append(v)
+    # The axiom-I gate read these same gaps under the full mask, so the
+    # full valuation set is always among the passing sets.
+
+    meet = lang.full_mask
+    for v in passing:
+        meet &= v
+    passing_set = set(passing)
+    if meet in passing_set:
+        chosen = meet
+        unique = True
+        minimal = [meet]
+    else:
+        minimal = [
+            v for v in passing if not any(w != v and w & ~v == 0 for w in passing)
+        ]
+        minimal.sort(key=lambda v: (bin(v).count("1"), v))
+        chosen = minimal[0]
+        unique = False
+
+    sub, texts = _theory_for_valuations(lang, chosen, theory)
+    verification = check_s_i(assessment, sub)
+    candidates = []
+    if not unique:
+        for v in minimal:
+            _, ctexts = _theory_for_valuations(lang, v, theory)
+            candidates.append(ctexts)
+    diagnostics = {
+        "relative_to_universe": list(assessment.texts),
+        "passing_valuation_sets": len(passing),
+    }
+    return SubtheoryResult(
+        theory=sub,
+        generator_texts=texts,
+        valuations=chosen,
+        unique=unique,
+        verification=verification,
+        candidates=candidates,
+        diagnostics=diagnostics,
+    )
+
+
+def disjoint_gap_tables(lang: Language, m: int) -> tuple[dict, list]:
+    """An assessment table and theory generators, as texts, whose residual
+    reversal gaps are ``m`` disjoint pairs of valuations, so the sub-theory
+    search has 2^m minimal transversals: statement k is true on valuations
+    2k and 2k + 1 and valued 1/2, and the theory keeps the valuations from
+    2m on."""
+    pi = {unparse(lang.formula_from_valuations(3 << 2 * k)): "1/2" for k in range(m)}
+    rest = lang.full_mask & ~((1 << 2 * m) - 1)
+    return pi, [unparse(lang.formula_from_valuations(rest))]
 
 
 def check_ie_oracle(a: Assessment, n_max: int = 3) -> AxiomReport:

@@ -5,6 +5,9 @@ import pytest
 from click.testing import CliRunner
 
 from credence.cli import main
+from credence.logic import Language
+
+from helpers import disjoint_gap_tables
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -146,6 +149,37 @@ class TestIdentify:
         )
         assert res.exit_code == 1
         assert "refused" in res.output
+
+
+def write_session(path, atoms, pi, generators):
+    (path / "assessment.json").write_text(json.dumps({"atoms": atoms, "pi": pi}))
+    (path / "theory.json").write_text(json.dumps({"generators": generators}))
+    (path / "session.json").write_text(json.dumps(
+        {"atoms": atoms, "assessment": "assessment.json", "theory": "theory.json"}
+    ))
+    return path / "session.json"
+
+
+class TestIdentifyBeyondFourAtoms:
+    def test_five_atom_session_gets_its_subtheory(self, runner, tmp_path):
+        session = write_session(
+            tmp_path, list("abcde"),
+            {"a": "3/10", "b": "2/5", "(((a & b) & c) & d)": "3/10", "e": "1/10"},
+            ["(a -> b)", "((((a & b) & c) & d) -> e)"],
+        )
+        res = invoke(runner, "identify", session)
+        assert res.exit_code == 0
+        assert "largest understood sub-theory: {(a -> b)}\n" in res.output
+
+    def test_too_many_minimal_transversals_are_refused(self, runner, tmp_path):
+        atoms = list("abcde")
+        pi, generators = disjoint_gap_tables(Language(atoms), 12)
+        res = invoke(runner, "identify", write_session(tmp_path, atoms, pi, generators))
+        assert res.exit_code == 1
+        assert (
+            "largest sub-theory: refused (sub-theory search holds 2048 minimal "
+            "transversals after 11 of 12 residual gaps, over the cap of 1024)"
+        ) in res.output
 
 
 class TestRationalize:

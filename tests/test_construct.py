@@ -129,6 +129,16 @@ class TestCanonicalSound:
         assert set(out.model.lam) == {a.language.sat(f) for f in a.formulas}
         assert "lambda monotone on field" not in {c.name for c in out.certificate}
 
+    def test_many_atoms_with_few_blocks_are_inner_extended(self):
+        # 8192 valuations, but three statements cut them into at most 8 blocks
+        lang = Language([f"x{i}" for i in range(13)])
+        a = make(lang, {"x0": "1/2", "(x0 & x1)": "1/4", "x2": "1/3"})
+        out = build_canonical_sound(a)
+        assert out.notes == ["appraisal inner-extended to the generated field"]
+        m = out.model
+        assert m.lam[lang.sat(lang.parse("(x0 | x2)"))] == F(1, 2)
+        assert {c.name: c.ok for c in out.certificate}["lambda monotone on field"] is True
+
     def test_monotone_certificate_when_i_holds(self):
         rng = random.Random(2)
         a = random_monotone_assessment(rng, PQ)

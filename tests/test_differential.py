@@ -68,6 +68,7 @@ from helpers import (
     check_s_i_oracle,
     full_closure_classes,
     inverse_mobius_oracle,
+    largest_subtheory_oracle,
     layerings,
     maximal_model,
     maximize_oracle,
@@ -148,21 +149,76 @@ def test_reversals_match_the_pair_loops(case):
             if truth_table_implies(lang, f, g)
         ]
 
-    if not i_report.passed:
+    assert_same_subtheory(a, theory)
+
+
+def subtheory_fields(sub):
+    return (
+        sub.valuations,
+        sub.unique,
+        sub.generator_texts,
+        sub.candidates,
+        sub.verification.passed,
+    )
+
+
+def assert_same_subtheory(a, theory):
+    """The minimal-transversal search and the superset enumeration give
+    the same answer, or both refuse."""
+    try:
+        expected = largest_subtheory_oracle(a, theory)
+    except IdentifyError:
         with pytest.raises(IdentifyError):
             largest_subtheory(a, theory)
         return
     sub = largest_subtheory(a, theory)
-    free = [v for v in range(lang.n_valuations) if not (mask >> v) & 1]
-    passing = []
-    for r in range(len(free) + 1):
-        for picked in itertools.combinations(free, r):
-            v = mask | sum(1 << b for b in picked)
-            if passes_s_i_oracle(a, v):
-                passing.append(v)
-    assert sub.diagnostics["passing_valuation_sets"] == len(passing)
-    assert sub.valuations in passing
+    assert subtheory_fields(sub) == subtheory_fields(expected)
     assert sub.verification.passed
+
+
+SUBTHEORY_LANGUAGES = {n: Language(["p", "q", "r", "s"][:n]) for n in (2, 3, 4)}
+
+
+@st.composite
+def subtheory_cases(draw):
+    """A random assessment on 2-4 atoms whose values are monotone in the
+    valuation set (a measure, its square or a possibility measure, so
+    axiom I holds), or off a grid, and a theory.  Theory valuation sets
+    are small, leaving many free valuations and often several minimal
+    passing sets; on 4 atoms at most 9 valuations are left free so the
+    enumeration stays small."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    lang = SUBTHEORY_LANGUAGES[n]
+    nv = lang.n_valuations
+    masks = draw(st.lists(st.integers(0, lang.full_mask), min_size=1, max_size=7, unique=True))
+    weights = draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
+    if not any(weights):
+        weights[0] = 1
+    kind = draw(st.sampled_from(["measure", "square", "possibility", "grid"]))
+
+    def value(bits):
+        inside = [w for v, w in enumerate(weights) if (bits >> v) & 1]
+        if kind == "possibility":
+            return F(max(inside, default=0), max(weights))
+        m = F(sum(inside), sum(weights))
+        if kind == "grid":
+            return draw(st.sampled_from(GRID))
+        return m * m if kind == "square" else m
+
+    pi = {lang.formula_from_valuations(bits): value(bits) for bits in masks}
+    if n == 4:
+        free = draw(st.lists(st.integers(0, nv - 1), max_size=9, unique=True))
+        base = lang.full_mask & ~sum(1 << v for v in free)
+    else:
+        picked = draw(st.lists(st.integers(0, nv - 1), min_size=1, max_size=3, unique=True))
+        base = sum(1 << v for v in picked)
+    return Assessment(lang, pi), Theory(lang, [lang.formula_from_valuations(base)])
+
+
+@given(subtheory_cases())
+@settings(max_examples=200, deadline=None)
+def test_largest_subtheory_matches_the_superset_enumeration(case):
+    assert_same_subtheory(*case)
 
 
 @given(st.integers(1, 4), st.data())

@@ -5,6 +5,7 @@ import pytest
 
 from credence.assessment import Assessment, check_i, check_s_i
 from credence.identify import (
+    MAX_TRANSVERSALS,
     IdentifyError,
     largest_subtheory,
     subtheory_via_certainty,
@@ -12,10 +13,17 @@ from credence.identify import (
 )
 from credence.logic import Language, Theory
 
-from helpers import full_closure_classes, random_monotone_assessment
+from helpers import (
+    disjoint_gap_tables,
+    full_closure_classes,
+    largest_subtheory_oracle,
+    random_monotone_assessment,
+)
 
 F = Fraction
 PQ = Language(["p", "q"])
+# a and b in order, and the conjunction abcd valued above e
+ABOVE_FOUR = {"a": "3/10", "b": "2/5", "(((a & b) & c) & d)": "3/10", "e": "1/10"}
 
 
 def make(lang, table):
@@ -109,6 +117,64 @@ class TestLargestSubtheory:
         sub = largest_subtheory(a, theory)
         assert not sub.unique
         assert len(sub.candidates) == 2
+
+    def test_smallest_minimal_passing_set_is_chosen(self):
+        # residual gaps {v0, v3} and {v1, v3} have the minimal transversals
+        # {v3} and {v0, v1}: fewer valuations first, even though the pair
+        # is the smaller bitmask
+        lang = Language(["p", "q", "r"])
+        a = Assessment(lang, {lang.formula_from_valuations(m): F(1, 2) for m in (0b1001, 0b1010)})
+        theory = Theory.from_texts(lang, ["r"])
+        sub = largest_subtheory(a, theory)
+        assert not sub.unique
+        assert sub.valuations == theory.valuations | 0b1000
+        assert len(sub.candidates) == 2
+        assert sub.diagnostics["residual_gaps"] == 2
+        expected = largest_subtheory_oracle(a, theory)
+        assert (sub.generator_texts, sub.candidates) == (
+            expected.generator_texts,
+            expected.candidates,
+        )
+
+    def test_five_atoms_recover_the_understood_rule(self):
+        # abcd is valued above e, so the rule abcd -> e is not understood;
+        # its one excluded valuation is the single residual gap
+        lang = Language(list("abcde"))
+        theory = Theory.from_texts(lang, ["(a -> b)", "((((a & b) & c) & d) -> e)"])
+        a = make(lang, ABOVE_FOUR)
+        sub = largest_subtheory(a, theory)
+        assert sub.unique and sub.verification.passed
+        assert sub.generator_texts == ("(a -> b)",)
+        assert sub.valuations == lang.sat(lang.parse("(a -> b)"))
+        assert sub.diagnostics["residual_gaps"] == 1
+        expected = largest_subtheory_oracle(a, theory)
+        assert (sub.valuations, sub.candidates) == (expected.valuations, expected.candidates)
+
+    def test_six_atoms_surface_both_candidates(self):
+        # the rule abcd -> e now excludes two valuations (f and !f), and
+        # restoring either one breaks the reversal: two minimal passing sets
+        lang = Language(list("abcdef"))
+        theory = Theory.from_texts(lang, ["((a & f) -> b)", "((((a & b) & c) & d) -> e)"])
+        a = make(lang, ABOVE_FOUR)
+        sub = largest_subtheory(a, theory)
+        assert not sub.unique and sub.verification.passed
+        assert len(sub.candidates) == 2
+        assert sub.diagnostics["minimal_passing_sets"] == 2
+        expected = largest_subtheory_oracle(a, theory)
+        assert (sub.valuations, sub.generator_texts, sub.candidates) == (
+            expected.valuations,
+            expected.generator_texts,
+            expected.candidates,
+        )
+
+    def test_transversal_cap_names_the_count(self):
+        lang = Language(list("abcde"))
+        pi, gens = disjoint_gap_tables(lang, 10)
+        sub = largest_subtheory(make(lang, pi), Theory.from_texts(lang, gens))
+        assert len(sub.candidates) == MAX_TRANSVERSALS == 2**10
+        pi, gens = disjoint_gap_tables(lang, 12)
+        with pytest.raises(IdentifyError, match="2048 minimal transversals after 11 of 12"):
+            largest_subtheory(make(lang, pi), Theory.from_texts(lang, gens))
 
     def test_shrinking_theory_never_enlarges_the_answer(self, voting):
         sub_full = largest_subtheory(voting.assessment, voting.theory)
