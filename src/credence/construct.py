@@ -317,19 +317,24 @@ def build_belief_lift(
 
 
 def _solve_valuation_masses(assessment: Assessment):
-    """Row-reduce the system  sum of masses over sat(phi) = pi(phi).
+    """Row-reduce the system  sum of masses over sat(phi) = pi(phi)  with
+    the fraction-free ``pivot``, the values scaled to ints by the lcm of
+    their denominators.
 
     Returns (status, data): status is "unique" (data: mass vector),
     "inconsistent" (data: None) or "underdetermined" (data: (pinned
     column values, free column set))."""
     lang = assessment.language
     nv = lang.n_valuations
+    values = [assessment.value(f) for f in assessment.formulas]
+    scale = math.lcm(*(v.denominator for v in values))
     mat = []
-    for f in assessment.formulas:
+    for f, v in zip(assessment.formulas, values):
         bits = lang.sat(f)
-        row = [ONE if (bits >> i) & 1 else ZERO for i in range(nv)]
-        row.append(assessment.value(f))
+        row = [(bits >> i) & 1 for i in range(nv)]
+        row.append(v.numerator * (scale // v.denominator))
         mat.append(row)
+    d = 1
     pivots = []
     r = 0
     for c in range(nv):
@@ -337,7 +342,7 @@ def _solve_valuation_masses(assessment: Assessment):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        pivot(mat, r, c)
+        d = pivot(mat, d, r, c)
         pivots.append((r, c))
         r += 1
         if r == len(mat):
@@ -350,12 +355,12 @@ def _solve_valuation_masses(assessment: Assessment):
     if not free_cols:
         x = [ZERO] * nv
         for row, col in pivots:
-            x[col] = mat[row][-1]
+            x[col] = Fraction(mat[row][-1], d * scale)
         return "unique", x
     pinned = {}
     for row, col in pivots:
         if all(mat[row][fc] == 0 for fc in free_cols):
-            pinned[col] = mat[row][-1]
+            pinned[col] = Fraction(mat[row][-1], d * scale)
     return "underdetermined", (pinned, free_cols)
 
 

@@ -1,6 +1,23 @@
 """JSON file schemas: sessions, assessments, theories, models, strategies
-and payoff vectors.  All rationals travel as strings like "3/4" (or
-integer strings); floats are rejected to keep arithmetic exact.
+and payoff vectors.  Floats are rejected to keep arithmetic exact.
+
+A rational is read by ``parse_rational`` from a JSON integer (not a
+boolean) or from a string of the forms ``fractions.Fraction`` accepts,
+each with an optional ``+`` or ``-`` sign, optional surrounding
+whitespace and single ``_`` between digits:
+
+* an integer, as in ``"2"``, ``"-7"`` or ``"1_000"``;
+* a ratio of integers with no space around the slash, as in ``"3/4"``,
+  ``" -3/4 "`` or ``"007/14"``;
+* an exact decimal with an optional exponent, as in ``"0.5"``, ``".25"``,
+  ``"5."``, ``"1e2"`` or ``"1.5E-1"``.
+
+Digits may be any Unicode decimal digits (an Arabic-Indic three reads
+as 3), but not other numeric characters such as a superscript two.  A
+zero denominator, ``"inf"``, ``"nan"``, floats and anything else are a
+``FileFormatError``.  Plain ``n`` and ``n/d`` strings of ASCII digits,
+with an optional leading ``-``, are read with ``int`` directly: the same
+value, without ``Fraction``'s regular expression.
 """
 
 from __future__ import annotations
@@ -21,9 +38,15 @@ class FileFormatError(ValueError):
 
 
 def parse_rational(value) -> Fraction:
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if value.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+            den = int(den) if slash else 1
+            if den:
+                return Fraction(int(num), den)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as e:
@@ -114,7 +137,13 @@ def load_model(path: Path, language: Language, name: str | None = None) -> Subje
     }
     lam = None
     if "lambda" in data:
-        lam = {_event_from_key(k, index): parse_rational(v) for k, v in data["lambda"].items()}
+        lam, keys = {}, {}
+        for k, v in data["lambda"].items():
+            ev = _event_from_key(k, index)
+            if ev in keys:
+                raise FileFormatError(f"lambda keys {keys[ev]!r} and {k!r} name the same event")
+            keys[ev] = k
+            lam[ev] = parse_rational(v)
     mass = None
     if "mass" in data:
         mass = {s: parse_rational(v) for s, v in data["mass"].items()}

@@ -113,7 +113,7 @@ class SubjectiveModel:
             if len(mass) != n:
                 raise ModelError(f"masses must give one value per state, got {len(mass)}")
             if denominator is None:
-                mass = [Fraction(v) for v in mass]
+                mass = [v if isinstance(v, Fraction) else Fraction(v) for v in mass]
                 denominator = math.lcm(*(v.denominator for v in mass))
                 mass = [v.numerator * (denominator // v.denominator) for v in mass]
             self.mass_numerators = tuple(mass)
@@ -125,7 +125,7 @@ class SubjectiveModel:
         for ev, v in (lam or {}).items():
             if ev < 0 or ev & ~omega:
                 raise ModelError("lambda valued on an event with unknown states")
-            self.lam[ev] = Fraction(v)
+            self.lam[ev] = v if isinstance(v, Fraction) else Fraction(v)
         for ev, v in ((0, ZERO), (omega, ONE)):
             if ev in self.lam and self.lam[ev] != v:
                 raise ModelError(f"lambda({self.label(ev) or 'empty'}) must equal {v}")

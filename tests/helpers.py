@@ -12,7 +12,9 @@ materialized maximal model with one state per subset of the coordinate
 events, on which dominance is the plain state-by-state LP, and the exact
 simplex and matrix-game solver as they ran before the single tableau
 (a separate objective row, a big-M phase 2 and a game tableau of its
-own), which must give the same pivots and hence the same exact results.
+own), and the single-tableau simplex and the valuation-mass row
+reduction as they ran on ``Fraction``s before the fraction-free integer
+pivot; all must give the same pivots and hence the same exact results.
 Last come the subjective model with events as frozensets of state
 labels, its grading, Mobius, Choquet and representation functions and
 the five builders on it, as they ran before states became bit
@@ -47,7 +49,6 @@ from credence.construct import (
     BuildOutcome,
     CertEntry,
     _require,
-    _solve_valuation_masses,
 )
 from credence.errors import InternalError
 from credence.games import GamesError, Strategy, layer_decompose, t_circ
@@ -703,6 +704,157 @@ def solve_matrix_game_oracle(matrix) -> GameSolution:
     return GameSolution(value, row_mixture, col_mixture)
 
 
+# -- the simplex and valuation solve on Fractions, before integer pivots --
+
+
+def _fraction_pivot(rows, r, c):
+    """One Gauss-Jordan step: scale row ``r`` so that ``rows[r][c]`` is 1
+    and clear column ``c`` from every other row."""
+    piv = rows[r][c]
+    rows[r] = pivot_row = [v / piv for v in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[c] != 0:
+            f = row[c]
+            rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+
+
+def _run_fraction_simplex(tab, basis, ncols):
+    """Maximize over the first ``ncols`` columns, with reduced costs in the
+    last row ``tab[-1]`` (its last entry = -value).  Bland's rule: enter
+    the lowest eligible column, leave the lowest basic index."""
+    while True:
+        col = next((j for j in range(ncols) if tab[-1][j] > 0), None)
+        if col is None:
+            return
+        best = None
+        for i, row in enumerate(tab[:-1]):
+            if row[col] > 0:
+                ratio = row[-1] / row[col]
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:
+            raise SimplexError("unbounded")
+        _fraction_pivot(tab, best[1], col)
+        basis[best[1]] = col
+
+
+def maximize_fraction_oracle(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
+    """Maximize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0.
+
+    At an optimum, ``duals`` holds an optimal dual value (>= 0) for each
+    ``a_ub`` row, read off the reduced cost of its slack or surplus column."""
+    c = [Fraction(v) for v in c]
+    n = len(c)
+    ub = [(list(map(Fraction, r)), Fraction(b)) for r, b in zip(a_ub or [], b_ub or [])]
+    eq = [(list(map(Fraction, r)), Fraction(b)) for r, b in zip(a_eq or [], b_eq or [])]
+
+    # column layout: n structural, one slack (or surplus, on a row flipped
+    # to a nonnegative rhs) per inequality row, then one artificial per
+    # flipped inequality and per equality row
+    art_start = n + len(ub)
+    n_art = sum(1 for _, b in ub if b < 0) + len(eq)
+    tab, basis = [], []
+    art = art_start
+    for i, (coeffs, b) in enumerate(ub + eq):
+        flipped = b < 0
+        if flipped:
+            coeffs, b = [-v for v in coeffs], -b
+        row = coeffs + [ZERO] * (art_start + n_art - n) + [b]
+        if i < len(ub):
+            row[n + i] = -ONE if flipped else ONE
+        if flipped or i >= len(ub):
+            row[art] = ONE
+            basis.append(art)
+            art += 1
+        else:
+            basis.append(n + i)
+        tab.append(row)
+
+    if n_art:
+        # phase 1: maximize -(sum of artificials)
+        obj = [ZERO] * art_start + [-ONE] * n_art + [ZERO]
+        for row, b in zip(tab, basis):
+            if b >= art_start:
+                obj = [o + v for o, v in zip(obj, row)]
+        tab.append(obj)
+        _run_fraction_simplex(tab, basis, art_start + n_art)
+        if tab.pop()[-1] != 0:
+            return LpResult("infeasible", None, None)
+        # drive any lingering artificials out of the basis; the rows where
+        # none can leave are all-zero off the artificials, hence redundant
+        for i, b in enumerate(basis):
+            if b >= art_start:
+                col = next((j for j in range(art_start) if tab[i][j] != 0), None)
+                if col is not None:
+                    _fraction_pivot(tab, i, col)
+                    basis[i] = col
+        keep = [i for i, b in enumerate(basis) if b < art_start]
+        tab = [tab[i][:art_start] + tab[i][-1:] for i in keep]
+        basis = [basis[i] for i in keep]
+
+    obj = c + [ZERO] * (art_start - n + 1)
+    for row, b in zip(tab, basis):
+        f = obj[b]
+        if f != 0:
+            obj = [o - f * v for o, v in zip(obj, row)]
+    tab.append(obj)
+    try:
+        _run_fraction_simplex(tab, basis, art_start)
+    except SimplexError:
+        return LpResult("unbounded", None, None)
+
+    x = [ZERO] * n
+    for row, b in zip(tab, basis):
+        if b < n:
+            x[b] = row[-1]
+    value = sum(ci * xi for ci, xi in zip(c, x))
+    duals = [-tab[-1][n + i] for i in range(len(ub))]
+    return LpResult("optimal", x, value, duals)
+
+
+def valuation_masses_oracle(assessment: Assessment):
+    """Row-reduce the system  sum of masses over sat(phi) = pi(phi).
+
+    Returns (status, data): status is "unique" (data: mass vector),
+    "inconsistent" (data: None) or "underdetermined" (data: (pinned
+    column values, free column set))."""
+    lang = assessment.language
+    nv = lang.n_valuations
+    mat = []
+    for f in assessment.formulas:
+        bits = lang.sat(f)
+        row = [ONE if (bits >> i) & 1 else ZERO for i in range(nv)]
+        row.append(assessment.value(f))
+        mat.append(row)
+    pivots = []
+    r = 0
+    for c in range(nv):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        _fraction_pivot(mat, r, c)
+        pivots.append((r, c))
+        r += 1
+        if r == len(mat):
+            break
+    for i in range(r, len(mat)):
+        if mat[i][-1] != 0:
+            return "inconsistent", None
+    pivot_cols = {c for _, c in pivots}
+    free_cols = [c for c in range(nv) if c not in pivot_cols]
+    if not free_cols:
+        x = [ZERO] * nv
+        for row, col in pivots:
+            x[col] = mat[row][-1]
+        return "unique", x
+    pinned = {}
+    for row, col in pivots:
+        if all(mat[row][fc] == 0 for fc in free_cols):
+            pinned[col] = mat[row][-1]
+    return "underdetermined", (pinned, free_cols)
+
+
 # -- the frozenset model, as it ran before the indexed core ---------------
 
 
@@ -1250,7 +1402,7 @@ def build_additive_sound_oracle(assessment: Assessment, complete_maxent: bool = 
     if len(lang.atoms) > MAX_SOLVER_ATOMS:
         raise BuildError(f"additive sound construction capped at {MAX_SOLVER_ATOMS} atoms")
     nv = lang.n_valuations
-    status, data = _solve_valuation_masses(assessment)
+    status, data = valuation_masses_oracle(assessment)
     notes = []
     if status == "inconsistent":
         raise BuildError(

@@ -1,9 +1,11 @@
 """Differential tests of the indexed fast paths against the pair-loop and
 subset-sum oracles in ``helpers``, of the affine rationalizability LP
 against dominance in the materialized maximal model, of the single
-simplex tableau against the simplex and game solver it replaced, and of
-the indexed model core and its builders against the frozenset model and
-builders they replaced."""
+integer simplex tableau against the big-M simplex and game solver and
+the ``Fraction`` tableau it replaced, of the integer valuation solve
+against its ``Fraction`` row reduction, and of the indexed model core
+and its builders against the frozenset model and builders they
+replaced."""
 
 import itertools
 import random
@@ -13,10 +15,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from credence._simplex import maximize, solve_matrix_game
+from credence import _simplex
+from credence._simplex import maximize, pivot, solve_matrix_game
 from credence.assessment import Assessment, check_i, check_ie, check_nt, check_s_i
 from credence.construct import (
     BuildError,
+    _solve_valuation_masses,
     build_additive_sound,
     build_belief_lift,
     build_canonical_sound,
@@ -71,6 +75,7 @@ from helpers import (
     largest_subtheory_oracle,
     layerings,
     maximal_model,
+    maximize_fraction_oracle,
     maximize_oracle,
     passes_s_i_oracle,
     random_capacity,
@@ -78,6 +83,7 @@ from helpers import (
     solve_matrix_game_oracle,
     transported_vector_oracle,
     truth_table_implies,
+    valuation_masses_oracle,
 )
 
 F = Fraction
@@ -402,6 +408,16 @@ def test_pool_above_sixteen_coordinates_is_decided_and_witnessed():
 
 
 ENTRY = st.fractions(F(-3), F(3), max_denominator=2)
+# large prime denominators, so one LP mixes them with small ones and its
+# common denominator is large
+WIDE_ENTRY = st.builds(F, st.integers(-3 * 65521, 3 * 65521), st.sampled_from([7919, 65521]))
+MIXED_ENTRY = st.one_of(ENTRY, WIDE_ENTRY)
+# phase 1 ends at once with the artificial of the equality row basic at
+# zero, and driving it out pivots on a negative entry
+NEGATIVE_DRIVE_OUT = [
+    ([1, 1], [[1, 1]], [2], [[-1, -1]], [0]),
+    ([F(1, 7919), 1], [[1, F(1, 65521)]], [2], [[-F(1, 7919), -F(2, 65521)]], [0]),
+]
 
 
 @st.composite
@@ -410,14 +426,16 @@ def lps(draw):
     side, so phase 1 runs), equality rows, often with a zero right-hand
     side (an artificial may end phase 1 basic at zero), and copies of
     equality rows, plain or scaled, which leave a redundant row basic on
-    an artificial."""
+    an artificial.  Entries are halves, or halves mixed with multiples
+    of 1/7919 and 1/65521."""
+    entry = draw(st.sampled_from([ENTRY, MIXED_ENTRY]))
     n = draw(st.integers(1, 4))
-    row = st.lists(ENTRY, min_size=n, max_size=n)
+    row = st.lists(entry, min_size=n, max_size=n)
     c = draw(row)
     a_ub = draw(st.lists(row, max_size=4))
-    b_ub = draw(st.lists(ENTRY, min_size=len(a_ub), max_size=len(a_ub)))
+    b_ub = draw(st.lists(entry, min_size=len(a_ub), max_size=len(a_ub)))
     a_eq = draw(st.lists(row, max_size=3))
-    rhs = st.one_of(st.just(F(0)), ENTRY)
+    rhs = st.one_of(st.just(F(0)), entry)
     b_eq = draw(st.lists(rhs, min_size=len(a_eq), max_size=len(a_eq)))
     if a_eq:
         for i in draw(st.lists(st.integers(0, len(a_eq) - 1), max_size=2)):
@@ -427,12 +445,37 @@ def lps(draw):
     return c, a_ub, b_ub, a_eq, b_eq
 
 
+def assert_same_lp_result(got, want):
+    assert (got.status, got.x, got.value) == (want.status, want.x, want.value)
+    assert got.duals == want.duals
+
+
 @given(lps())
 @settings(max_examples=400, deadline=None)
 def test_maximize_matches_the_big_m_simplex(lp):
-    got, want = maximize(*lp), maximize_oracle(*lp)
-    assert (got.status, got.x, got.value) == (want.status, want.x, want.value)
-    assert got.duals == want.duals
+    assert_same_lp_result(maximize(*lp), maximize_oracle(*lp))
+
+
+@given(lps())
+@settings(max_examples=400, deadline=None)
+def test_maximize_matches_the_fraction_simplex(lp):
+    assert_same_lp_result(maximize(*lp), maximize_fraction_oracle(*lp))
+
+
+@pytest.mark.parametrize("lp", NEGATIVE_DRIVE_OUT)
+def test_negative_drive_out_pivot_matches_both_oracles(lp, monkeypatch):
+    pivots = []
+
+    def recording_pivot(tab, d, r, c):
+        pivots.append(tab[r][c])
+        return pivot(tab, d, r, c)
+
+    monkeypatch.setattr(_simplex, "pivot", recording_pivot)
+    got = maximize(*lp)
+    assert pivots and pivots[0] < 0
+    assert got.status == "optimal"
+    assert_same_lp_result(got, maximize_oracle(*lp))
+    assert_same_lp_result(got, maximize_fraction_oracle(*lp))
 
 
 @st.composite
@@ -448,6 +491,52 @@ def test_matrix_game_matches_its_own_tableau(g):
     assert got.value == want.value
     assert got.row_mixture == want.row_mixture
     assert got.col_mixture == want.col_mixture
+
+
+def test_20_by_128_game_matches_the_fraction_simplex(monkeypatch):
+    rng = random.Random(20128)
+    g = [[F(rng.randint(-6, 6), 2) for _ in range(128)] for _ in range(20)]
+    got = solve_matrix_game(g)
+    monkeypatch.setattr(_simplex, "maximize", maximize_fraction_oracle)
+    want = solve_matrix_game(g)
+    assert got.value == want.value
+    assert got.row_mixture == want.row_mixture
+    assert got.col_mixture == want.col_mixture
+
+
+VALUATION_LANGUAGES = {n: Language(["p", "q", "r"][:n]) for n in (1, 2, 3)}
+VALUATION_CLASSES = {n: full_closure_classes(lang) for n, lang in VALUATION_LANGUAGES.items()}
+
+
+@st.composite
+def valuation_systems(draw):
+    """An assessment on 1-3 atoms whose values are either the sums of
+    random valuation masses over denominators up to 65521 (a consistent
+    system, unique or under-determined) or drawn freely, small or with
+    large denominators (mostly inconsistent)."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    lang = VALUATION_LANGUAGES[n]
+    classes = VALUATION_CLASSES[n]
+    picks = draw(st.lists(st.integers(0, len(classes) - 1), unique=True, min_size=1,
+                          max_size=lang.n_valuations + 2))
+    formulas = [classes[i][1] for i in picks]
+    if draw(st.booleans()):
+        total = draw(st.sampled_from([1, 6, 7919, 65521]))
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=lang.n_valuations - 1,
+                                    max_size=lang.n_valuations - 1)))
+        masses = [F(b - a, total) for a, b in zip([0] + cuts, cuts + [total])]
+        pi = {f: sum((m for v, m in enumerate(masses) if lang.sat(f) >> v & 1), F(0))
+              for f in formulas}
+    else:
+        value = st.one_of(st.sampled_from(GRID), st.builds(F, st.integers(0, 7919), st.just(7919)))
+        pi = {f: draw(value) for f in formulas}
+    return Assessment(lang, pi)
+
+
+@given(valuation_systems())
+@settings(max_examples=300, deadline=None)
+def test_valuation_solve_matches_the_fraction_row_reduction(a):
+    assert _solve_valuation_masses(a) == valuation_masses_oracle(a)
 
 
 # -- the indexed model core against the frozenset model -------------------

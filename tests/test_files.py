@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from credence.files import (
     FileFormatError,
@@ -34,6 +36,38 @@ class TestRationals:
 
     def test_format_reduces(self):
         assert format_rational(Fraction(2, 4)) == "1/2"
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_rejected(self, value):
+        with pytest.raises(FileFormatError) as e:
+            parse_rational(value)
+        assert str(e.value) == f"rationals must be strings like '3/4' or integers, got {value!r}"
+
+    def test_boolean_probability_rejected(self, tmp_path):
+        path = tmp_path / "assessment.json"
+        path.write_text(json.dumps({"atoms": ["p"], "pi": {"p": True}}))
+        with pytest.raises(FileFormatError):
+            load_assessment(path)
+
+    @given(st.one_of(
+        st.sampled_from([" 3/4 ", "+2", "-3/4", "0.5", "1e2", "1/0", "007/14", "\u00b2"]),
+        st.text(alphabet="0123456789/+-._eE \u00b2\u0663", max_size=8),
+    ))
+    @example("-0/5")
+    @example("--3")
+    @example("3/-4")
+    @example("\u0663/4")
+    @settings(max_examples=500, deadline=None)
+    def test_parse_matches_fraction_text(self, text):
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError) as e:
+            want = f"bad rational {text!r}: {e}"
+        try:
+            got = parse_rational(text)
+        except FileFormatError as e:
+            got = str(e)
+        assert got == want and type(got) is type(want)
 
 
 class TestSchemas:
@@ -75,6 +109,10 @@ class TestSchemas:
         ({"states": ["w1", "w2"], "t": {}, "lambda": {"w2": "1/3"},
           "mass": {"w1": "1/2", "w2": "1/2"}}, ModelError,
          "explicit lambda(w2) = 1/3 disagrees with the additive masses (1/2)"),
+        ({"states": ["a", "c"], "t": {}, "lambda": {"a": "1/4", "a|a": "1/2"}},
+         FileFormatError, "lambda keys 'a' and 'a|a' name the same event"),
+        ({"states": ["a", "b", "c"], "t": {}, "lambda": {"a|c": "3/4", "c|a": "1/3"}},
+         FileFormatError, "lambda keys 'a|c' and 'c|a' name the same event"),
     ])
     def test_invalid_model_named(self, tmp_path, data, error, message):
         path = tmp_path / "model.json"

@@ -4,7 +4,10 @@ no bare or blanket ``except`` (it would turn a programming error into a
 verdict), no big-M constant (exact LPs need none, and a big-M penalty
 is only correct while every other number stays below it), and no float
 literal or ``float(...)`` call (every value is an exact rational, and the
-integer fast paths rely on it)."""
+integer fast paths rely on it).  The LP core's ``pivot`` and
+``_run_simplex`` must also stay fraction-free: no true division and no
+``Fraction``, so every pivot stays integer arithmetic over one
+denominator."""
 
 import ast
 from pathlib import Path
@@ -14,6 +17,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "credence"
 BIG_M = 10**6
 BLANKET = {"Exception", "BaseException"}
+FRACTION_FREE = ("pivot", "_run_simplex")
 
 
 def _number(node) -> bool:
@@ -63,6 +67,27 @@ def offences(source: str, name: str = "<source>") -> list[str]:
     return found
 
 
+def _is_fraction(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "Fraction") or (
+        isinstance(node, ast.Attribute) and node.attr == "Fraction"
+    )
+
+
+def fraction_uses(source: str, functions=FRACTION_FREE) -> list[str]:
+    """Every true division and every use of ``Fraction`` inside the named
+    functions, as ``function:line: what``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.FunctionDef) and node.name in functions):
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, (ast.BinOp, ast.AugAssign)) and isinstance(inner.op, ast.Div):
+                found.append(f"{node.name}:{inner.lineno}: true division")
+            elif _is_fraction(inner):
+                found.append(f"{node.name}:{inner.lineno}: Fraction")
+    return found
+
+
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -109,3 +134,38 @@ def test_offences_are_found(snippet, what):
 )
 def test_ordinary_code_passes(snippet):
     assert offences(snippet) == []
+
+
+def test_lp_core_is_fraction_free():
+    source = (PACKAGE / "_simplex.py").read_text()
+    defined = {
+        node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)
+    }
+    assert set(FRACTION_FREE) <= defined
+    assert fraction_uses(source) == []
+
+
+@pytest.mark.parametrize(
+    "snippet, what",
+    [
+        ("def pivot(tab, d, r, c):\n    return tab[r][c] / d", "true division"),
+        ("def _run_simplex(tab):\n    tab[0][0] /= 2", "true division"),
+        ("def pivot(tab, d, r, c):\n    return Fraction(tab[r][c], d)", "Fraction"),
+        ("def _run_simplex(tab):\n    return fractions.Fraction(tab[0][0])", "Fraction"),
+    ],
+)
+def test_fraction_uses_are_found(snippet, what):
+    assert [o.split(": ", 1)[1] for o in fraction_uses(snippet)] == [what]
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "def pivot(tab, d, r, c):\n    return tab[r][c] // d",
+        "def maximize(c):\n    return Fraction(c[0]) / 2",
+        "def _run_simplex(tab):\n    return tab  # not Fraction / d",
+        '"""pivot on ints, never Fraction / d"""',
+    ],
+)
+def test_fraction_free_code_passes(snippet):
+    assert fraction_uses(snippet) == []
