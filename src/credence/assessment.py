@@ -268,11 +268,14 @@ def check_ie(a: Assessment, n_max: int = 3) -> AxiomReport:
     put over one common denominator D, so the sums are exact Python ints.
     Families grow one later statement at a time: adding phi_j meets it
     with every subset's conjunction already found, flipping that subset's
-    parity.  The consequents of a family are the statements whose
-    valuation sets contain the family's union; they are listed once per
-    union, sorted by value, and the violated ones are the prefix with
-    D * pi(psi) < odd - even (both sums as numerators over D), found by
-    bisection.  Only a reported violation is turned back into fractions.
+    parity.  A family one statement short of ``n_max`` sums and tests its
+    extensions in one flat loop, with no call per leaf family; a leaf
+    missing a conjunction goes the untestable way.  The consequents of a
+    family are the statements whose valuation sets contain the family's
+    union; they are listed once per union, sorted by value, and the
+    violated ones are the prefix with D * pi(psi) < odd - even (both sums
+    as numerators over D), found by bisection.  Only a reported violation
+    is turned back into fractions.
     """
     if n_max < 1:
         raise AssessmentError(f"IE needs families of at least 1 statement; n_max = {n_max}")
@@ -282,6 +285,7 @@ def check_ie(a: Assessment, n_max: int = 3) -> AxiomReport:
     num = [v.numerator * (denominator // v.denominator) for v in a.values]
     # a conjunction's numerator, read from the first statement by text
     num_of = {bits: num[a.index_of(bits)] for bits in sats}
+    get = num_of.get
     below: dict[int, tuple[list[int], list[int]]] = {}
     found = []  # (psi, family, even, odd) per violation
     untestable = []
@@ -318,6 +322,34 @@ def check_ie(a: Assessment, n_max: int = 3) -> AxiomReport:
             for psi in psis[: bisect.bisect_left(nums, odd - even)]:
                 found.append((psi, family, even, odd))
         if len(family) == n_max:
+            return
+        if odds is not None and len(family) + 1 == n_max:
+            # the leaf step: each extension is summed and tested inline,
+            # and its family tuple is built only for a violation
+            for j in range(family[-1] + 1, len(sats)):
+                sj = sats[j]
+                leaf_even = even
+                for b in odds:
+                    v = get(b & sj)
+                    if v is None:
+                        break
+                    leaf_even += v
+                else:
+                    leaf_odd = odd + num[j]
+                    for b in evens:
+                        v = get(b & sj)
+                        if v is None:
+                            break
+                        leaf_odd += v
+                    else:
+                        leaf_union = union | sj
+                        entry = below.get(leaf_union) or consequents(leaf_union)
+                        k = bisect.bisect_left(entry[0], leaf_odd - leaf_even)
+                        if k:
+                            leaf = family + (j,)
+                            found.extend((psi, leaf, leaf_even, leaf_odd) for psi in entry[1][:k])
+                        continue
+                grow(family + (j,), union | sj, None, None, 0, 0)
             return
         for j in range(family[-1] + 1, len(sats)):
             sj = sats[j]

@@ -10,8 +10,8 @@ Reports are deterministic: statements in text order, rationals reduced.
 
 from __future__ import annotations
 
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import click
@@ -40,11 +40,67 @@ class _Ctx:
         self.format = "text"
 
 
-def _emit(ctx: _Ctx, payload: dict, text_lines: list[str]):
-    if ctx.format == "json":
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, for
+    dicts with str keys, lists, tuples, str, int, bool and None.  Any other
+    value (a Fraction, a float, a non-string key) is a bug in the report
+    builder, so it is an InternalError."""
+    chunks = []
+    try:
+        _write_json(payload, "\n", chunks.append)
+    except TypeError as e:
+        raise InternalError(f"report is not writable as JSON: {e}") from None
+    return "".join(chunks)
+
+
+def _write_json(value, indent: str, write) -> None:
+    """Pass ``value``'s JSON text to ``write`` in pieces, each line inside
+    it opened by ``indent``; an unsupported value raises TypeError."""
+    if isinstance(value, str):
+        write(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, write)
+            sep = "," + inner
+        write(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            if isinstance(item, str):  # most items are; this saves a call each
+                write(encode_basestring_ascii(item))
+            else:
+                _write_json(item, inner, write)
+            sep = "," + inner
+        write(indent + "]")
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
     else:
-        for line in text_lines:
+        write(int.__repr__(value))
+
+
+def _emit(ctx: _Ctx, payload, text_lines):
+    """Print the report in the requested format.  ``payload`` and
+    ``text_lines`` are functions returning the JSON object and the text
+    lines, so only the printed one is built."""
+    if ctx.format == "json":
+        click.echo(_json_text(payload()))
+    else:
+        for line in text_lines():
             click.echo(line)
 
 
@@ -138,11 +194,11 @@ def check(ctx, session_file, which, theory_path, n_max):
             reports.append(axioms.check_ie(session.assessment, n_max=n_max))
         else:
             reports.append(axioms.CHECKERS[w](session.assessment))
-    lines = []
-    for r in reports:
-        lines.extend(_report_lines(r))
-    payload = {"command": "check", "reports": [r.to_dict() for r in reports]}
-    _emit(ctx, payload, lines)
+    _emit(
+        ctx,
+        lambda: {"command": "check", "reports": [r.to_dict() for r in reports]},
+        lambda: [line for r in reports for line in _report_lines(r)],
+    )
     sys.exit(PASS if all(r.passed for r in reports) else FAIL)
 
 
@@ -179,20 +235,27 @@ def build(ctx, session_file, construction, out, model_name, complete_maxent):
         sys.exit(FAIL)
     except (files.FileFormatError, ModelError) as e:
         _fail_input(str(e))
-    model_dict = files.model_to_dict(outcome.model)
     if out:
+        text = _json_text(files.model_to_dict(outcome.model))
         with open(out, "w") as fh:
-            json.dump(model_dict, fh, indent=2, sort_keys=True)
-    lines = [f"construction: {outcome.construction}"]
-    for c in outcome.certificate:
-        lines.append(f"  [{'ok' if c.ok else 'FAIL'}] {c.name}: {c.detail}")
-    for n in outcome.notes:
-        lines.append(f"  note: {n}")
-    if out:
-        lines.append(f"model written to {out}")
-    payload = {"command": "build", **outcome.to_dict()}
-    if not out:
-        payload["model"] = model_dict
+            fh.write(text)
+
+    def payload():
+        body = {"command": "build", **outcome.to_dict()}
+        if not out:
+            body["model"] = files.model_to_dict(outcome.model)
+        return body
+
+    def lines():
+        text_lines = [f"construction: {outcome.construction}"]
+        for c in outcome.certificate:
+            text_lines.append(f"  [{'ok' if c.ok else 'FAIL'}] {c.name}: {c.detail}")
+        for n in outcome.notes:
+            text_lines.append(f"  note: {n}")
+        if out:
+            text_lines.append(f"model written to {out}")
+        return text_lines
+
     _emit(ctx, payload, lines)
     sys.exit(PASS if outcome.ok else FAIL)
 
@@ -259,7 +322,7 @@ def identify_cmd(ctx, session_file, theory_path):
             lines.append(f"certainty-based sub-theory: refused ({e})")
             payload["certainty_subtheory"] = {"refused": str(e)}
             substantive_failure = True
-    _emit(ctx, payload, lines)
+    _emit(ctx, lambda: payload, lambda: lines)
     sys.exit(FAIL if substantive_failure else PASS)
 
 
@@ -304,8 +367,7 @@ def rationalize(ctx, session_file, choice, model_name, additive_only, weak):
     if result.choquet_values is not None:
         vals = ", ".join(f"{n}: {v}" for n, v in result.choquet_values)
         lines.append(f"  witness values  {vals}  (witness from {result.witness_source})")
-    payload = {"command": "rationalize", **result.to_dict()}
-    _emit(ctx, payload, lines)
+    _emit(ctx, lambda: {"command": "rationalize", **result.to_dict()}, lambda: lines)
     sys.exit(PASS if result.rationalizable else FAIL)
 
 
@@ -325,7 +387,8 @@ def choquet_cmd(ctx, session_file, model_name, act_path):
         value = choquet(model, vec)
     except (files.FileFormatError, ModelError) as e:
         _fail_input(str(e))
-    _emit(ctx, {"command": "choquet", "value": str(value)}, [f"choquet integral: {value}"])
+    _emit(ctx, lambda: {"command": "choquet", "value": str(value)},
+          lambda: [f"choquet integral: {value}"])
     sys.exit(PASS)
 
 
@@ -355,7 +418,7 @@ def mobius_cmd(ctx, session_file, model_name, invert):
     except ModelError as e:
         _fail_input(str(e))
     lines = [f"{title}:"] + [f"  {k or '(empty)'}: {v}" for k, v in out.items()]
-    _emit(ctx, {"command": "mobius", "values": out}, lines)
+    _emit(ctx, lambda: {"command": "mobius", "values": out}, lambda: lines)
     sys.exit(PASS)
 
 

@@ -177,7 +177,7 @@ def model_to_dict(model: SubjectiveModel) -> dict:
             for f, ev in model.truth.items()
             if f not in (TRUE, FALSE)
         },
-        "lambda": {label: format_rational(v) for label, v in model.labelled(model.lam)},
+        "lambda": {model.label(ev): format_rational(v) for ev, v in model.lam.items()},
     }
     if model.mass is not None:
         out["mass"] = {s: format_rational(v) for s, v in zip(model.states, model.mass)}

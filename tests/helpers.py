@@ -19,11 +19,14 @@ Last come the subjective model with events as frozensets of state
 labels, its grading, Mobius, Choquet and representation functions and
 the five builders on it, as they ran before states became bit
 positions; ``indexed`` turns such a model into its indexed twin.
+The JSON report writer's oracle is the json module's sorted,
+two-space-indented encoding that the CLI used before it.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 import random
 from dataclasses import dataclass
@@ -78,6 +81,11 @@ from credence.model import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def json_text_oracle(payload) -> str:
+    """A report as the CLI wrote it before its own writer."""
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def eval_formula(f: Formula, assignment: dict[str, bool]) -> bool:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,20 @@ class TestInternalErrors:
         res = invoke(runner, "build", FIXTURES / "linda" / "session.json", "canonical-sound")
         assert res.exit_code == 3
         assert "internal: built model fails to reproduce" in res.output
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, {1: "x"}],
+                             ids=["fraction", "float", "int key"])
+    def test_unwritable_report_exits_3(self, runner, monkeypatch, value):
+        from credence.assessment import AxiomReport
+
+        monkeypatch.setattr(AxiomReport, "to_dict", lambda report: {"lhs": value})
+        session = FIXTURES / "linda" / "session.json"
+        res = invoke(runner, "--format", "json", "check", session, "nt")
+        assert res.exit_code == 3
+        assert "error: report is not writable as JSON" in res.output
+        assert "Traceback" not in res.output
+        # the text report never builds the JSON payload
+        assert invoke(runner, "--format", "text", "check", session, "nt").exit_code == 0
 
 
 class TestChoquetAndMobius:

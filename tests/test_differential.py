@@ -5,7 +5,7 @@ integer simplex tableau against the big-M simplex and game solver and
 the ``Fraction`` tableau it replaced, of the integer valuation solve
 against its ``Fraction`` row reduction, and of the indexed model core
 and its builders against the frozenset model and builders they
-replaced."""
+replaced, and of the CLI's JSON report writer against the json module."""
 
 import itertools
 import random
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from credence import _simplex
 from credence._simplex import maximize, pivot, solve_matrix_game
 from credence.assessment import Assessment, check_i, check_ie, check_nt, check_s_i
+from credence.cli import _json_text
 from credence.construct import (
     BuildError,
     _solve_valuation_masses,
@@ -72,6 +73,7 @@ from helpers import (
     check_s_i_oracle,
     full_closure_classes,
     inverse_mobius_oracle,
+    json_text_oracle,
     largest_subtheory_oracle,
     layerings,
     maximal_model,
@@ -279,16 +281,23 @@ def test_check_ie_matches_the_per_consequent_loop(case):
     assert check_ie(a, n_max).to_dict() == check_ie_oracle(a, n_max).to_dict()
 
 
-def test_check_ie_matches_the_oracle_on_64_classes():
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_check_ie_matches_the_oracle_on_64_classes(n_max):
     """64 of the 256 classes of 3 atoms, values at random: the universe
-    lacks many conjunctions, so violations and untestables both run long."""
+    lacks many conjunctions, so from pairs on violations and untestables
+    both run long (877,139 untestables at ``n_max`` 4).  Each ``n_max``
+    puts the flat leaf step at another depth."""
     rng = random.Random(64)
     lang = LANGUAGES[3]
     picked = rng.sample(CLASSES[3], 64)
     a = Assessment(lang, {f: random_fraction(rng, 12) for _, f in picked})
-    report = check_ie(a)
-    assert report.violations and report.untestable
-    assert report.to_dict() == check_ie_oracle(a).to_dict()
+    report = check_ie(a, n_max)
+    assert report.violations and bool(report.untestable) == (n_max > 1)
+    oracle = check_ie_oracle(a, n_max)
+    # the fields compared directly: ``to_dict`` copies would double the memory
+    assert report.violations == oracle.violations
+    assert report.untestable == oracle.untestable
+    assert report.meta == oracle.meta
 
 
 # -- rationalizability: affine LP against the materialized maximal model ----
@@ -707,3 +716,33 @@ def test_builders_match_the_frozenset_builders(case):
     except BuildError:
         return
     assert built(build_belief_lift, indexed(sound), a) == built(build_belief_lift_oracle, sound, a)
+
+
+# -- the report writer against the json module -------------------------------
+
+# quotes, backslashes, control characters, DEL and non-ASCII text up to
+# the astral planes, so every escape of the encoder is met
+JSON_CHARS = st.characters() | st.sampled_from(
+    '"\\/\x00\x08\t\n\x0c\r\x1f\x7f\x80\xe9\u2028\u20ac\U0001f600'
+)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**60), 10**60)
+    | st.text(JSON_CHARS, max_size=12)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(JSON_CHARS, max_size=6), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=500, deadline=None)
+def test_report_writer_matches_sorted_indented_json(value):
+    assert _json_text(value) == json_text_oracle(value)
+
