@@ -65,6 +65,11 @@ class Assessment:
         self.sats = tuple(language.sat(f) for f in self.statements)
         self.values = tuple(values[f] for f in self.statements)
         self.texts = tuple(self._texts[f] for f in self.statements)
+        # the values as int numerators over their least common denominator
+        self.denominator = math.lcm(*(v.denominator for v in self.values))
+        self.numerators = tuple(
+            v.numerator * (self.denominator // v.denominator) for v in self.values
+        )
         self._by_sat: dict[int, int] = {}
         for i, bits in enumerate(self.sats):
             self._by_sat.setdefault(bits, i)
@@ -96,12 +101,12 @@ class Assessment:
         entails statement j relative to a valuation set V exactly when
         ``gap & V == 0``; such a pair is a reversed entailment."""
         if self._reversals is None:
-            sats, values = self.sats, self.values
+            sats, num = self.sats, self.numerators
             self._reversals = tuple(
                 (i, j, si & ~sj)
-                for i, (si, vi) in enumerate(zip(sats, values))
-                for j, (sj, vj) in enumerate(zip(sats, values))
-                if vi > vj
+                for i, (si, ni) in enumerate(zip(sats, num))
+                for j, (sj, nj) in enumerate(zip(sats, num))
+                if ni > nj
             )
         return self._reversals
 
@@ -281,8 +286,7 @@ def check_ie(a: Assessment, n_max: int = 3) -> AxiomReport:
         raise AssessmentError(f"IE needs families of at least 1 statement; n_max = {n_max}")
     sats, texts = a.sats, a.texts
     full = a.language.full_mask
-    denominator = math.lcm(*(v.denominator for v in a.values))
-    num = [v.numerator * (denominator // v.denominator) for v in a.values]
+    denominator, num = a.denominator, a.numerators
     # a conjunction's numerator, read from the first statement by text
     num_of = {bits: num[a.index_of(bits)] for bits in sats}
     get = num_of.get

@@ -183,7 +183,7 @@ def build_canonical_sound(assessment: Assessment) -> BuildOutcome:
         # on them as int numerators over the values' common denominator
         events = _unions(blocks)
         index = {ev: s for s, ev in enumerate(events)}
-        den = math.lcm(*(v.denominator for v in assessment.values))
+        den = assessment.denominator
 
         def scaled(v: Fraction) -> int:
             return v.numerator * (den // v.denominator)

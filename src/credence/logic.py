@@ -1,20 +1,24 @@
 """Propositional formulas over a declared finite atom set, with exact
 truth-table semantics.
 
-Formulas are immutable trees built from atoms, the constants ``T`` and
-``F``, and the connectives ``!``, ``&``, ``|``.  Semantic questions
-(entailment, equivalence, theory-relative entailment) are answered by
-exhaustive valuation bitsets, which is exact at the scales this package
-targets (at most 16 atoms).  Valuation ``i`` makes atom ``j`` true iff
-bit ``j`` of ``i`` is set; a formula's bitset has bit ``i`` set iff the
-formula holds under valuation ``i``.
+Formulas are built from atoms, the constants ``T`` and ``F``, and the
+connectives ``!``, ``&``, ``|``.  They are hash-consed (Filliatre &
+Conchon 2006): each distinct formula exists once, as an immutable node
+kept in a table that holds it only weakly, so equality is identity, a
+hash costs O(1), and a formula lives no longer than its last user.
+Semantic questions (entailment, equivalence, theory-relative
+entailment) are answered by exhaustive valuation bitsets, which is exact
+at the scales this package targets (at most 16 atoms).  Valuation ``i``
+makes atom ``j`` true iff bit ``j`` of ``i`` is set; a formula's bitset
+has bit ``i`` set iff the formula holds under valuation ``i``.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError
 
 MAX_ATOMS = 16
 
@@ -41,36 +45,98 @@ class InconsistentTheoryError(LogicError):
     pass
 
 
-@dataclass(frozen=True)
 class Formula:
-    pass
+    """A hash-consed formula node.
+
+    Building a node looks up its class and fields in one table, so equal
+    formulas are one object: equality is identity, and the hash is the
+    identity hash, computed in O(1) whatever the depth.  Since children
+    are interned before their parent, a lookup costs one tuple hash and
+    one dict probe.  The table holds its nodes only weakly.  It takes no
+    lock: two threads building the same new formula at once could make
+    two nodes, so formulas are built from one thread, as everywhere in
+    this package.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes the fields {cls.__slots__}")
+        key = (cls, *fields)
+        entry = _table.get(key)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
+        _table[key] = _Entry(node, key)
+        return node
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
 
-@dataclass(frozen=True)
+class _Entry(weakref.ref):
+    """A table entry: a weak reference that drops its key when its node
+    dies, unless the key already names a newer node."""
+
+    __slots__ = ("key",)
+
+    def __new__(cls, node, key):
+        entry = super().__new__(cls, node, _drop)
+        entry.key = key
+        return entry
+
+    def __init__(self, node, key):
+        super().__init__(node, _drop)
+
+
+def _drop(entry: _Entry):
+    if _table.get(entry.key) is entry:
+        del _table[entry.key]
+
+
+# (class, *fields) -> the live node with those fields
+_table: dict[tuple, _Entry] = {}
+
+
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Const(Formula):
-    value: bool
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    child: Formula
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
 TRUE = Const(True)

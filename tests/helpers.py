@@ -20,7 +20,9 @@ labels, its grading, Mobius, Choquet and representation functions and
 the five builders on it, as they ran before states became bit
 positions; ``indexed`` turns such a model into its indexed twin.
 The JSON report writer's oracle is the json module's sorted,
-two-space-indented encoding that the CLI used before it.
+two-space-indented encoding that the CLI used before it.  The formula
+oracle is the frozen-dataclass tree that formulas were before they were
+hash-consed, with a parse that builds it and its own unparse and sat.
 """
 
 from __future__ import annotations
@@ -66,7 +68,10 @@ from credence.logic import (
     Language,
     Not,
     Or,
+    ParseError,
     Theory,
+    UndeclaredAtomError,
+    _tokenize,
     unparse,
 )
 from credence.model import (
@@ -115,6 +120,120 @@ def truth_table_implies(
         if eval_formula(f, assignment) and not eval_formula(g, assignment):
             return False
     return True
+
+
+@dataclass(frozen=True)
+class TreeFormula:
+    pass
+
+
+@dataclass(frozen=True)
+class TreeAtom(TreeFormula):
+    name: str
+
+
+@dataclass(frozen=True)
+class TreeConst(TreeFormula):
+    value: bool
+
+
+@dataclass(frozen=True)
+class TreeNot(TreeFormula):
+    child: TreeFormula
+
+
+@dataclass(frozen=True)
+class TreeAnd(TreeFormula):
+    left: TreeFormula
+    right: TreeFormula
+
+
+@dataclass(frozen=True)
+class TreeOr(TreeFormula):
+    left: TreeFormula
+    right: TreeFormula
+
+
+TREE_OF = {Atom: TreeAtom, Const: TreeConst, Not: TreeNot, And: TreeAnd, Or: TreeOr}
+
+
+def as_tree(f: Formula) -> TreeFormula:
+    """The oracle tree with the same structure as a formula node."""
+    fields = [getattr(f, n) for n in type(f).__slots__]
+    return TREE_OF[type(f)](*(as_tree(x) if isinstance(x, Formula) else x for x in fields))
+
+
+def tree_parse(lang: Language, text: str) -> TreeFormula:
+    """``Language.parse`` as it ran on trees: the same grammar and sugar,
+    building a fresh tree per call."""
+    tokens = _tokenize(text)
+    pos = 0
+
+    def formula() -> TreeFormula:
+        nonlocal pos
+        kind, value, at = tokens[pos]
+        pos += 1
+        if kind == "ident":
+            if value in ("T", "F"):
+                return TreeConst(value == "T")
+            if value not in lang.atoms:
+                raise UndeclaredAtomError(f"undeclared atom {value!r}", at)
+            return TreeAtom(value)
+        if kind == "!":
+            return TreeNot(formula())
+        if kind != "(":
+            raise ParseError(f"expected a formula, got {value!r}", at)
+        left = formula()
+        op = tokens[pos][0]
+        pos += 1
+        right = formula()
+        if tokens[pos][0] != ")" or op not in ("&", "|", "imp", "iff"):
+            raise ParseError("malformed binary formula", tokens[pos][2])
+        pos += 1
+        if op == "&":
+            return TreeAnd(left, right)
+        if op == "|":
+            return TreeOr(left, right)
+        if op == "imp":
+            return TreeOr(TreeNot(left), right)
+        return TreeAnd(TreeOr(TreeNot(left), right), TreeOr(TreeNot(right), left))
+
+    result = formula()
+    if tokens[pos][0] != "end":
+        raise ParseError("trailing input", tokens[pos][2])
+    return result
+
+
+def tree_unparse(t: TreeFormula) -> str:
+    if isinstance(t, TreeConst):
+        return "T" if t.value else "F"
+    if isinstance(t, TreeAtom):
+        return t.name
+    if isinstance(t, TreeNot):
+        return "!" + tree_unparse(t.child)
+    op = "&" if isinstance(t, TreeAnd) else "|"
+    return f"({tree_unparse(t.left)} {op} {tree_unparse(t.right)})"
+
+
+def tree_sat(lang: Language, t: TreeFormula) -> int:
+    """A tree's valuation bitset, one valuation at a time."""
+    bits = 0
+    for i in range(lang.n_valuations):
+        if _tree_eval(t, lang.valuation_atoms(i)):
+            bits |= 1 << i
+    return bits
+
+
+def _tree_eval(t: TreeFormula, assignment: dict[str, bool]) -> bool:
+    if isinstance(t, TreeConst):
+        return t.value
+    if isinstance(t, TreeAtom):
+        return assignment[t.name]
+    if isinstance(t, TreeNot):
+        return not _tree_eval(t.child, assignment)
+    if isinstance(t, TreeAnd):
+        return _tree_eval(t.left, assignment) and _tree_eval(t.right, assignment)
+    return _tree_eval(t.left, assignment) or _tree_eval(t.right, assignment)
 
 
 def mobius_oracle(states, lam) -> dict[frozenset, Fraction]:

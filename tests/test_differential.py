@@ -5,7 +5,9 @@ integer simplex tableau against the big-M simplex and game solver and
 the ``Fraction`` tableau it replaced, of the integer valuation solve
 against its ``Fraction`` row reduction, and of the indexed model core
 and its builders against the frozenset model and builders they
-replaced, and of the CLI's JSON report writer against the json module."""
+replaced, of the CLI's JSON report writer against the json module, and
+of hash-consed formulas against the frozen-dataclass trees they
+replaced."""
 
 import itertools
 import random
@@ -38,7 +40,7 @@ from credence.games import (
     transported_vector,
 )
 from credence.identify import IdentifyError, largest_subtheory, understood_implications
-from credence.logic import FALSE, TRUE, And, Atom, Language, Not, Or, Theory
+from credence.logic import FALSE, TRUE, And, Atom, Language, Not, Or, Theory, unparse
 from credence.model import (
     ModelError,
     SubjectiveModel,
@@ -86,6 +88,10 @@ from helpers import (
     transported_vector_oracle,
     truth_table_implies,
     valuation_masses_oracle,
+    as_tree,
+    tree_parse,
+    tree_sat,
+    tree_unparse,
 )
 
 F = Fraction
@@ -746,3 +752,28 @@ JSON_VALUES = st.recursive(
 def test_report_writer_matches_sorted_indented_json(value):
     assert _json_text(value) == json_text_oracle(value)
 
+
+# -- hash-consed formulas against the tree they replaced ---------------------
+
+PQR = LANGUAGES[3]
+FORMULA_TEXTS = st.recursive(
+    st.sampled_from(["p", "q", "r", "T", "F"]),
+    lambda inner: inner.map(lambda t: "!" + t)
+    | st.tuples(inner, st.sampled_from(["&", "|", "->", "<->"]), inner).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})"
+    ),
+    max_leaves=12,
+)
+
+
+@given(FORMULA_TEXTS, st.data())
+@settings(max_examples=300, deadline=None)
+def test_interned_parse_matches_the_tree_parse(text, data):
+    f, tree = PQR.parse(text), tree_parse(PQR, text)
+    assert as_tree(f) == tree
+    assert unparse(f) == tree_unparse(tree)
+    assert PQR.sat(f) == tree_sat(PQR, tree)
+    # the other formula is drawn at random, or respells this one
+    other = data.draw(FORMULA_TEXTS | st.just(text.replace(" ", "")) | st.just(unparse(f)))
+    g, other_tree = PQR.parse(other), tree_parse(PQR, other)
+    assert (f == g) == (f is g) == (tree == other_tree)

@@ -1,12 +1,22 @@
+import copy
+import gc
+import pickle
+from dataclasses import FrozenInstanceError
+from pathlib import Path
+
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from credence import logic
+from credence.cli import main
 from credence.logic import (
     FALSE,
     TRUE,
     And,
     Atom,
+    Const,
     InconsistentTheoryError,
     Language,
     Not,
@@ -36,6 +46,61 @@ def formulas(atoms=("p", "q"), max_depth=5):
         ),
         max_leaves=2 ** max_depth,
     )
+
+
+class TestNodes:
+    def test_equal_formulas_are_one_node(self):
+        f = PQ.parse("((p -> q) & !p)")
+        assert f is PQ.parse("((p->q)&!p)")
+        assert f is And(Or(Not(Atom("p")), Atom("q")), Not(Atom("p")))
+        assert f != PQ.parse("((p -> q) & !q)")
+
+    def test_constants_are_the_module_nodes(self):
+        assert Const(True) is TRUE
+        assert Const(False) is FALSE
+
+    @pytest.mark.parametrize(
+        "roundtrip",
+        [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_the_interned_node(self, roundtrip):
+        for f in (TRUE, Atom("p"), PQ.parse("((p <-> q) | !(p & T))")):
+            assert roundtrip(f) is f
+
+    def test_nodes_are_immutable(self):
+        f = PQ.parse("(p & q)")
+        with pytest.raises(FrozenInstanceError):
+            f.left = Atom("q")
+        with pytest.raises(FrozenInstanceError):
+            del f.right
+        with pytest.raises(FrozenInstanceError):
+            TRUE.value = False
+        assert f.left is Atom("p")
+
+    def test_dataclass_style_repr(self):
+        assert repr(PQ.parse("(p | !q)")) == (
+            "Or(left=Atom(name='p'), right=Not(child=Atom(name='q')))"
+        )
+        assert repr(TRUE) == "Const(value=True)"
+
+    def test_wrong_arity_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            And(Atom("p"))
+
+    def test_the_table_keeps_nothing_after_a_command(self):
+        session = Path(__file__).resolve().parent.parent / "fixtures" / "linda" / "session.json"
+        gc.collect()
+        before = len(logic._table)
+        runner = CliRunner()
+        # a kept result would hold the command's traceback, and its formulas
+        codes = [
+            runner.invoke(main, [command, str(session), *rest]).exit_code
+            for command, *rest in (["identify"], ["build", "canonical-sound"], ["check"])
+        ]
+        assert codes == [1, 0, 1]
+        gc.collect()
+        assert len(logic._table) == before
 
 
 class TestParse:
