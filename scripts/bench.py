@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time the axiom IE checker, the CLI's JSON report writer and the
-formula-heavy cliffs in-process, and write the figures to a JSON file.
+"""Time the axiom IE checker, the CLI's JSON report writer, the
+formula-heavy cliffs and model file I/O in-process, and write the
+figures to a JSON file.
 
 The IE checker and the writer run on seeded 3-atom universes of 64 and
 128 of the 256 equivalence classes with random values.
@@ -17,6 +18,13 @@ atoms: building it, then parsing and taking ``sat`` of a disjunction of
 256 seeded minterms.  Each is the best of five runs, each run on a new
 ``Language``, so no run reads the ``sat`` cache of the one before.
 
+The model I/O timings are ``files.load_model`` on seeded capacities of
+8 states (256 events) and 12 states (4,096 events), each valued on
+every event, and ``files.model_to_dict`` over 24 seeded canonical-sound
+models and the 24 product models of the same 3-atom assessments, each
+the best of five runs.  Each records a SHA-256 digest of the models'
+``credence.cli`` JSON texts, which must match between two commits.
+
 Times are raw wall seconds on the host that ran the script; its Python
 version and machine are recorded beside them.  To compare two commits,
 run the script in a checkout of each and hand the first run's file to
@@ -26,10 +34,12 @@ the second as BEFORE.json: OUT.json then holds ``{"before": ...,
 Usage: python3 scripts/bench.py OUT.json [BEFORE.json]
 """
 
+import hashlib
 import json
 import platform
 import random
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -46,11 +56,15 @@ from credence import (  # noqa: E402
     unparse,
 )
 from credence.cli import _json_text  # noqa: E402
+from credence.construct import build_canonical_sound, build_product_model  # noqa: E402
+from credence.files import load_model, model_to_dict  # noqa: E402
 from helpers import (  # noqa: E402
     disjoint_gap_tables,
     full_closure_classes,
     json_text_oracle,
+    random_capacity,
     random_fraction,
+    random_monotone_assessment,
 )
 
 SIZES = (64, 128)  # classes picked; the seed of each universe is its size
@@ -59,6 +73,9 @@ SUBTHEORY_ATOMS = (5, 6)
 SUBTHEORY_GAPS = 10  # disjoint residual gaps: 2^10 minimal transversals
 DNF_ATOMS = 16
 DNF_MINTERMS = 256
+CAPACITY_STATES = (8, 12)  # the seed of each capacity is its state count
+BUILT_MODELS = 24  # seeds 0-23
+BUILT_CLASSES = 12  # statements assessed, of the 256 3-atom classes
 
 
 def best_of(fn) -> tuple[float, object]:
@@ -148,6 +165,59 @@ def bench_dnf() -> dict:
     }
 
 
+def digest(models) -> str:
+    """SHA-256 of the models' JSON texts, one after another."""
+    h = hashlib.sha256()
+    for m in models:
+        h.update(_json_text(model_to_dict(m)).encode())
+    return h.hexdigest()
+
+
+def bench_load_model(n: int) -> dict:
+    states = [f"s{i}" for i in range(n)]
+    lam = random_capacity(random.Random(n), states)
+    data = {
+        "states": states,
+        "t": {},
+        "lambda": {"|".join(s for s in states if s in ev): str(v) for ev, v in lam.items()},
+    }
+    lang = Language([])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(data))
+        best_s, model = best_of(lambda: load_model(path, lang))
+    return {
+        "states": n,
+        "events": len(data["lambda"]),
+        "best_s": best_s,
+        "digest": digest([model]),
+    }
+
+
+def bench_model_to_dict() -> dict:
+    lang = Language(["p", "q", "r"])
+    classes = full_closure_classes(lang)
+    assessments = []
+    for seed in range(BUILT_MODELS):
+        rng = random.Random(seed)
+        assessments.append(
+            random_monotone_assessment(rng, lang, rng.sample(classes, BUILT_CLASSES))
+        )
+    out = {}
+    for name, build in (("canonical_sound", build_canonical_sound),
+                        ("product", build_product_model)):
+        models = [build(a).model for a in assessments]
+        best_s, _ = best_of(lambda: [model_to_dict(m) for m in models])
+        out[name] = {
+            "models": len(models),
+            "lambda_events": sum(len(model_to_dict(m)["lambda"]) for m in models),
+            "states": sum(len(m.states) for m in models),
+            "best_s": best_s,
+            "digest": digest(models),
+        }
+    return out
+
+
 def main(out: Path, before: Path | None):
     results = {
         "python": platform.python_version(),
@@ -156,6 +226,8 @@ def main(out: Path, before: Path | None):
         "universes": [bench_universe(k) for k in SIZES],
         "largest_subtheory": [bench_subtheory(n) for n in SUBTHEORY_ATOMS],
         "minterm_dnf": bench_dnf(),
+        "load_model": [bench_load_model(n) for n in CAPACITY_STATES],
+        "model_to_dict": bench_model_to_dict(),
     }
     if before is not None:
         results = {"before": json.loads(before.read_text()), "after": results}

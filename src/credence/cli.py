@@ -138,7 +138,7 @@ def main(ctx, output_format):
 
 def _resolve_format(ctx: _Ctx, session: files.Session):
     if ctx.format is None:
-        ctx.format = session.output_format or "text"
+        ctx.format = session.output_format
 
 
 def _report_lines(report) -> list[str]:

@@ -168,37 +168,32 @@ def build_canonical_sound(assessment: Assessment) -> BuildOutcome:
     _require(check_e(assessment), "E", "canonical sound construction")
     lang = assessment.language
     states, truth = _valuation_states(assessment)
-    lam = {}
-    for f in assessment.formulas:
-        lam[truth[f]] = assessment.value(f)
-    lam[0] = ZERO
-    lam[lang.full_mask] = ONE
+    # the appraisal as int numerators over the values' common denominator
+    den = assessment.denominator
+    lam = dict(zip(map(truth.__getitem__, assessment.statements), assessment.numerators))
+    lam[0] = 0
+    lam[lang.full_mask] = den
 
-    model = SubjectiveModel(assessment.language, states, truth, lam=lam, name="canonical-sound")
+    model = SubjectiveModel(
+        assessment.language, states, truth, lam=lam, name="canonical-sound", denominator=den
+    )
     notes = []
     blocks = model.field_atoms()
     small = len(blocks) <= MAX_FIELD_ATOMS
     if small:
-        # the field's events as bitmasks over its blocks, and the appraisal
-        # on them as int numerators over the values' common denominator
+        # the field's events as bitmasks over its blocks
         events = _unions(blocks)
         index = {ev: s for s, ev in enumerate(events)}
-        den = assessment.denominator
-
-        def scaled(v: Fraction) -> int:
-            return v.numerator * (den // v.denominator)
-
-        known = {index[ev]: scaled(v) for ev, v in model.lam.items()}
+        known = {index[ev]: v for ev, v in model.lam_numerators.items()}
         # inner extension: the largest value of a statement whose event lies inside
         inner = [0] * len(events)
-        for sat, v in zip(assessment.sats, assessment.values):
-            inner[index[sat]] = max(inner[index[sat]], scaled(v))
+        for sat, v in zip(assessment.sats, assessment.numerators):
+            inner[index[sat]] = max(inner[index[sat]], v)
         _subset_fold(inner, max)
-        value_of = {scaled(v): v for v in assessment.values}
         for s, v in enumerate(inner):
             if s not in known:
                 known[s] = v
-                model.lam[events[s]] = value_of.get(v, ZERO)
+                model.lam_numerators[events[s]] = v
         notes.append("appraisal inner-extended to the generated field")
     else:
         notes.append("generated field too large to materialize; appraisal kept on named events")

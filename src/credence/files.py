@@ -17,14 +17,21 @@ as 3), but not other numeric characters such as a superscript two.  A
 zero denominator, ``"inf"``, ``"nan"``, floats and anything else are a
 ``FileFormatError``.  Plain ``n`` and ``n/d`` strings of ASCII digits,
 with an optional leading ``-``, are read with ``int`` directly: the same
-value, without ``Fraction``'s regular expression.
+value, without ``Fraction``'s regular expression.  ``rational_pair``
+reads a rational as an int numerator and denominator; a model file's
+appraisal values and masses are read that way and put over one common
+denominator, so loading a model builds no ``Fraction`` per value.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
 from pathlib import Path
 
 from .assessment import Assessment
@@ -37,27 +44,40 @@ class FileFormatError(ValueError):
     pass
 
 
-def parse_rational(value) -> Fraction:
+def rational_pair(value) -> tuple[int, int]:
+    """A rational read as ``parse_rational`` reads it, as an int numerator
+    and a positive int denominator, not reduced: ``"2/4"`` gives (2, 4)."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
         num, slash, den = value.partition("/")
         digits = num[1:] if num[:1] == "-" else num
         if value.isascii() and digits.isdigit() and (den.isdigit() or not slash):
             den = int(den) if slash else 1
             if den:
-                return Fraction(int(num), den)
+                return int(num), den
         try:
-            return Fraction(value)
+            q = Fraction(value)
         except (ValueError, ZeroDivisionError) as e:
             raise FileFormatError(f"bad rational {value!r}: {e}") from None
+        return q.numerator, q.denominator
     raise FileFormatError(
         f"rationals must be strings like '3/4' or integers, got {value!r}"
     )
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
+def parse_rational(value) -> Fraction:
+    return Fraction(*rational_pair(value))
+
+
+def format_ratios(nums, den: int) -> list[str]:
+    """``str(Fraction(num, den))`` of each numerator over a positive
+    ``den``, with one gcd per distinct numerator."""
+    text = {}
+    for num in set(nums):
+        g = math.gcd(num, den)
+        text[num] = str(num // g) if g == den else f"{num // g}/{den // g}"
+    return list(map(text.__getitem__, nums))
 
 
 def _read_json(path: Path) -> dict:
@@ -102,17 +122,6 @@ def load_theory(path: Path, language: Language) -> Theory:
     return Theory.from_texts(language, texts)
 
 
-def _event_from_key(key: str, index: dict[str, int]) -> int:
-    if key == "":
-        return 0
-    labels = key.split("|")
-    mask = _mask(labels, index)
-    if mask is None:
-        unknown = [l for l in labels if l not in index]
-        raise FileFormatError(f"unknown state labels in event {key!r}: {unknown}")
-    return mask
-
-
 def _mask(labels, index: dict[str, int]) -> int | None:
     """The event mask of the given state labels, or None when one of them
     is not a state."""
@@ -125,28 +134,98 @@ def _mask(labels, index: dict[str, int]) -> int | None:
     return mask
 
 
+# plain rationals, as a model file's values are joined by single spaces
+_PLAIN_RATIONALS = re.compile(r"-?\d+(?:/\d+)?(?: -?\d+(?:/\d+)?)*", re.ASCII)
+
+
+def _plain_pairs(values: list) -> tuple[list[int], list[int]] | None:
+    """The numerators and the denominators of the values when every one
+    is a plain ``n`` or ``n/d`` string of ASCII digits with an optional
+    leading ``-`` and no zero denominator, else None."""
+    try:
+        joined = " ".join(values)
+    except TypeError:  # a value that is not a string
+        return None
+    if joined.count(" ") >= len(values) or not _PLAIN_RATIONALS.fullmatch(joined):
+        return None
+    # every value as n/d, then all the ints in one pass
+    ratios = " ".join([v if "/" in v else v + "/1" for v in values])
+    ints = list(map(int, ratios.replace(" ", "/").split("/")))
+    dens = ints[1::2]
+    return None if 0 in dens else (ints[0::2], dens)
+
+
+def _key_masks(keys: list[str], bit: dict[str, int]) -> list[int] | None:
+    """The event mask of each ``lambda`` key, from one lookup per label in
+    all the keys; None when a key has an unknown label or names a label
+    twice, or when a state is labelled ''."""
+    named = [k for k in keys if k]
+    if not named or "" in bit:
+        return None
+    try:
+        bits = list(map(bit.__getitem__, "|".join(named).split("|")))
+    except KeyError:
+        return None
+    # each key's mask is the sum of its labels' bits: the difference of
+    # the running total at the key's last label and before its first
+    total = list(accumulate(bits, initial=0))
+    ends = list(accumulate(map(operator.add, map(str.count, named, repeat("|")), repeat(1)),
+                           initial=0))
+    masks = list(map(operator.sub, map(total.__getitem__, ends[1:]),
+                     map(total.__getitem__, ends[:-1])))
+    # distinct bits add without a carry, so one set bit per label
+    if sum(map(int.bit_count, masks)) != len(bits):
+        return None
+    if len(named) < len(keys):
+        masks.insert(keys.index(""), 0)
+    return masks
+
+
+def _read_lambda(table: dict, index: dict) -> tuple[list[int], list[int], list[int]]:
+    """The event masks of a model file's ``lambda`` keys, and the values'
+    numerators and denominators, in file order.  Keys and values are
+    read in bulk; when that fails, one at a time, so that the first bad
+    key or value in the file is the one reported."""
+    keys = list(table)
+    masks = _key_masks(keys, {s: 1 << i for s, i in index.items()})
+    pairs = _plain_pairs(list(table.values()))
+    if masks is not None and pairs is not None and len(set(masks)) == len(masks):
+        return masks, *pairs
+    masks, nums, dens, named = [], [], [], {}
+    for k, v in table.items():
+        labels = k.split("|") if k else []
+        ev = _mask(labels, index)
+        if ev is None:
+            unknown = [l for l in labels if l not in index]
+            raise FileFormatError(f"unknown state labels in event {k!r}: {unknown}")
+        if ev in named:
+            raise FileFormatError(f"lambda keys {named[ev]!r} and {k!r} name the same event")
+        named[ev] = k
+        num, den = rational_pair(v)
+        masks.append(ev)
+        nums.append(num)
+        dens.append(den)
+    return masks, nums, dens
+
+
 def load_model(path: Path, language: Language, name: str | None = None) -> SubjectiveModel:
     """A model file: events are lists of state labels (``t``) or labels
     joined by '|' (``lambda`` keys), and masses are keyed by label; the
-    model holds them as bit masks and per-state masses."""
+    model holds them as bit masks, and appraisal values and masses as
+    int numerators over the common denominator of them all."""
     data = _read_json(path)
     states = _expect(data, "states", path, list)
     index = {s: i for i, s in enumerate(states)}
     truth_labels = {
         language.parse(text): labels for text, labels in _expect(data, "t", path).items()
     }
-    lam = None
-    if "lambda" in data:
-        lam, keys = {}, {}
-        for k, v in data["lambda"].items():
-            ev = _event_from_key(k, index)
-            if ev in keys:
-                raise FileFormatError(f"lambda keys {keys[ev]!r} and {k!r} name the same event")
-            keys[ev] = k
-            lam[ev] = parse_rational(v)
+    masks, nums, dens = _read_lambda(data["lambda"], index) if "lambda" in data else ([], [], [])
     mass = None
     if "mass" in data:
-        mass = {s: parse_rational(v) for s, v in data["mass"].items()}
+        mass = {s: len(nums) + j for j, s in enumerate(data["mass"])}
+        for num, den in map(rational_pair, data["mass"].values()):
+            nums.append(num)
+            dens.append(den)
     check_states(states)
     truth = {}
     for f, labels in truth_labels.items():
@@ -157,19 +236,27 @@ def load_model(path: Path, language: Language, name: str | None = None) -> Subje
         for s in mass:
             if s not in index:
                 raise ModelError(f"mass assigned to unknown state {s!r}")
-        mass = [mass.get(s, 0) for s in states]
+    exact_lookup = data.get("exact_lookup", False)
+    if not isinstance(exact_lookup, bool):
+        raise FileFormatError(f"{path}: key 'exact_lookup' must be a bool, got {exact_lookup!r}")
+    den = math.lcm(*dens)
+    nums = list(map(operator.mul, nums, map(den.__floordiv__, dens)))
+    if mass is not None:
+        mass = [nums[mass[s]] if s in mass else 0 for s in states]
     return SubjectiveModel(
         language,
         states,
         truth,
-        lam=lam,
+        lam=dict(zip(masks, nums)) if "lambda" in data else None,
         mass=mass,
         name=name or data.get("name"),
-        exact_lookup=bool(data.get("exact_lookup", False)),
+        exact_lookup=exact_lookup,
+        denominator=den,
     )
 
 
 def model_to_dict(model: SubjectiveModel) -> dict:
+    den = model.denominator
     out = {
         "states": list(model.states),
         "t": {
@@ -177,10 +264,13 @@ def model_to_dict(model: SubjectiveModel) -> dict:
             for f, ev in model.truth.items()
             if f not in (TRUE, FALSE)
         },
-        "lambda": {model.label(ev): format_rational(v) for ev, v in model.lam.items()},
+        "lambda": dict(zip(
+            map(model.label, model.lam_numerators),
+            format_ratios(model.lam_numerators.values(), den),
+        )),
     }
-    if model.mass is not None:
-        out["mass"] = {s: format_rational(v) for s, v in zip(model.states, model.mass)}
+    if model.mass_numerators is not None:
+        out["mass"] = dict(zip(model.states, format_ratios(model.mass_numerators, den)))
     if model.exact_lookup:
         out["exact_lookup"] = True
     return out
@@ -245,6 +335,10 @@ def load_session(path) -> Session:
     language = Language(atoms)
     session = Session(path=path, language=language)
     session.output_format = data.get("format", "text")
+    if session.output_format not in ("text", "json"):
+        raise FileFormatError(
+            f"{path}: key 'format' must be 'text' or 'json', got {session.output_format!r}"
+        )
     if "assessment" in data:
         session.assessment = load_assessment(base / data["assessment"], language)
     if "theory" in data:

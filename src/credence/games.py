@@ -559,7 +559,7 @@ def rationalizable(
     )
 
     candidates = []
-    if any(model.lambda_of(ev) is not None for ev in events) and model.lam:
+    if any(model.lambda_numerator(ev) is not None for ev in events):
         candidates.append(("model", model))
     if dom.marginals is not None:
         pulled = dict(zip(events, dom.marginals))

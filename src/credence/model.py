@@ -4,12 +4,14 @@ events.
 
 The core is indexed.  A state is its bit position in ``states`` and an
 event is an int mask over those positions: ``truth`` maps formulas to
-masks and ``lam`` is keyed by mask.  An additive appraisal keeps its
-state masses as int numerators over one common denominator, so the
-likelihood of an event is one int sum and one ``Fraction``.  State labels
-serve only to read and write models and to render reports
-(``labels``, ``label`` and ``event_key``, which orders events by size,
-then by label text).
+masks and ``lam_numerators`` is keyed by mask.  The explicit appraisal
+values and the optional state masses are int numerators over the
+model's one ``denominator``, so checking the appraisal against the
+masses, grading it, its Mobius transform and a Choquet sum all run in
+ints; ``lambda_of`` builds a ``Fraction`` only when a value is looked
+up.  State labels serve only to read and write models and to render
+reports (``labels``, ``label`` and ``event_key``, which orders events by
+size, then by label text).
 
 The module grades truth valuations (exact / monotone / symmetric /
 and-distributive / sound) and likelihood appraisals (symmetric /
@@ -31,7 +33,6 @@ from .assessment import Assessment
 from .logic import FALSE, TRUE, Atom, Formula, Language, unparse
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 MAX_FIELD_ATOMS = 12
 MAX_POWERSET_STATES = 20
@@ -39,6 +40,10 @@ MAX_POWERSET_STATES = 20
 
 class ModelError(ValueError):
     pass
+
+
+def _rational(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
 
 
 def bits(mask: int) -> list[int]:
@@ -65,16 +70,19 @@ class SubjectiveModel:
 
     ``truth`` maps formulas to event masks (bit i is ``states[i]``).  T
     and F are always valued (the full and empty event); a conflicting
-    explicit entry is rejected.  ``lam`` holds explicit appraisal values
+    explicit entry is rejected.  ``lam`` gives explicit appraisal values
     per event mask.  ``mass`` gives an optional additive backend, one
-    rational per state (or, with ``denominator``, one int numerator per
-    state over it); it makes the appraisal total on the powerset by
-    summation.  When every atom has an explicit truth event and all
-    explicit compounds agree with pointwise evaluation, the model is
-    *grounded*: its valuation extends soundly to every formula.
-    ``exact_lookup`` lets an exact (equivalence-respecting) valuation
-    answer for any formula equivalent to an explicitly valued one.
-    The explicit truth events are fixed once the model is built.
+    nonnegative value per state; it makes the appraisal total on the
+    powerset by summation.  Values are rationals, or, with
+    ``denominator``, int numerators over it (appraisal values and masses
+    alike); the model holds both as ``lam_numerators`` and
+    ``mass_numerators`` over one ``denominator``.  When every atom has
+    an explicit truth event and all explicit compounds agree with
+    pointwise evaluation, the model is *grounded*: its valuation extends
+    soundly to every formula.  ``exact_lookup`` lets an exact
+    (equivalence-respecting) valuation answer for any formula equivalent
+    to an explicitly valued one.  The explicit truth events are fixed
+    once the model is built.
     """
 
     def __init__(
@@ -106,37 +114,47 @@ class SubjectiveModel:
                 raise ModelError(f"{unparse(const)} must be valued as {self.labels(ev)}")
             self.truth[const] = ev
 
-        self.mass_numerators: tuple[int, ...] | None = None
-        self.denominator = 1
+        lam = lam or {}
         if mass is not None:
             mass = tuple(mass)
             if len(mass) != n:
                 raise ModelError(f"masses must give one value per state, got {len(mass)}")
-            if denominator is None:
-                mass = [v if isinstance(v, Fraction) else Fraction(v) for v in mass]
-                denominator = math.lcm(*(v.denominator for v in mass))
+        if denominator is None:
+            # rationals, put over the common denominator of all of them
+            mass = None if mass is None else [_rational(v) for v in mass]
+            lam = {ev: _rational(v) for ev, v in lam.items()}
+            denominator = math.lcm(
+                *(v.denominator for v in mass or ()), *(v.denominator for v in lam.values())
+            )
+            if mass is not None:
                 mass = [v.numerator * (denominator // v.denominator) for v in mass]
-            self.mass_numerators = tuple(mass)
-            self.denominator = denominator
-            if sum(self.mass_numerators) != denominator:
-                raise ModelError("state masses must sum to exactly 1")
+            lam = {ev: v.numerator * (denominator // v.denominator) for ev, v in lam.items()}
+        self.denominator = denominator
 
-        self.lam: dict[int, Fraction] = {}
-        for ev, v in (lam or {}).items():
-            if ev < 0 or ev & ~omega:
-                raise ModelError("lambda valued on an event with unknown states")
-            self.lam[ev] = v if isinstance(v, Fraction) else Fraction(v)
-        for ev, v in ((0, ZERO), (omega, ONE)):
-            if ev in self.lam and self.lam[ev] != v:
-                raise ModelError(f"lambda({self.label(ev) or 'empty'}) must equal {v}")
-            self.lam.setdefault(ev, v)
-        if self.mass_numerators is not None:
-            for ev, v in self.lam.items():
-                total = self._mass_sum(ev)
-                if v.numerator * self.denominator != total * v.denominator:
+        self.mass_numerators: tuple[int, ...] | None = None
+        if mass is not None:
+            for s, v in zip(self.states, mass):
+                if v < 0:
                     raise ModelError(
-                        f"explicit lambda({self.label(ev)}) = {v} disagrees "
-                        f"with the additive masses ({Fraction(total, self.denominator)})"
+                        f"state masses must be nonnegative; {s} has {Fraction(v, denominator)}"
+                    )
+            if sum(mass) != denominator:
+                raise ModelError("state masses must sum to exactly 1")
+            self.mass_numerators = tuple(mass)
+
+        self.lam_numerators: dict[int, int] = dict(lam)
+        if lam and (min(lam) < 0 or max(lam) > omega):
+            raise ModelError("lambda valued on an event with unknown states")
+        for ev, v in ((0, 0), (omega, 1)):
+            if self.lam_numerators.setdefault(ev, v * denominator) != v * denominator:
+                raise ModelError(f"lambda({self.label(ev) or 'empty'}) must equal {v}")
+        if self.mass_numerators is not None:
+            for ev, v in self.lam_numerators.items():
+                total = self._mass_sum(ev)
+                if v != total:
+                    raise ModelError(
+                        f"explicit lambda({self.label(ev)}) = {Fraction(v, denominator)} "
+                        f"disagrees with the additive masses ({Fraction(total, denominator)})"
                     )
 
         self.valuation_events: dict[int, int] | None = None
@@ -229,13 +247,17 @@ class SubjectiveModel:
             return None
         return tuple(Fraction(v, self.denominator) for v in self.mass_numerators)
 
+    def lambda_numerator(self, event: int) -> int | None:
+        """The appraisal's value on the event as a numerator over
+        ``denominator``, or None where it gives none."""
+        v = self.lam_numerators.get(event)
+        if v is None and self.mass_numerators is not None:
+            return self._mass_sum(event)
+        return v
+
     def lambda_of(self, event: int) -> Fraction | None:
-        v = self.lam.get(event)
-        if v is not None:
-            return v
-        if self.mass_numerators is not None:
-            return Fraction(self._mass_sum(event), self.denominator)
-        return None
+        v = self.lambda_numerator(event)
+        return None if v is None else Fraction(v, self.denominator)
 
     def field_atoms(self) -> list[int]:
         """Blocks of the coarsest partition from which every explicit
@@ -359,11 +381,12 @@ class LambdaFlags:
         }
 
 
-def _sigma_values(model: SubjectiveModel) -> tuple[list[int], list[Fraction]]:
+def _sigma_values(model: SubjectiveModel) -> tuple[list[int], list[int]]:
     """The generated field's events (entry S the union of the field atoms
-    bitmask S picks) and the appraisal's value on each."""
+    bitmask S picks) and the appraisal's value on each, as numerators
+    over the model's denominator."""
     events = model.field_events()
-    values = [model.lambda_of(ev) for ev in events]
+    values = [model.lambda_numerator(ev) for ev in events]
     missing = [model.label(ev) or "(empty)" for ev, v in zip(events, values) if v is None]
     if missing:
         raise ModelError(
@@ -375,29 +398,34 @@ def _sigma_values(model: SubjectiveModel) -> tuple[list[int], list[Fraction]]:
 
 def classify_lambda(model: SubjectiveModel) -> LambdaFlags:
     """Grade the likelihood appraisal on the field generated by the
-    model's truth events.  Total monotonicity is decided exactly through
-    the Mobius masses over the field's atoms."""
+    model's truth events, comparing numerators over the model's
+    denominator.  Total monotonicity is decided exactly through the
+    Mobius masses over the field's atoms."""
     events, lam = _sigma_values(model)
+    den = model.denominator
     full = len(events) - 1
     singles = [1 << j for j in range(full.bit_length())]
     label = model.label
     wit: dict[str, list] = {"symmetric": [], "monotone": [], "totally_monotone": [], "additive": []}
 
+    def text(v: int) -> str:
+        return str(Fraction(v, den))
+
     for s, ev in enumerate(events):
-        if lam[s] + lam[full ^ s] != ONE:
+        if lam[s] + lam[full ^ s] != den:
             wit["symmetric"].append((label(ev), label(events[full ^ s])))
         for b in singles:
             if not s & b and lam[s] > lam[s | b]:
                 wit["monotone"].append((label(ev), label(events[s | b])))
         # additive: every event's value is the sum over the field atoms inside it
-        total = sum((lam[b] for b in singles if s & b), ZERO)
+        total = sum(lam[b] for b in singles if s & b)
         if lam[s] != total:
-            wit["additive"].append((label(ev), str(lam[s]), str(total)))
+            wit["additive"].append((label(ev), text(lam[s]), text(total)))
 
     # Mobius masses over the powerset of field atoms, each block a point
-    for ev, m in zip(events, _rational_subset_sums(lam, operator.sub)):
+    for ev, m in zip(events, _subset_fold(lam, operator.sub)):
         if m < 0:
-            wit["totally_monotone"].append((label(ev), str(m)))
+            wit["totally_monotone"].append((label(ev), text(m)))
 
     wit = {k: sorted(set(v)) for k, v in wit.items()}
     return LambdaFlags(
@@ -472,14 +500,15 @@ def mobius(model: SubjectiveModel) -> dict[int, Fraction]:
     _check_powerset(n)
     values = []
     for ev in range(1 << n):
-        v = model.lambda_of(ev)
+        v = model.lambda_numerator(ev)
         if v is None:
             raise ModelError(
                 f"lambda is not total on the powerset; missing {model.label(ev) or '(empty)'}"
             )
         values.append(v)
-    masses = _rational_subset_sums(values, operator.sub)
-    return {ev: m for ev, m in enumerate(masses) if ev}
+    den = model.denominator
+    masses = _subset_fold(values, operator.sub)
+    return {ev: Fraction(m, den) for ev, m in enumerate(masses) if ev}
 
 
 def inverse_mobius(masses, n: int) -> dict[int, Fraction]:
@@ -520,7 +549,7 @@ def choquet(model: SubjectiveModel, payoff) -> Fraction:
     Every upper set must carry an appraisal value.  Equals the
     mass-weighted dot product when the appraisal is additive.
     """
-    x = [Fraction(v) for v in payoff]
+    x = [_rational(v) for v in payoff]
     if len(x) != len(model.states):
         raise ModelError("payoff must value exactly the model's states")
     if any(v < 0 for v in x):
@@ -528,19 +557,21 @@ def choquet(model: SubjectiveModel, payoff) -> Fraction:
             "payoff must be nonnegative; shift it up and subtract the shift "
             "from the result (the shift adds exactly shift * lambda(omega))"
         )
-    levels = upper_sets(x)
-    total = ZERO
+    # the payoff as int numerators over its values' common denominator
+    scale = math.lcm(*(v.denominator for v in x))
+    levels = upper_sets([v.numerator * (scale // v.denominator) for v in x])
+    total = 0
     for i, (a, upper) in enumerate(levels):
-        nxt = levels[i + 1][0] if i + 1 < len(levels) else ZERO
+        nxt = levels[i + 1][0] if i + 1 < len(levels) else 0
         if a == nxt:
             continue
-        lv = model.lambda_of(upper)
+        lv = model.lambda_numerator(upper)
         if lv is None:
             raise ModelError(
                 f"upper set {model.label(upper)} is not in the appraisal's domain"
             )
         total += (a - nxt) * lv
-    return total
+    return Fraction(total, scale * model.denominator)
 
 
 # -- representation ----------------------------------------------------------

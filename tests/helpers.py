@@ -18,7 +18,10 @@ pivot; all must give the same pivots and hence the same exact results.
 Last come the subjective model with events as frozensets of state
 labels, its grading, Mobius, Choquet and representation functions and
 the five builders on it, as they ran before states became bit
-positions; ``indexed`` turns such a model into its indexed twin.
+positions; ``indexed`` turns such a model into its indexed twin, and
+``load_model_oracle`` reads a model file into one, with a ``Fraction``
+per appraisal value, as model files were read before the values became
+int numerators.
 The JSON report writer's oracle is the json module's sorted,
 two-space-indented encoding that the CLI used before it.  The formula
 oracle is the frozen-dataclass tree that formulas were before they were
@@ -56,6 +59,7 @@ from credence.construct import (
     _require,
 )
 from credence.errors import InternalError
+from credence.files import FileFormatError, _expect, _read_json
 from credence.games import GamesError, Strategy, layer_decompose, t_circ
 from credence.identify import IdentifyError, SubtheoryResult, _theory_for_valuations
 from credence.logic import (
@@ -82,6 +86,7 @@ from credence.model import (
     RepresentationReport,
     SubjectiveModel,
     TruthFlags,
+    check_states,
 )
 
 ZERO = Fraction(0)
@@ -1037,6 +1042,11 @@ class LabelModel:
                     raise ModelError(f"mass assigned to unknown state {s!r}")
             for s in self.states:
                 self.mass.setdefault(s, ZERO)
+            for s in self.states:
+                if self.mass[s] < 0:
+                    raise ModelError(
+                        f"state masses must be nonnegative; {s} has {self.mass[s]}"
+                    )
             if sum(self.mass.values()) != ONE:
                 raise ModelError("state masses must sum to exactly 1")
 
@@ -1309,6 +1319,71 @@ def model_to_dict_oracle(model: LabelModel) -> dict:
     return out
 
 
+def parse_rational_oracle(value) -> Fraction:
+    """A model file's rational as ``Fraction`` alone reads it: a JSON
+    integer, or any string the ``Fraction`` constructor accepts."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as e:
+            raise FileFormatError(f"bad rational {value!r}: {e}") from None
+    raise FileFormatError(
+        f"rationals must be strings like '3/4' or integers, got {value!r}"
+    )
+
+
+def load_model_oracle(path, language: Language, name: str | None = None) -> LabelModel:
+    """``files.load_model`` as it ran before appraisal values became int
+    numerators: each value parsed to a ``Fraction`` and each ``lambda``
+    key split into its labels, for the frozenset model."""
+    data = _read_json(path)
+    states = _expect(data, "states", path, list)
+    index = {s: i for i, s in enumerate(states)}
+    truth_labels = {
+        language.parse(text): labels for text, labels in _expect(data, "t", path).items()
+    }
+    lam = None
+    if "lambda" in data:
+        lam, keys = {}, {}
+        for k, v in data["lambda"].items():
+            labels = k.split("|") if k else []
+            unknown = [l for l in labels if l not in index]
+            if unknown:
+                raise FileFormatError(f"unknown state labels in event {k!r}: {unknown}")
+            ev = frozenset(labels)
+            if ev in keys:
+                raise FileFormatError(f"lambda keys {keys[ev]!r} and {k!r} name the same event")
+            keys[ev] = k
+            lam[ev] = parse_rational_oracle(v)
+    mass = None
+    if "mass" in data:
+        mass = {s: parse_rational_oracle(v) for s, v in data["mass"].items()}
+    check_states(states)
+    truth = {}
+    for f, labels in truth_labels.items():
+        if any(s not in index for s in labels):
+            raise ModelError(f"truth event for {unparse(f)} mentions unknown states")
+        truth[f] = frozenset(labels)
+    if mass is not None:
+        for s in mass:
+            if s not in index:
+                raise ModelError(f"mass assigned to unknown state {s!r}")
+    exact_lookup = data.get("exact_lookup", False)
+    if not isinstance(exact_lookup, bool):
+        raise FileFormatError(f"{path}: key 'exact_lookup' must be a bool, got {exact_lookup!r}")
+    return LabelModel(
+        language,
+        states,
+        truth,
+        lam=lam,
+        mass=mass,
+        name=name or data.get("name"),
+        exact_lookup=exact_lookup,
+    )
+
+
 def from_labels(language, states, truth=None, lam=None, mass=None, **kwargs) -> SubjectiveModel:
     """An indexed model given the way model files give one: events as
     collections of state labels and masses keyed by label."""
@@ -1335,6 +1410,12 @@ def indexed(model: LabelModel) -> SubjectiveModel:
     )
     twin.grounded = model.grounded
     return twin
+
+
+def explicit_lambda(model: SubjectiveModel) -> dict[int, Fraction]:
+    """An indexed model's explicit appraisal values as rationals keyed by
+    event mask, as ``lam`` held them before they became numerators."""
+    return {ev: model.lambda_of(ev) for ev in model.lam_numerators}
 
 
 def event_labels(model: SubjectiveModel, event: int) -> frozenset:

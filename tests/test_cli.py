@@ -300,3 +300,44 @@ class TestChoquetAndMobius:
             "--model", "capacity", "--act", act,
         )
         assert res.exit_code == 2
+
+
+class TestModelFileChecks:
+    def session(self, tmp_path, model, **extra):
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps({"atoms": ["p"], "models": {"m": "model.json"}, **extra}))
+        return path
+
+    def test_negative_mass_is_input_error(self, runner, tmp_path):
+        session = self.session(
+            tmp_path, {"states": ["a", "b"], "t": {}, "mass": {"a": "3/2", "b": "-1/2"}}
+        )
+        act = tmp_path / "act.json"
+        act.write_text(json.dumps({"a": "1", "b": "2"}))
+        for args in (["choquet", session, "--act", act], ["mobius", session]):
+            res = invoke(runner, *args)
+            assert res.exit_code == 2
+            assert "state masses must be nonnegative; b has -1/2" in res.output
+
+    @pytest.mark.parametrize("flag", ["false", 0, None])
+    def test_exact_lookup_must_be_a_boolean(self, runner, tmp_path, flag):
+        session = self.session(
+            tmp_path, {"states": ["a"], "t": {"p": ["a"]}, "exact_lookup": flag}
+        )
+        res = invoke(runner, "mobius", session)
+        assert res.exit_code == 2
+        assert f"key 'exact_lookup' must be a bool, got {flag!r}" in res.output
+
+    def test_exact_lookup_boolean_loads(self, runner, tmp_path):
+        session = self.session(
+            tmp_path, {"states": ["a"], "t": {"p": ["a"]}, "exact_lookup": False}
+        )
+        assert invoke(runner, "mobius", session).exit_code == 0
+
+    @pytest.mark.parametrize("fmt", ["JSON", "yaml", None])
+    def test_session_format_is_text_or_json(self, runner, tmp_path, fmt):
+        session = self.session(tmp_path, {"states": ["a"], "t": {}}, format=fmt)
+        res = invoke(runner, "mobius", session)
+        assert res.exit_code == 2
+        assert f"key 'format' must be 'text' or 'json', got {fmt!r}" in res.output

@@ -126,7 +126,7 @@ class TestCanonicalSound:
         out = build_canonical_sound(a)
         assert len(out.model.field_atoms()) == MAX_FIELD_ATOMS + 1
         assert "generated field too large to materialize" in out.notes[0]
-        assert set(out.model.lam) == {a.language.sat(f) for f in a.formulas}
+        assert set(out.model.lam_numerators) == {a.language.sat(f) for f in a.formulas}
         assert "lambda monotone on field" not in {c.name for c in out.certificate}
 
     def test_many_atoms_with_few_blocks_are_inner_extended(self):
@@ -136,7 +136,8 @@ class TestCanonicalSound:
         out = build_canonical_sound(a)
         assert out.notes == ["appraisal inner-extended to the generated field"]
         m = out.model
-        assert m.lam[lang.sat(lang.parse("(x0 | x2)"))] == F(1, 2)
+        assert lang.sat(lang.parse("(x0 | x2)")) in m.lam_numerators
+        assert m.lambda_of(lang.sat(lang.parse("(x0 | x2)"))) == F(1, 2)
         assert {c.name: c.ok for c in out.certificate}["lambda monotone on field"] is True
 
     def test_monotone_certificate_when_i_holds(self):

@@ -5,12 +5,15 @@ integer simplex tableau against the big-M simplex and game solver and
 the ``Fraction`` tableau it replaced, of the integer valuation solve
 against its ``Fraction`` row reduction, and of the indexed model core
 and its builders against the frozenset model and builders they
+replaced, of model file loading against the ``Fraction`` loader it
 replaced, of the CLI's JSON report writer against the json module, and
 of hash-consed formulas against the frozen-dataclass trees they
 replaced."""
 
 import itertools
+import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -30,7 +33,7 @@ from credence.construct import (
     build_interval_additive,
     build_product_model,
 )
-from credence.files import model_to_dict
+from credence.files import FileFormatError, load_model, model_to_dict
 from credence.games import (
     Strategy,
     pointwise_undominated,
@@ -65,6 +68,8 @@ from helpers import (
     classify_lambda_oracle,
     classify_truth_oracle,
     event_labels,
+    explicit_lambda,
+    load_model_oracle,
     event_mask,
     from_labels,
     indexed,
@@ -247,7 +252,7 @@ def test_inverse_mobius_is_the_subset_sum_and_undoes_mobius(n, data):
     model = from_labels(Language([]), states, {}, lam=inverse_mobius_oracle(masses, states))
     by_mask = {event_mask(model, ev): v for ev, v in masses.items()}
     lam = inverse_mobius(by_mask, n)
-    assert lam == model.lam
+    assert lam == explicit_lambda(model)
     assert mobius(model) == by_mask
 
 
@@ -691,6 +696,103 @@ def test_indexed_model_matches_the_frozenset_model(args, data):
     lifted_oracle = outcome(lambda: build_belief_lift_oracle(oracle).to_dict())
     if isinstance(lifted, dict) or isinstance(lifted_oracle, dict):
         assert lifted == lifted_oracle
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+FILE_VALUES = [F(0), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1), F(-3, 4), F(1, 10),
+               F(1000)]
+BAD_VALUES = ["1/0", "\u00b2", True, 0.5, "1/2/3", "1/2 3", "3 /4", None]
+
+
+def spellings(v: Fraction) -> list:
+    """Every accepted spelling of a rational that the model files use."""
+    n, d = v.numerator, v.denominator
+    ratio = f"{n}/{d}"
+    out = [ratio, f"{2 * n}/{2 * d}", f" {ratio} ", ratio.translate(ARABIC_INDIC),
+           f"{1000 * n:_}/{1000 * d:_}"]
+    if d == 1:
+        out += [n, str(n), f"{n:_}"]
+    for k in (1, 2, 3):
+        if 10**k % d == 0:
+            scaled = n * 10**k // d
+            out += [str(Decimal(scaled).scaleb(-k)), f"{scaled}e-{k}"]
+            break
+    return out
+
+
+@st.composite
+def model_files(draw):
+    """A model file's JSON on 1-4 states: a capacity, masses, or both;
+    every value in a random accepted spelling and every lambda key with
+    its labels in a random order.  Now and then a value, a key or the
+    exact-lookup flag is bad, so that both loaders must refuse alike."""
+    n = draw(st.integers(1, 4))
+    states = draw(st.permutations(STATE_LABELS))[:n]
+    lang = draw(st.sampled_from(MODEL_LANGUAGES))
+    atoms = draw(st.lists(st.sampled_from(lang.atoms), unique=True)) if lang.atoms else []
+    data = {"states": states,
+            "t": {a: draw(st.lists(st.sampled_from(states), unique=True)) for a in atoms}}
+
+    def spell(v):
+        return draw(st.sampled_from(spellings(v)))
+
+    kind = draw(st.sampled_from(["lambda", "mass", "both"]))
+    mass = None
+    if kind != "lambda":
+        weights = [draw(st.integers(-1, 3)) for _ in states]
+        if sum(weights) <= 0:
+            weights[0] += 1 - sum(weights)
+        mass = {s: F(w, sum(weights)) for s, w in zip(states, weights)}
+        data["mass"] = {s: spell(v) for s, v in mass.items() if v or draw(st.booleans())}
+    if kind != "mass":
+        events = [c for r in range(n + 1) for c in itertools.combinations(states, r)]
+        lam = {}
+        for ev in draw(st.lists(st.sampled_from(events), unique=True, max_size=2**n)):
+            if mass is not None and draw(st.integers(0, 9)):
+                v = sum((mass[s] for s in ev), F(0))
+            elif len(ev) in (0, n) and draw(st.integers(0, 9)):
+                v = F(len(ev) // n)
+            else:
+                v = draw(st.sampled_from(FILE_VALUES))
+            lam["|".join(draw(st.permutations(ev)))] = spell(v)
+        data["lambda"] = lam
+    exact = draw(st.sampled_from([None, None, None, True, False, "false", 1]))
+    if exact is not None:
+        data["exact_lookup"] = exact
+    bad = draw(st.sampled_from([None] * 6 + ["value", "unknown", "same event"]))
+    section = data.get("lambda") if "lambda" in data else data["mass"]
+    if bad == "value" and section:
+        section[draw(st.sampled_from(sorted(section)))] = draw(st.sampled_from(BAD_VALUES))
+    elif bad == "unknown" and "lambda" in data:
+        data["lambda"][f"{states[0]}|zz"] = "1/2"
+    elif bad == "same event" and "lambda" in data:
+        data["lambda"][f"{states[-1]}|{states[0]}|{states[-1]}"] = "1/2"
+    return lang, data
+
+
+@given(model_files())
+@settings(max_examples=300, deadline=None)
+def test_load_model_matches_the_fraction_loader(tmp_path_factory, case):
+    lang, data = case
+    path = tmp_path_factory.getbasetemp() / "model-file.json"
+    path.write_text(json.dumps(data))
+
+    def loaded(load):
+        try:
+            return load(path, lang)
+        except (ModelError, FileFormatError) as e:
+            return (type(e).__name__, str(e))
+
+    model, oracle = loaded(load_model), loaded(load_model_oracle)
+    if isinstance(oracle, tuple):
+        assert model == oracle
+        return
+    for ev in range(1 << len(model.states)):
+        assert model.lambda_of(ev) == oracle.lambda_of(event_labels(model, ev))
+    assert model.mass == (None if oracle.mass is None
+                          else tuple(oracle.mass[s] for s in model.states))
+    assert model.exact_lookup == oracle.exact_lookup
+    assert _json_text(model_to_dict(model)) == _json_text(model_to_dict_oracle(oracle))
 
 
 def built(builder, *args):

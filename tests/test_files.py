@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from credence.files import (
     FileFormatError,
-    format_rational,
+    format_ratios,
     load_assessment,
     load_model,
     load_session,
@@ -16,6 +16,8 @@ from credence.files import (
 )
 from credence.logic import Language, LogicError
 from credence.model import ModelError
+
+from helpers import explicit_lambda
 
 
 class TestRationals:
@@ -35,7 +37,7 @@ class TestRationals:
             parse_rational("one half")
 
     def test_format_reduces(self):
-        assert format_rational(Fraction(2, 4)) == "1/2"
+        assert format_ratios([2, -3, 0, 4, 2], 4) == ["1/2", "-3/4", "0", "1", "1/2"]
 
     @pytest.mark.parametrize("value", [True, False])
     def test_booleans_rejected(self, value):
@@ -102,6 +104,8 @@ class TestSchemas:
          "mass assigned to unknown state 'w9'"),
         ({"states": ["w1", "w2"], "t": {}, "mass": {"w1": "1/2"}}, ModelError,
          "state masses must sum to exactly 1"),
+        ({"states": ["w1", "w2"], "t": {}, "mass": {"w1": "3/2", "w2": "-1/2"}}, ModelError,
+         "state masses must be nonnegative; w2 has -1/2"),
         ({"states": ["w1", "w2"], "t": {}, "lambda": {"w1|w9": "1/2"}}, FileFormatError,
          "unknown state labels in event 'w1|w9': ['w9']"),
         ({"states": ["w1", "w2"], "t": {}, "lambda": {"w1|w2": "1/2"}}, ModelError,
@@ -141,7 +145,7 @@ class TestSchemas:
         again = load_model(path, linda.language)
         assert again.states == m2.states
         assert again.truth == m2.truth
-        assert again.lam == m2.lam
+        assert explicit_lambda(again) == explicit_lambda(m2)
 
     def test_source_text_preserved_for_reports(self, voting):
         texts = [voting.assessment.text(f) for f in voting.assessment.formulas]

@@ -23,6 +23,7 @@ from credence.construct import build_canonical_sound, build_interval_additive
 
 from helpers import (
     event_mask,
+    explicit_lambda,
     from_labels,
     full_closure_classes,
     grid_dominance_oracle,
@@ -191,7 +192,7 @@ class TestTBullet:
                 lang.parse("p"): event_mask(capacity, ["w1"]),
                 lang.parse("q"): event_mask(capacity, ["w1", "w2"]),
             },
-            lam=dict(capacity.lam),
+            lam=explicit_lambda(capacity),
         )
         with pytest.raises(GamesError) as e:
             t_bullet(tilde, exact, maps_strategy)
@@ -271,7 +272,7 @@ class TestIntegralEquality:
             dup = 1 << len(m1.states)
             truth2 = {f: ev | dup if ev & 1 else ev for f, ev in m1.truth.items()}
             lam2 = {}
-            for ev, v in m1.lam.items():
+            for ev, v in explicit_lambda(m1).items():
                 lam2[ev] = v
                 if ev & 1:
                     lam2[ev | dup] = v

@@ -21,6 +21,7 @@ from helpers import (
     LabelModel,
     by_labels,
     event_mask,
+    explicit_lambda,
     from_labels,
     mobius_oracle,
     random_capacity,
@@ -268,7 +269,7 @@ class TestRepresents:
 
     def test_perturbed_value_reports_residual(self, linda):
         m2 = linda.models["model2"]
-        lam = dict(m2.lam)
+        lam = explicit_lambda(m2)
         lam[event_mask(m2, ["w2", "w3"])] = F(1, 3)
         perturbed = SubjectiveModel(
             m2.language, m2.states, dict(m2.truth), lam=lam
@@ -283,7 +284,7 @@ class TestRepresents:
         m2 = linda.models["model2"]
         truth = dict(m2.truth)
         del truth[linda.language.parse("t")]
-        stripped = SubjectiveModel(m2.language, m2.states, truth, lam=dict(m2.lam))
+        stripped = SubjectiveModel(m2.language, m2.states, truth, lam=explicit_lambda(m2))
         rep = represents(stripped, linda.assessment)
         assert not rep.ok
         assert "t" in rep.missing
