@@ -23,7 +23,10 @@ The model I/O timings are ``files.load_model`` on seeded capacities of
 every event, and ``files.model_to_dict`` over 24 seeded canonical-sound
 models and the 24 product models of the same 3-atom assessments, each
 the best of five runs.  Each records a SHA-256 digest of the models'
-``credence.cli`` JSON texts, which must match between two commits.
+``credence.cli`` JSON texts, which must match between two commits.  A
+12-state capacity whose values have seeded, unrelated denominators
+below 10^6 times ``load_model``, ``mobius`` and ``choquet`` where one
+common denominator is at its largest.
 
 Times are raw wall seconds on the host that ran the script; its Python
 version and machine are recorded beside them.  To compare two commits,
@@ -58,6 +61,7 @@ from credence import (  # noqa: E402
 from credence.cli import _json_text  # noqa: E402
 from credence.construct import build_canonical_sound, build_product_model  # noqa: E402
 from credence.files import load_model, model_to_dict  # noqa: E402
+from credence.model import choquet, mobius  # noqa: E402
 from helpers import (  # noqa: E402
     disjoint_gap_tables,
     full_closure_classes,
@@ -74,6 +78,8 @@ SUBTHEORY_GAPS = 10  # disjoint residual gaps: 2^10 minimal transversals
 DNF_ATOMS = 16
 DNF_MINTERMS = 256
 CAPACITY_STATES = (8, 12)  # the seed of each capacity is its state count
+UNSHARED_STATES = 12
+UNSHARED_DEN_MAX = 10**6
 BUILT_MODELS = 24  # seeds 0-23
 BUILT_CLASSES = 12  # statements assessed, of the 256 3-atom classes
 
@@ -194,6 +200,41 @@ def bench_load_model(n: int) -> dict:
     }
 
 
+def bench_unshared_denominators() -> dict:
+    """A capacity with lam(S) = (|S| + a/b) / (n + 1), b random below
+    ``UNSHARED_DEN_MAX``: monotone, and no two values share much of a
+    denominator."""
+    n = UNSHARED_STATES
+    rng = random.Random(n)
+    states = [f"s{i}" for i in range(n)]
+    lam = {"|".join(states): "1"}
+    for ev in range(1, (1 << n) - 1):
+        b = rng.randrange(2, UNSHARED_DEN_MAX)
+        value = (ev.bit_count() + Fraction(rng.randrange(b), b)) / (n + 1)
+        lam["|".join(s for i, s in enumerate(states) if ev >> i & 1)] = str(value)
+    payoff = [Fraction(rng.randrange(50), rng.randrange(1, 9)) for _ in states]
+    lang = Language([])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps({"states": states, "t": {}, "lambda": lam}))
+        load_s, model = best_of(lambda: load_model(path, lang))
+    mobius_s, masses = best_of(lambda: mobius(model))
+    choquet_s, value = best_of(lambda: choquet(model, payoff))
+    return {
+        "states": n,
+        "events": len(lam),
+        "load_best_s": load_s,
+        "mobius_best_s": mobius_s,
+        "choquet_best_s": choquet_s,
+        "digest": digest([model]),
+        # in hex: the masses' decimal digits pass int's str limit
+        "mobius_digest": hashlib.sha256(";".join(
+            f"{ev}:{m.numerator:x}/{m.denominator:x}" for ev, m in sorted(masses.items())
+        ).encode()).hexdigest(),
+        "choquet": str(value),
+    }
+
+
 def bench_model_to_dict() -> dict:
     lang = Language(["p", "q", "r"])
     classes = full_closure_classes(lang)
@@ -227,6 +268,7 @@ def main(out: Path, before: Path | None):
         "largest_subtheory": [bench_subtheory(n) for n in SUBTHEORY_ATOMS],
         "minterm_dnf": bench_dnf(),
         "load_model": [bench_load_model(n) for n in CAPACITY_STATES],
+        "unshared_denominators": bench_unshared_denominators(),
         "model_to_dict": bench_model_to_dict(),
     }
     if before is not None:

@@ -18,9 +18,10 @@ zero denominator, ``"inf"``, ``"nan"``, floats and anything else are a
 ``FileFormatError``.  Plain ``n`` and ``n/d`` strings of ASCII digits,
 with an optional leading ``-``, are read with ``int`` directly: the same
 value, without ``Fraction``'s regular expression.  ``rational_pair``
-reads a rational as an int numerator and denominator; a model file's
-appraisal values and masses are read that way and put over one common
-denominator, so loading a model builds no ``Fraction`` per value.
+reads a rational as an int numerator and denominator in lowest terms; a
+model file's appraisal values and masses are read that way and put over
+one common denominator, so loading a model builds no ``Fraction`` per
+value.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from __future__ import annotations
 import json
 import math
 import operator
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
 from pathlib import Path
 
 from .assessment import Assessment
@@ -45,17 +44,21 @@ class FileFormatError(ValueError):
 
 
 def rational_pair(value) -> tuple[int, int]:
-    """A rational read as ``parse_rational`` reads it, as an int numerator
-    and a positive int denominator, not reduced: ``"2/4"`` gives (2, 4)."""
+    """A rational read as ``parse_rational`` reads it, as the numerator
+    and the positive denominator of its lowest terms: ``"2/4"`` gives
+    (1, 2)."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value, 1
     if isinstance(value, str):
         num, slash, den = value.partition("/")
         digits = num[1:] if num[:1] == "-" else num
         if value.isascii() and digits.isdigit() and (den.isdigit() or not slash):
-            den = int(den) if slash else 1
+            if not slash:
+                return int(num), 1
+            num, den = int(num), int(den)
             if den:
-                return int(num), den
+                g = math.gcd(num, den)
+                return num // g, den // g
         try:
             q = Fraction(value)
         except (ValueError, ZeroDivisionError) as e:
@@ -134,63 +137,10 @@ def _mask(labels, index: dict[str, int]) -> int | None:
     return mask
 
 
-# plain rationals, as a model file's values are joined by single spaces
-_PLAIN_RATIONALS = re.compile(r"-?\d+(?:/\d+)?(?: -?\d+(?:/\d+)?)*", re.ASCII)
-
-
-def _plain_pairs(values: list) -> tuple[list[int], list[int]] | None:
-    """The numerators and the denominators of the values when every one
-    is a plain ``n`` or ``n/d`` string of ASCII digits with an optional
-    leading ``-`` and no zero denominator, else None."""
-    try:
-        joined = " ".join(values)
-    except TypeError:  # a value that is not a string
-        return None
-    if joined.count(" ") >= len(values) or not _PLAIN_RATIONALS.fullmatch(joined):
-        return None
-    # every value as n/d, then all the ints in one pass
-    ratios = " ".join([v if "/" in v else v + "/1" for v in values])
-    ints = list(map(int, ratios.replace(" ", "/").split("/")))
-    dens = ints[1::2]
-    return None if 0 in dens else (ints[0::2], dens)
-
-
-def _key_masks(keys: list[str], bit: dict[str, int]) -> list[int] | None:
-    """The event mask of each ``lambda`` key, from one lookup per label in
-    all the keys; None when a key has an unknown label or names a label
-    twice, or when a state is labelled ''."""
-    named = [k for k in keys if k]
-    if not named or "" in bit:
-        return None
-    try:
-        bits = list(map(bit.__getitem__, "|".join(named).split("|")))
-    except KeyError:
-        return None
-    # each key's mask is the sum of its labels' bits: the difference of
-    # the running total at the key's last label and before its first
-    total = list(accumulate(bits, initial=0))
-    ends = list(accumulate(map(operator.add, map(str.count, named, repeat("|")), repeat(1)),
-                           initial=0))
-    masks = list(map(operator.sub, map(total.__getitem__, ends[1:]),
-                     map(total.__getitem__, ends[:-1])))
-    # distinct bits add without a carry, so one set bit per label
-    if sum(map(int.bit_count, masks)) != len(bits):
-        return None
-    if len(named) < len(keys):
-        masks.insert(keys.index(""), 0)
-    return masks
-
-
 def _read_lambda(table: dict, index: dict) -> tuple[list[int], list[int], list[int]]:
     """The event masks of a model file's ``lambda`` keys, and the values'
-    numerators and denominators, in file order.  Keys and values are
-    read in bulk; when that fails, one at a time, so that the first bad
-    key or value in the file is the one reported."""
-    keys = list(table)
-    masks = _key_masks(keys, {s: 1 << i for s, i in index.items()})
-    pairs = _plain_pairs(list(table.values()))
-    if masks is not None and pairs is not None and len(set(masks)) == len(masks):
-        return masks, *pairs
+    numerators and denominators, in file order; the first bad key or
+    value in the file is the one reported."""
     masks, nums, dens, named = [], [], [], {}
     for k, v in table.items():
         labels = k.split("|") if k else []

@@ -13,6 +13,7 @@ from credence.files import (
     load_session,
     model_to_dict,
     parse_rational,
+    rational_pair,
 )
 from credence.logic import Language, LogicError
 from credence.model import ModelError
@@ -35,6 +36,13 @@ class TestRationals:
             parse_rational("1/0")
         with pytest.raises(FileFormatError):
             parse_rational("one half")
+
+    @pytest.mark.parametrize("value,pair", [
+        ("2/4", (1, 2)), ("-1000/2000", (-1, 2)), ("0/5", (0, 1)), ("6", (6, 1)),
+        (" 6/4 ", (3, 2)), ("0.50", (1, 2)), (-4, (-4, 1)),
+    ])
+    def test_pair_in_lowest_terms(self, value, pair):
+        assert rational_pair(value) == pair
 
     def test_format_reduces(self):
         assert format_ratios([2, -3, 0, 4, 2], 4) == ["1/2", "-3/4", "0", "1", "1/2"]
@@ -146,6 +154,20 @@ class TestSchemas:
         assert again.states == m2.states
         assert again.truth == m2.truth
         assert explicit_lambda(again) == explicit_lambda(m2)
+
+    def test_redundant_factors_leave_the_denominator_least(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "states": ["a", "b"], "t": {}, "lambda": {"a": "1000/2000", "b": "300/1200"},
+        }))
+        model = load_model(path, Language([]))
+        assert model.denominator == 4
+        assert explicit_lambda(model) == {0: 0, 1: Fraction(1, 2), 2: Fraction(1, 4), 3: 1}
+        path.write_text(json.dumps({
+            "states": ["a", "b"], "t": {},
+            "lambda": {"a": "1000/2000"}, "mass": {"a": "2/4", "b": "50/100"},
+        }))
+        assert load_model(path, Language([])).denominator == 2
 
     def test_source_text_preserved_for_reports(self, voting):
         texts = [voting.assessment.text(f) for f in voting.assessment.formulas]
