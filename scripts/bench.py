@@ -28,19 +28,32 @@ the best of five runs.  Each records a SHA-256 digest of the models'
 below 10^6 times ``load_model``, ``mobius`` and ``choquet`` where one
 common denominator is at its largest.
 
+The formula renderer ``Language.formula_from_valuations`` is timed per
+call over 300 seeded include sets at 3 and at 4 atoms, half of them
+with don't-cares, with the length and a SHA-256 digest of the rendered
+texts; and on one seeded set of 1,000 valuations over 10 atoms and one
+of 5,000 over 16, rendering and taking ``sat`` on a new ``Language``,
+with the formula's depth and text length.  A renderer that fails there
+(a ``RecursionError``) is recorded by name instead of its figures.
+
 Times are raw wall seconds on the host that ran the script; its Python
-version and machine are recorded beside them.  To compare two commits,
-run the script in a checkout of each and hand the first run's file to
-the second as BEFORE.json: OUT.json then holds ``{"before": ...,
-"after": ...}``.
+version and machine are recorded beside them, and so is, next to each
+figure, the median of reference loops (``perfbench/child.py``'s
+``fraction_loop``) timed just before and just after it, so figures taken
+on a host running at another speed can be told apart.  To compare two
+commits, run the script in a checkout of each and hand the first run's
+file to the second as BEFORE.json: OUT.json then holds
+``{"before": ..., "after": ...}``.
 
 Usage: python3 scripts/bench.py OUT.json [BEFORE.json]
 """
 
 import hashlib
+import importlib.util
 import json
 import platform
 import random
+import statistics
 import sys
 import tempfile
 import time
@@ -64,6 +77,7 @@ from credence.files import load_model, model_to_dict  # noqa: E402
 from credence.model import choquet, mobius  # noqa: E402
 from helpers import (  # noqa: E402
     disjoint_gap_tables,
+    formula_depth,
     full_closure_classes,
     json_text_oracle,
     random_capacity,
@@ -82,6 +96,16 @@ UNSHARED_STATES = 12
 UNSHARED_DEN_MAX = 10**6
 BUILT_MODELS = 24  # seeds 0-23
 BUILT_CLASSES = 12  # statements assessed, of the 256 3-atom classes
+RENDER_ATOMS = (3, 4)  # the seed of each batch of sets is its atom count
+RENDER_SETS = 300
+RENDER_LARGE = ((10, 1000), (16, 5000))  # (atoms, valuations), seeded by atoms
+REFERENCES = 5  # reference loops timed before and again after each figure
+
+_child = importlib.util.spec_from_file_location(
+    "perfbench_child", Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+)
+child = importlib.util.module_from_spec(_child)
+_child.loader.exec_module(child)
 
 
 def best_of(fn) -> tuple[float, object]:
@@ -93,6 +117,15 @@ def best_of(fn) -> tuple[float, object]:
         result = fn()
         times.append(time.perf_counter() - start)
     return min(times), result
+
+
+def referenced(bench, *args) -> dict:
+    """``bench(*args)``'s figure, with the median seconds of the reference
+    loops timed around it as ``reference_s``."""
+    loops = [child.fraction_loop(child.REFERENCE_ITER) for _ in range(REFERENCES)]
+    figure = bench(*args)
+    loops += [child.fraction_loop(child.REFERENCE_ITER) for _ in range(REFERENCES)]
+    return {**figure, "reference_s": statistics.median(loops)}
 
 
 def universe(classes: int) -> Assessment:
@@ -168,6 +201,50 @@ def bench_dnf() -> dict:
         "language_best_s": build_s,
         "parse_and_sat_best_s": best_s,
         "sat_matches": bits == sum(1 << i for i in picked),
+    }
+
+
+def bench_render(atoms: int) -> dict:
+    rng = random.Random(atoms)
+    lang = Language([f"a{j}" for j in range(atoms)])
+    sets = []
+    for k in range(RENDER_SETS):
+        include = rng.getrandbits(lang.n_valuations)
+        exclude = rng.getrandbits(lang.n_valuations) & ~include if k % 2 else None
+        sets.append((include, exclude))
+    best_s, formulas = best_of(lambda: [lang.formula_from_valuations(*s) for s in sets])
+    texts = "\n".join(map(unparse, formulas))
+    return {
+        "atoms": atoms,
+        "sets": len(sets),
+        "per_call_us": best_s / len(sets) * 1e6,
+        "chars": len(texts),
+        "digest": hashlib.sha256(texts.encode()).hexdigest(),
+    }
+
+
+def bench_render_large(atoms: int, count: int) -> dict:
+    names = [f"a{j}" for j in range(atoms)]
+    valuations = random.Random(atoms).sample(range(1 << atoms), count)
+    include = sum(1 << i for i in valuations)
+
+    def render_and_sat():
+        lang = Language(names)  # an empty sat cache every run
+        f = lang.formula_from_valuations(include)
+        return f, lang.sat(f)
+
+    out = {"atoms": atoms, "valuations": count}
+    try:
+        best_s, (f, bits) = best_of(render_and_sat)
+        text = unparse(f)
+    except RecursionError:
+        return {**out, "error": "RecursionError"}
+    return {
+        **out,
+        "render_and_sat_best_s": best_s,
+        "depth": formula_depth(f),
+        "chars": len(text),
+        "sat_matches": bits == include,
     }
 
 
@@ -264,12 +341,14 @@ def main(out: Path, before: Path | None):
         "python": platform.python_version(),
         "machine": platform.machine(),
         "repeats": REPEATS,
-        "universes": [bench_universe(k) for k in SIZES],
-        "largest_subtheory": [bench_subtheory(n) for n in SUBTHEORY_ATOMS],
-        "minterm_dnf": bench_dnf(),
-        "load_model": [bench_load_model(n) for n in CAPACITY_STATES],
-        "unshared_denominators": bench_unshared_denominators(),
-        "model_to_dict": bench_model_to_dict(),
+        "universes": [referenced(bench_universe, k) for k in SIZES],
+        "largest_subtheory": [referenced(bench_subtheory, n) for n in SUBTHEORY_ATOMS],
+        "minterm_dnf": referenced(bench_dnf),
+        "render": [referenced(bench_render, n) for n in RENDER_ATOMS],
+        "render_large": [referenced(bench_render_large, *size) for size in RENDER_LARGE],
+        "load_model": [referenced(bench_load_model, n) for n in CAPACITY_STATES],
+        "unshared_denominators": referenced(bench_unshared_denominators),
+        "model_to_dict": referenced(bench_model_to_dict),
     }
     if before is not None:
         results = {"before": json.loads(before.read_text()), "after": results}

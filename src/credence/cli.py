@@ -123,6 +123,15 @@ class _Main(click.Group):
         except InternalError as e:
             click.echo(f"error: {e}", err=True)
             sys.exit(INTERNAL)
+        except ValueError as e:
+            # str() of an int with more digits than Python converts, raised
+            # wherever a report writes an exact value
+            if not str(e).startswith("Exceeds the limit ("):
+                raise
+            _fail_input(
+                f"an exact value has more than {sys.get_int_max_str_digits()} "
+                "decimal digits, more than Python writes as text"
+            )
 
 
 @click.group(cls=_Main)

@@ -84,13 +84,17 @@ def format_ratios(nums, den: int) -> list[str]:
 
 
 def _read_json(path: Path) -> dict:
+    """A file's JSON object; every file this package reads holds one."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise FileFormatError(f"file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise FileFormatError(f"invalid JSON in {path}: {e}") from None
+    if not isinstance(data, dict):
+        raise FileFormatError(f"{path}: the top level must be a JSON object")
+    return data
 
 
 def _expect(data, key, path, kind=dict):
@@ -122,6 +126,8 @@ def load_assessment(path: Path, language: Language | None = None) -> Assessment:
 def load_theory(path: Path, language: Language) -> Theory:
     data = _read_json(path)
     texts = _expect(data, "generators", path, list)
+    if not all(isinstance(t, str) for t in texts):
+        raise FileFormatError(f"{path}: every generator must be a formula string")
     return Theory.from_texts(language, texts)
 
 
@@ -169,10 +175,12 @@ def load_model(path: Path, language: Language, name: str | None = None) -> Subje
     truth_labels = {
         language.parse(text): labels for text, labels in _expect(data, "t", path).items()
     }
-    masks, nums, dens = _read_lambda(data["lambda"], index) if "lambda" in data else ([], [], [])
+    masks, nums, dens = (
+        _read_lambda(_expect(data, "lambda", path), index) if "lambda" in data else ([], [], [])
+    )
     mass = None
     if "mass" in data:
-        mass = {s: len(nums) + j for j, s in enumerate(data["mass"])}
+        mass = {s: len(nums) + j for j, s in enumerate(_expect(data, "mass", path))}
         for num, den in map(rational_pair, data["mass"].values()):
             nums.append(num)
             dens.append(den)
@@ -229,8 +237,8 @@ def model_to_dict(model: SubjectiveModel) -> dict:
 def load_strategies(path: Path, language: Language) -> list[Strategy]:
     data = _read_json(path)
     out = []
-    for name, body in data.items():
-        payoffs = _expect(body, "payoffs", f"{path}:{name}")
+    for name in data:
+        payoffs = _expect(_expect(data, name, path), "payoffs", f"{path}:{name}")
         out.append(
             Strategy(
                 {language.parse(t): parse_rational(v) for t, v in payoffs.items()},
@@ -290,12 +298,19 @@ def load_session(path) -> Session:
             f"{path}: key 'format' must be 'text' or 'json', got {session.output_format!r}"
         )
     if "assessment" in data:
-        session.assessment = load_assessment(base / data["assessment"], language)
+        session.assessment = load_assessment(
+            base / _expect(data, "assessment", path, str), language
+        )
     if "theory" in data:
-        session.theory = load_theory(base / data["theory"], language)
-    for name, rel in data.get("models", {}).items():
+        session.theory = load_theory(base / _expect(data, "theory", path, str), language)
+    models = _expect(data, "models", path) if "models" in data else {}
+    for name in models:
+        rel = _expect(models, name, f"{path}: models", str)
         session.models[name] = load_model(base / rel, language, name)
     if "strategies" in data:
-        session.strategies = load_strategies(base / data["strategies"], language)
-    session.choice = data.get("choice")
+        session.strategies = load_strategies(
+            base / _expect(data, "strategies", path, str), language
+        )
+    if "choice" in data:
+        session.choice = _expect(data, "choice", path, str)
     return session

@@ -11,6 +11,12 @@ entailment) are answered by exhaustive valuation bitsets, which is exact
 at the scales this package targets (at most 16 atoms).  Valuation ``i``
 makes atom ``j`` true iff bit ``j`` of ``i`` is set; a formula's bitset
 has bit ``i`` set iff the formula holds under valuation ``i``.
+
+``Language.formula_from_valuations`` renders a valuation set back into a
+formula, in two regimes: up to 4 atoms the smallest disjunction of at
+most 4 prime terms, found by exact search; above 4 atoms, or where no
+such disjunction exists, a Shannon expansion on the atoms whose depth
+is at most 2 * atoms + 2.
 """
 
 from __future__ import annotations
@@ -212,13 +218,13 @@ class Language:
         atoms = tuple(atoms)
         if len(atoms) > MAX_ATOMS:
             raise LogicError(f"at most {MAX_ATOMS} atoms supported, got {len(atoms)}")
-        if len(set(atoms)) != len(atoms):
-            raise LogicError("duplicate atom names")
         for a in atoms:
             if a in ("T", "F"):
                 raise LogicError(f"atom name {a!r} collides with a constant")
-            if not _IDENT.fullmatch(a):
+            if not isinstance(a, str) or not _IDENT.fullmatch(a):
                 raise LogicError(f"invalid atom name {a!r}")
+        if len(set(atoms)) != len(atoms):
+            raise LogicError("duplicate atom names")
         self.atoms = atoms
         self._index = {a: j for j, a in enumerate(atoms)}
         self.n_valuations = 1 << len(atoms)
@@ -321,9 +327,6 @@ class Language:
     def equivalent(self, f: Formula, g: Formula) -> bool:
         return self.sat(f) == self.sat(g)
 
-    def tautology(self, f: Formula) -> bool:
-        return self.sat(f) == self.full_mask
-
     def valuation_atoms(self, i: int) -> dict[str, bool]:
         return {a: bool((i >> j) & 1) for j, a in enumerate(self.atoms)}
 
@@ -348,11 +351,14 @@ class Language:
         rest.
 
         When ``exclude`` is omitted it defaults to the complement of
-        ``include``.  The choice is deterministic: a minimum-size
-        disjunction of product terms, ties broken by total literal count
-        and then text.  Exact minimization runs for up to 4 atoms and
-        cover size 4; beyond that a plain minterm disjunction over
-        ``include`` is returned.
+        ``include``.  The choice is deterministic, in two regimes.  Up to
+        4 atoms, a disjunction of at most 4 prime terms is searched
+        exactly: the fewest terms, ties broken by total literal count and
+        then text.  Above 4 atoms, or where no such cover exists, the
+        result is a Shannon expansion on the atoms, highest first, that
+        uses the free valuations as don't-cares (Coudert & Madre 1990,
+        *restrict*); its depth is at most 2 * atoms + 2, and hash-consing
+        shares its equal subformulas.
         """
         full = self.full_mask
         include &= full
@@ -361,100 +367,85 @@ class Language:
         exclude &= full
         if include & exclude:
             raise LogicError("include and exclude valuation sets overlap")
+        if include and exclude and len(self.atoms) <= 4:
+            terms = self._prime_terms(exclude)
+            for size in range(1, min(len(terms), 4) + 1):
+                best = None
+                for combo in itertools.combinations(terms, size):
+                    covered = 0
+                    for mask, _, _, _ in combo:
+                        covered |= mask
+                    if covered & include == include:
+                        lits = sum(nlit for _, nlit, _, _ in combo)
+                        key = (lits, tuple(sorted(t[2] for t in combo)))
+                        if best is None or key < best[0]:
+                            best = (key, combo)
+                if best is not None:
+                    out = None
+                    for _, _, _, term in sorted(best[1], key=lambda t: t[2]):
+                        out = term if out is None else Or(out, term)
+                    return out
+        return self._restrict(include, exclude, len(self.atoms))
+
+    def _restrict(self, include: int, exclude: int, n: int) -> Formula:
+        """A Shannon expansion on atoms ``n - 1`` down to 0, true on
+        ``include`` and false on ``exclude``, two disjoint sets of the
+        valuations of the first ``n`` atoms.  An atom whose two cofactors
+        agree on every cared-for valuation is dropped."""
         if include == 0:
             return FALSE
         if exclude == 0:
             return TRUE
-        if len(self.atoms) > 4:
-            return self._minterm_dnf(include)
-        terms = self._prime_terms(exclude)
-        best = None
-        for size in range(1, min(len(terms), 4) + 1):
-            for combo in itertools.combinations(terms, size):
-                covered = 0
-                for mask, _, _ in combo:
-                    covered |= mask
-                if covered & include == include:
-                    lits = sum(nlit for _, nlit, _ in combo)
-                    key = (lits, tuple(sorted(t[2] for t in combo)))
-                    if best is None or key < best[0]:
-                        best = (key, combo)
-            if best is not None:
-                break
-        if best is None:
-            chosen = self._greedy_cover(include, terms)
-            if chosen is None:
-                return self._minterm_dnf(include)
-            rendered = sorted(t[2] for t in chosen)
-        else:
-            rendered = sorted(t[2] for t in best[1])
-        out = None
-        for text in rendered:
-            term = self.parse(text)
-            out = term if out is None else Or(out, term)
-        return out
+        n -= 1
+        half = 1 << n  # valuation i + half is valuation i with atom n true
+        low = (1 << half) - 1
+        inc_lo, exc_lo = include & low, exclude & low
+        inc_hi, exc_hi = include >> half, exclude >> half
+        if not (inc_lo & exc_hi or inc_hi & exc_lo):
+            return self._restrict(inc_lo | inc_hi, exc_lo | exc_hi, n)
+        a = Atom(self.atoms[n])
+        lo = self._restrict(inc_lo, exc_lo, n)
+        hi = self._restrict(inc_hi, exc_hi, n)
+        if lo is FALSE:
+            return a if hi is TRUE else And(a, hi)
+        if hi is FALSE:
+            return Not(a) if lo is TRUE else And(Not(a), lo)
+        if hi is TRUE:
+            return Or(a, lo)
+        if lo is TRUE:
+            return Or(Not(a), hi)
+        return Or(And(a, hi), And(Not(a), lo))
 
-    @staticmethod
-    def _greedy_cover(include: int, terms):
-        remaining = include
-        chosen = []
-        while remaining:
-            pick = max(
-                terms,
-                key=lambda t: (bin(t[0] & remaining).count("1"), -t[1], t[2]),
-            )
-            if pick[0] & remaining == 0:
-                return None
-            chosen.append(pick)
-            remaining &= ~pick[0]
-        return chosen
+    def _prime_terms(self, exclude: int) -> list[tuple[int, int, str, Formula]]:
+        """All product terms avoiding a non-empty ``exclude`` that are
+        prime (no literal can be dropped), as (valuation mask, literal
+        count, rendering, term), in order of literal count and then
+        rendering; a term's literals are left-nested in atom order.
 
-    def _minterm_dnf(self, include: int) -> Formula:
-        out = None
-        for i in range(self.n_valuations):
-            if (include >> i) & 1:
-                term = self.minterm(i)
-                out = term if out is None else Or(out, term)
-        return out if out is not None else FALSE
-
-    def _prime_terms(self, exclude: int) -> list[tuple[int, int, str]]:
-        """All product terms avoiding ``exclude`` that are prime (no literal
-        can be dropped), as (valuation mask, literal count, rendering)."""
-        n = len(self.atoms)
-        valid: dict[tuple[int, int], int] = {}
-        for care_atoms in itertools.product((None, False, True), repeat=n):
-            mask = self.full_mask
-            for j, want in enumerate(care_atoms):
-                if want is None:
-                    continue
-                mask &= self._atom_masks[j] if want else (self.full_mask & ~self._atom_masks[j])
-            if mask & exclude:
-                continue
-            care = sum(1 << j for j, w in enumerate(care_atoms) if w is not None)
-            vals = sum(1 << j for j, w in enumerate(care_atoms) if w)
-            valid[(care, vals)] = mask
-        primes = []
-        for (care, vals), mask in valid.items():
-            is_prime = True
-            for j in range(n):
-                if care & (1 << j) and (care & ~(1 << j), vals & ~(1 << j)) in valid:
-                    is_prime = False
-                    break
-            if is_prime:
-                primes.append(((care, vals), mask))
+        Terms grow one atom at a time.  A term that already avoids
+        ``exclude`` is not extended, since no extension of it is prime.
+        So every term one literal short of a grown term was grown too."""
+        # (atoms in the term, atoms true in it) -> valuation mask
+        masks = {(0, 0): self.full_mask}
+        for j, m in enumerate(self._atom_masks):
+            bit = 1 << j
+            for (care, vals), mask in list(masks.items()):
+                if mask & exclude:
+                    masks[care | bit, vals | bit] = mask & m
+                    masks[care | bit, vals] = mask & ~m
         out = []
-        for (care, vals), mask in primes:
-            lits = []
+        for (care, vals), mask in masks.items():
+            if mask & exclude or any(
+                care >> j & 1 and not masks[care & ~(1 << j), vals & ~(1 << j)] & exclude
+                for j in range(len(self.atoms))
+            ):
+                continue
+            term = None
             for j, a in enumerate(self.atoms):
-                if care & (1 << j):
-                    lits.append(a if vals & (1 << j) else f"!{a}")
-            if not lits:
-                text = "T"
-            else:
-                text = lits[0]
-                for lit in lits[1:]:
-                    text = f"({text} & {lit})"
-            out.append((mask, len(lits), text))
+                if care >> j & 1:
+                    lit = Atom(a) if vals >> j & 1 else Not(Atom(a))
+                    term = lit if term is None else And(term, lit)
+            out.append((mask, care.bit_count(), unparse(term), term))
         out.sort(key=lambda t: (t[1], t[2]))
         return out
 
@@ -491,13 +482,6 @@ class Theory:
         """Theory-relative entailment: ``g`` follows from ``f`` plus every
         statement of the theory."""
         return self.language.sat(f) & self.valuations & ~self.language.sat(g) == 0
-
-
-def theory_consistent(language: Language, generators) -> bool:
-    v = language.full_mask
-    for g in generators:
-        v &= language.sat(g)
-    return v != 0
 
 
 def tautological_theory(language: Language) -> Theory:

@@ -26,6 +26,9 @@ The JSON report writer's oracle is the json module's sorted,
 two-space-indented encoding that the CLI used before it.  The formula
 oracle is the frozen-dataclass tree that formulas were before they were
 hash-consed, with a parse that builds it and its own unparse and sat.
+The formula renderer's oracle is ``formula_from_valuations`` as it ran
+before the Shannon expansion: an exact search for a cover of at most 4
+prime terms, then a greedy prime cover, then a minterm disjunction.
 """
 
 from __future__ import annotations
@@ -239,6 +242,149 @@ def _tree_eval(t: TreeFormula, assignment: dict[str, bool]) -> bool:
     if isinstance(t, TreeAnd):
         return _tree_eval(t.left, assignment) and _tree_eval(t.right, assignment)
     return _tree_eval(t.left, assignment) or _tree_eval(t.right, assignment)
+
+
+# -- the formula renderer, as it ran before the Shannon expansion ---------
+
+
+def _prime_terms_oracle(lang: Language, exclude: int) -> list[tuple[int, int, str]]:
+    """All product terms avoiding ``exclude`` that are prime (no literal
+    can be dropped), as (valuation mask, literal count, rendering)."""
+    n = len(lang.atoms)
+    valid: dict[tuple[int, int], int] = {}
+    for care_atoms in itertools.product((None, False, True), repeat=n):
+        mask = lang.full_mask
+        for j, want in enumerate(care_atoms):
+            if want is None:
+                continue
+            mask &= lang._atom_masks[j] if want else (lang.full_mask & ~lang._atom_masks[j])
+        if mask & exclude:
+            continue
+        care = sum(1 << j for j, w in enumerate(care_atoms) if w is not None)
+        vals = sum(1 << j for j, w in enumerate(care_atoms) if w)
+        valid[(care, vals)] = mask
+    primes = []
+    for (care, vals), mask in valid.items():
+        is_prime = True
+        for j in range(n):
+            if care & (1 << j) and (care & ~(1 << j), vals & ~(1 << j)) in valid:
+                is_prime = False
+                break
+        if is_prime:
+            primes.append(((care, vals), mask))
+    out = []
+    for (care, vals), mask in primes:
+        lits = []
+        for j, a in enumerate(lang.atoms):
+            if care & (1 << j):
+                lits.append(a if vals & (1 << j) else f"!{a}")
+        if not lits:
+            text = "T"
+        else:
+            text = lits[0]
+            for lit in lits[1:]:
+                text = f"({text} & {lit})"
+        out.append((mask, len(lits), text))
+    out.sort(key=lambda t: (t[1], t[2]))
+    return out
+
+
+def _greedy_cover(include: int, terms):
+    remaining = include
+    chosen = []
+    while remaining:
+        pick = max(
+            terms,
+            key=lambda t: (bin(t[0] & remaining).count("1"), -t[1], t[2]),
+        )
+        if pick[0] & remaining == 0:
+            return None
+        chosen.append(pick)
+        remaining &= ~pick[0]
+    return chosen
+
+
+def _minterm_dnf(lang: Language, include: int) -> Formula:
+    out = None
+    for i in range(lang.n_valuations):
+        if (include >> i) & 1:
+            term = lang.minterm(i)
+            out = term if out is None else Or(out, term)
+    return out if out is not None else FALSE
+
+
+def _oracle_sets(lang: Language, include: int, exclude: int | None) -> tuple[int, int]:
+    full = lang.full_mask
+    include &= full
+    exclude = full & ~include if exclude is None else exclude & full
+    if include & exclude:
+        raise ValueError("include and exclude valuation sets overlap")
+    return include, exclude
+
+
+def exact_cover_oracle(lang: Language, include: int, exclude: int | None = None):
+    """The renderer's exact search as it ran before the Shannon expansion:
+    the cover of at most 4 prime terms it chose, parsed back from its
+    text, or None above 4 atoms or where no such cover exists (the
+    constants ``T`` and ``F`` are covers)."""
+    include, exclude = _oracle_sets(lang, include, exclude)
+    if include == 0:
+        return FALSE
+    if exclude == 0:
+        return TRUE
+    if len(lang.atoms) > 4:
+        return None
+    terms = _prime_terms_oracle(lang, exclude)
+    best = None
+    for size in range(1, min(len(terms), 4) + 1):
+        for combo in itertools.combinations(terms, size):
+            covered = 0
+            for mask, _, _ in combo:
+                covered |= mask
+            if covered & include == include:
+                lits = sum(nlit for _, nlit, _ in combo)
+                key = (lits, tuple(sorted(t[2] for t in combo)))
+                if best is None or key < best[0]:
+                    best = (key, combo)
+        if best is not None:
+            break
+    if best is None:
+        return None
+    return _join(lang, sorted(t[2] for t in best[1]))
+
+
+def _join(lang: Language, texts) -> Formula:
+    out = None
+    for text in texts:
+        term = lang.parse(text)
+        out = term if out is None else Or(out, term)
+    return out
+
+
+def formula_from_valuations_oracle(lang: Language, include: int, exclude: int | None = None):
+    """``Language.formula_from_valuations`` as it ran before the Shannon
+    expansion: the exact cover, else a greedy prime cover, and above 4
+    atoms a left-nested minterm disjunction."""
+    exact = exact_cover_oracle(lang, include, exclude)
+    if exact is not None:
+        return exact
+    include, exclude = _oracle_sets(lang, include, exclude)
+    if len(lang.atoms) > 4:
+        return _minterm_dnf(lang, include)
+    chosen = _greedy_cover(include, _prime_terms_oracle(lang, exclude))
+    if chosen is None:
+        return _minterm_dnf(lang, include)
+    return _join(lang, sorted(t[2] for t in chosen))
+
+
+def formula_depth(f: Formula, depths: dict | None = None) -> int:
+    """The most nodes on a path from ``f`` down to an atom or constant,
+    each shared subformula measured once."""
+    depths = {} if depths is None else depths
+    if f not in depths:
+        kids = [getattr(f, name) for name in ("child", "left", "right") if hasattr(f, name)]
+        depths[f] = 1 + max((formula_depth(k, depths) for k in kids), default=0)
+    return depths[f]
 
 
 def mobius_oracle(states, lam) -> dict[frozenset, Fraction]:

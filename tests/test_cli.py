@@ -1,4 +1,6 @@
 import json
+import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -341,3 +343,112 @@ class TestModelFileChecks:
         res = invoke(runner, "mobius", session)
         assert res.exit_code == 2
         assert f"key 'format' must be 'text' or 'json', got {fmt!r}" in res.output
+
+
+class TestMalformedSessions:
+    """Session shapes that are wrong exit 2 with a one-line error naming
+    the key or file, never 1 with a traceback."""
+
+    def session(self, tmp_path, **keys):
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps({"atoms": ["p"], **keys}))
+        return path
+
+    def assert_input_error(self, res, message):
+        assert res.exit_code == 2
+        assert res.output.count("\n") == 1 and message in res.output
+        assert "Traceback" not in res.output
+
+    def test_models_given_as_a_list(self, runner, tmp_path):
+        session = self.session(tmp_path, models=["model.json"])
+        res = invoke(runner, "mobius", session)
+        self.assert_input_error(res, "key 'models' must be a dict")
+
+    def test_model_path_not_a_string(self, runner, tmp_path):
+        session = self.session(tmp_path, models={"m": 5})
+        self.assert_input_error(invoke(runner, "mobius", session), "key 'm' must be a str")
+
+    @pytest.mark.parametrize("key", ["assessment", "theory", "strategies"])
+    def test_file_path_not_a_string(self, runner, tmp_path, key):
+        res = invoke(runner, "check", self.session(tmp_path, **{key: 5}))
+        self.assert_input_error(res, f"key {key!r} must be a str")
+
+    def test_strategies_file_given_as_a_list(self, runner, tmp_path):
+        (tmp_path / "strategies.json").write_text(json.dumps([{"payoffs": {"p": "1"}}]))
+        session = self.session(tmp_path, strategies="strategies.json", choice="s1")
+        res = invoke(runner, "rationalize", session)
+        self.assert_input_error(res, "strategies.json: the top level must be a JSON object")
+
+    def test_strategy_body_not_an_object(self, runner, tmp_path):
+        (tmp_path / "strategies.json").write_text(json.dumps({"s1": 5}))
+        session = self.session(tmp_path, strategies="strategies.json", choice="s1")
+        res = invoke(runner, "rationalize", session)
+        self.assert_input_error(res, "key 's1' must be a dict")
+
+    def test_payoff_file_given_as_a_list(self, runner, tmp_path):
+        act = tmp_path / "act.json"
+        act.write_text(json.dumps(["3", "4", "2"]))
+        res = invoke(
+            runner, "choquet", FIXTURES / "strategies" / "session-maps.json",
+            "--model", "capacity", "--act", act,
+        )
+        self.assert_input_error(res, "act.json: the top level must be a JSON object")
+
+    @pytest.mark.parametrize("choice", [5, ["s1"], None])
+    def test_choice_not_a_string(self, runner, tmp_path, choice):
+        session = FIXTURES / "strategies" / "session-rationalize.json"
+        data = json.loads(session.read_text())
+        for key in ("models", "strategies"):
+            value = data[key]
+            data[key] = (
+                {k: str(session.parent / v) for k, v in value.items()}
+                if isinstance(value, dict) else str(session.parent / value)
+            )
+        data["choice"] = choice
+        (tmp_path / "session.json").write_text(json.dumps(data))
+        res = invoke(runner, "rationalize", tmp_path / "session.json")
+        self.assert_input_error(res, "key 'choice' must be a str")
+
+    @pytest.mark.parametrize("key", ["lambda", "mass"])
+    def test_model_table_given_as_a_list(self, runner, tmp_path, key):
+        (tmp_path / "model.json").write_text(json.dumps({"states": ["a"], "t": {}, key: ["1"]}))
+        session = self.session(tmp_path, models={"m": "model.json"})
+        self.assert_input_error(invoke(runner, "mobius", session), f"key {key!r} must be a dict")
+
+    def test_atom_not_a_string(self, runner, tmp_path):
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps({"atoms": [["p"]]}))
+        self.assert_input_error(invoke(runner, "mobius", path), "invalid atom name ['p']")
+
+    def test_generator_not_a_string(self, runner, tmp_path):
+        (tmp_path / "theory.json").write_text(json.dumps({"generators": [5]}))
+        res = invoke(runner, "check", self.session(tmp_path, theory="theory.json"))
+        self.assert_input_error(res, "every generator must be a formula string")
+
+
+class TestOversizedValues:
+    def test_mobius_mass_past_the_digit_limit_is_input_error(self, runner, tmp_path):
+        # lam(S) = (|S| + 1/d_S) / 5 with distinct 400-digit d_S: the
+        # full set's Mobius mass has a denominator of thousands of digits
+        rng = random.Random(4)
+        states = ["a", "b", "c", "d"]
+        lam = {"a|b|c|d": "1"}
+        for ev in range(1, 15):
+            d = rng.randrange(10**399, 10**400)
+            value = (ev.bit_count() + Fraction(1, d)) / 5
+            lam["|".join(s for i, s in enumerate(states) if ev >> i & 1)] = str(value)
+        (tmp_path / "model.json").write_text(json.dumps({"states": states, "t": {}, "lambda": lam}))
+        session = tmp_path / "session.json"
+        session.write_text(json.dumps({"atoms": ["p"], "models": {"m": "model.json"}}))
+        for fmt in ("text", "json"):
+            res = invoke(runner, "--format", fmt, "mobius", session)
+            assert res.exit_code == 2
+            assert res.output == (
+                f"error: an exact value has more than {sys.get_int_max_str_digits()} "
+                "decimal digits, more than Python writes as text\n"
+            )
+        # the same values load and integrate: only writing them fails
+        act = tmp_path / "act.json"
+        act.write_text(json.dumps({s: "1" for s in states}))
+        res = invoke(runner, "choquet", session, "--act", act)
+        assert res.exit_code == 0 and "choquet integral: 1" in res.output

@@ -8,7 +8,8 @@ and its builders against the frozenset model and builders they
 replaced, of model file loading against the ``Fraction`` loader it
 replaced, of the CLI's JSON report writer against the json module, and
 of hash-consed formulas against the frozen-dataclass trees they
-replaced."""
+replaced, and of the formula renderer against the exact, greedy and
+minterm covers it replaced."""
 
 import itertools
 import json
@@ -78,6 +79,9 @@ from helpers import (
     represents_oracle,
     check_ie_oracle,
     check_s_i_oracle,
+    exact_cover_oracle,
+    formula_depth,
+    formula_from_valuations_oracle,
     full_closure_classes,
     inverse_mobius_oracle,
     json_text_oracle,
@@ -879,3 +883,57 @@ def test_interned_parse_matches_the_tree_parse(text, data):
     other = data.draw(FORMULA_TEXTS | st.just(text.replace(" ", "")) | st.just(unparse(f)))
     g, other_tree = PQR.parse(other), tree_parse(PQR, other)
     assert (f == g) == (f is g) == (tree == other_tree)
+
+
+@st.composite
+def valuation_sets(draw):
+    """A language of 1-16 atoms and disjoint include and exclude sets on
+    it; without don't-cares the exclude set is None, the complement.  At
+    most 256 valuations each valuation is drawn at one density; above
+    that, up to 300 valuations are sampled for each set."""
+    # half the draws at the 1-4 atoms where the exact search runs
+    n = draw(st.integers(min_value=1, max_value=4) | st.integers(min_value=1, max_value=16))
+    lang = Language([f"a{j}" for j in range(n)])  # each its own sat cache
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    dont_cares = draw(st.booleans())
+    nv = lang.n_valuations
+
+    def pick(free: int) -> int:
+        if nv <= 256:
+            p = rng.choice((0.1, 0.5, 0.9))
+            return sum(1 << i for i in range(nv) if free >> i & 1 and rng.random() < p)
+        return sum(1 << i for i in rng.sample(range(nv), rng.randrange(300)) if free >> i & 1)
+
+    include = pick(lang.full_mask)
+    exclude = pick(lang.full_mask & ~include) if dont_cares else None
+    return lang, include, exclude
+
+
+@given(valuation_sets())
+@settings(max_examples=300, deadline=None)
+def test_renderer_matches_the_exact_cover_and_bounds_its_depth(case):
+    lang, include, exclude = case
+    f = lang.formula_from_valuations(include, exclude)
+    excluded = lang.full_mask & ~include if exclude is None else exclude
+    bits = lang.sat(f)
+    assert bits & include == include
+    assert bits & excluded == 0
+    assert formula_depth(f) <= 2 * len(lang.atoms) + 2
+    exact = exact_cover_oracle(lang, include, exclude)
+    if exact is not None:
+        assert unparse(f) == unparse(exact)
+    if len(lang.atoms) <= 6:  # the oracle's minterm disjunction stays shallow
+        care = include | excluded
+        assert lang.sat(formula_from_valuations_oracle(lang, include, exclude)) & care == include
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_renderer_matches_the_exact_cover_on_every_set_to_three_atoms(n):
+    # each valuation included, excluded or free: 3^(2^n) cases, and an
+    # exact cover of at most 4 terms exists for every one of them
+    lang = Language([f"a{j}" for j in range(n)])
+    for roles in itertools.product((0, 1, 2), repeat=lang.n_valuations):
+        include = sum(1 << i for i, r in enumerate(roles) if r == 1)
+        exclude = sum(1 << i for i, r in enumerate(roles) if r == 2)
+        want = exact_cover_oracle(lang, include, exclude)
+        assert unparse(lang.formula_from_valuations(include, exclude)) == unparse(want)

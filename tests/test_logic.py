@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import random
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -25,9 +26,9 @@ from credence.logic import (
     Theory,
     UndeclaredAtomError,
     tautological_theory,
-    theory_consistent,
     unparse,
 )
+from credence.identify import _theory_for_valuations
 
 from helpers import truth_table_implies
 
@@ -238,17 +239,16 @@ class TestEquivalence:
 
 class TestTheory:
     def test_contradictory_generators(self):
-        assert not theory_consistent(P, [Atom("p"), Not(Atom("p"))])
         with pytest.raises(InconsistentTheoryError):
             Theory(P, [Atom("p"), Not(Atom("p"))])
 
     def test_water_theory_consistent(self):
-        assert theory_consistent(PQ, [PQ.parse("(!q | p)")])
+        assert Theory(PQ, [PQ.parse("(!q | p)")]).valuations != 0
 
     def test_voting_rules_consistent(self):
         lang = Language(["r", "b", "p"])
         gens = [lang.parse("(r <-> !b)"), lang.parse("(p -> b)")]
-        assert theory_consistent(lang, gens)
+        assert Theory(lang, gens).valuations != 0
 
     def test_contains_weakening(self):
         t = Theory(PQ, [Atom("p")])
@@ -320,3 +320,17 @@ class TestFormulaFromValuations:
         assert lang.parse("T") == TRUE
         assert lang.sat(TRUE) == 1
         assert lang.formula_from_valuations(1) == TRUE
+
+    @pytest.mark.parametrize("atoms, count", [(10, 1000), (16, 5000)])
+    def test_large_sets_render_and_evaluate(self, atoms, count):
+        # a left-nested minterm disjunction of this many valuations made
+        # unparse and sat recurse past the interpreter's limit
+        lang = Language([f"a{j}" for j in range(atoms)])
+        include = sum(1 << i for i in random.Random(atoms).sample(range(lang.n_valuations), count))
+        f = lang.formula_from_valuations(include)
+        text = unparse(f)
+        assert lang.sat(f) == include
+        assert Language(lang.atoms).sat(lang.parse(text)) == include
+        theory, texts = _theory_for_valuations(lang, include, tautological_theory(lang))
+        assert texts == (text,)
+        assert theory.valuations == include
