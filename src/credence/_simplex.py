@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InternalError
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -200,7 +202,9 @@ def solve_matrix_game(matrix) -> GameSolution:
 
     Solved by shifting the matrix positive and maximizing ``sum(z)``
     subject to ``G z <= 1``; the column mixture is the scaled primal
-    solution and the row mixture the scaled duals.
+    solution and the row mixture the scaled duals.  Every shifted entry
+    is at least 1, so that LP is feasible and bounded with a positive
+    optimum; any other outcome is an ``InternalError``.
     """
     g = [list(map(Fraction, row)) for row in matrix]
     if not g or not g[0]:
@@ -212,7 +216,7 @@ def solve_matrix_game(matrix) -> GameSolution:
     shift = ONE - min(min(row) for row in g)
     res = maximize([ONE] * n, [[v + shift for v in row] for row in g], [ONE] * m)
     if res.status != "optimal" or res.value <= 0:
-        raise SimplexError("degenerate game tableau")
+        raise InternalError(f"internal: the game's LP came back {res.status}, value {res.value}")
     u = res.value
     return GameSolution(
         ONE / u - shift, [v / u for v in res.duals], [v / u for v in res.x]

@@ -3,8 +3,12 @@
 Commands operate on a session file that names the atom set and the
 input files (assessment, theory, models, strategies).  Exit codes:
 0 = pass/success, 1 = substantive failure (axiom violation, strategy
-not rationalizable, refused identification), 2 = input error, 3 = an
-internal invariant failed (a bug, never the input's fault).
+not rationalizable, refused build or identification), 2 = input error,
+3 = an internal invariant failed (a bug, never the input's fault).
+Commands report only their verdicts; ``_Main.invoke`` maps every other
+error to its exit code in one table: an ``INPUT_ERRORS`` exception
+exits 2, an ``InternalError`` exits 3, and anything else is a bug and
+ends in a traceback.
 Reports are deterministic: statements in text order, rationals reduced.
 """
 
@@ -23,6 +27,12 @@ from .logic import LogicError
 from .model import ModelError, choquet, inverse_mobius, mobius
 
 PASS, FAIL, BAD_INPUT, INTERNAL = 0, 1, 2, 3
+
+# every error that says the input is wrong; each exits BAD_INPUT
+INPUT_ERRORS = (
+    files.FileFormatError, LogicError, ModelError, axioms.AssessmentError,
+    games.GamesError, identify.IdentifyError,
+)
 
 AXIOM_ORDER = ["nt", "e", "i", "ie", "a", "s-i"]
 AXIOM_TITLES = {
@@ -109,17 +119,27 @@ def _fail_input(message: str):
     sys.exit(BAD_INPUT)
 
 
-def _load_session(path) -> files.Session:
-    try:
-        return files.load_session(path)
-    except (files.FileFormatError, LogicError, ModelError, axioms.AssessmentError, ValueError) as e:
-        _fail_input(str(e))
+def _session(ctx: _Ctx, path, theory_path=None, assessment=True) -> files.Session:
+    """The session file at ``path``, with the theory file at
+    ``theory_path`` in place of its own when one is given; it sets the
+    report format unless ``--format`` did.  With ``assessment``, a
+    session that declares none is an input error."""
+    session = files.load_session(path)
+    if ctx.format is None:
+        ctx.format = session.output_format
+    if assessment and session.assessment is None:
+        _fail_input("session declares no assessment")
+    if theory_path:
+        session.theory = files.load_theory(Path(theory_path), session.language)
+    return session
 
 
 class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except INPUT_ERRORS as e:
+            _fail_input(str(e))
         except InternalError as e:
             click.echo(f"error: {e}", err=True)
             sys.exit(INTERNAL)
@@ -143,11 +163,6 @@ def main(ctx, output_format):
     understood implications, and test rationalizability."""
     ctx.obj = _Ctx()
     ctx.obj.format = output_format
-
-
-def _resolve_format(ctx: _Ctx, session: files.Session):
-    if ctx.format is None:
-        ctx.format = session.output_format
 
 
 def _report_lines(report) -> list[str]:
@@ -176,29 +191,20 @@ def _report_lines(report) -> list[str]:
 @click.pass_obj
 def check(ctx, session_file, which, theory_path, n_max):
     """Check axioms (any of: nt e i ie a s-i; default all applicable)."""
-    session = _load_session(session_file)
-    _resolve_format(ctx, session)
-    if session.assessment is None:
-        _fail_input("session declares no assessment")
-    theory = session.theory
-    if theory_path:
-        try:
-            theory = files.load_theory(Path(theory_path), session.language)
-        except (files.FileFormatError, LogicError) as e:
-            _fail_input(str(e))
+    session = _session(ctx, session_file, theory_path)
     which = [w.lower() for w in which]
     for w in which:
         if w not in AXIOM_ORDER:
             _fail_input(f"unknown axiom {w!r}; choose from {' '.join(AXIOM_ORDER)}")
     if not which:
-        which = [a for a in AXIOM_ORDER if a != "s-i" or theory is not None]
-    if "s-i" in which and theory is None:
+        which = [a for a in AXIOM_ORDER if a != "s-i" or session.theory is not None]
+    if "s-i" in which and session.theory is None:
         _fail_input("the s-i check needs a theory file")
 
     reports = []
     for w in which:
         if w == "s-i":
-            reports.append(axioms.check_s_i(session.assessment, theory))
+            reports.append(axioms.check_s_i(session.assessment, session.theory))
         elif w == "ie":
             reports.append(axioms.check_ie(session.assessment, n_max=n_max))
         else:
@@ -224,30 +230,24 @@ def check(ctx, session_file, which, theory_path, n_max):
 @click.pass_obj
 def build(ctx, session_file, construction, out, model_name, complete_maxent):
     """Build a representing model and print its certificate."""
-    session = _load_session(session_file)
-    _resolve_format(ctx, session)
+    lift = construction == "belief-lift"
+    session = _session(ctx, session_file, assessment=not lift)
     try:
-        if construction == "belief-lift":
-            source = session.model(model_name)
-            outcome = construct.build_belief_lift(source, session.assessment)
+        if lift:
+            outcome = construct.build_belief_lift(
+                session.model(model_name), session.assessment
+            )
+        elif construction == "additive-sound":
+            outcome = construct.build_additive_sound(
+                session.assessment, complete_maxent=complete_maxent
+            )
         else:
-            if session.assessment is None:
-                _fail_input("session declares no assessment")
-            if construction == "additive-sound":
-                outcome = construct.build_additive_sound(
-                    session.assessment, complete_maxent=complete_maxent
-                )
-            else:
-                outcome = construct.BUILDERS[construction](session.assessment)
+            outcome = construct.BUILDERS[construction](session.assessment)
     except construct.BuildError as e:
         click.echo(f"build failed: {e}", err=True)
         sys.exit(FAIL)
-    except (files.FileFormatError, ModelError) as e:
-        _fail_input(str(e))
     if out:
-        text = _json_text(files.model_to_dict(outcome.model))
-        with open(out, "w") as fh:
-            fh.write(text)
+        files.write_text(out, _json_text(files.model_to_dict(outcome.model)))
 
     def payload():
         body = {"command": "build", **outcome.to_dict()}
@@ -276,20 +276,9 @@ def build(ctx, session_file, construction, out, model_name, complete_maxent):
 def identify_cmd(ctx, session_file, theory_path):
     """List which entailments the assessment respects; with a theory,
     identify the largest understood sub-theory."""
-    session = _load_session(session_file)
-    _resolve_format(ctx, session)
-    if session.assessment is None:
-        _fail_input("session declares no assessment")
+    session = _session(ctx, session_file, theory_path)
     theory = session.theory
-    if theory_path:
-        try:
-            theory = files.load_theory(Path(theory_path), session.language)
-        except (files.FileFormatError, LogicError) as e:
-            _fail_input(str(e))
-    try:
-        verdicts = identify.understood_implications(session.assessment)
-    except identify.IdentifyError as e:
-        _fail_input(str(e))
+    verdicts = identify.understood_implications(session.assessment)
     misunderstood = [v for v in verdicts if not v.understood]
     lines = [f"implications within the universe: {len(verdicts)}"]
     for v in misunderstood:
@@ -344,29 +333,17 @@ def identify_cmd(ctx, session_file, theory_path):
 @click.pass_obj
 def rationalize(ctx, session_file, choice, model_name, additive_only, weak):
     """Decide whether the chosen strategy is rationalizable."""
-    session = _load_session(session_file)
-    _resolve_format(ctx, session)
-    if not session.strategies:
-        _fail_input("session declares no strategies")
-    choice = choice or session.choice
-    if choice is None:
-        _fail_input("no strategy chosen; set 'choice' in the session or pass --choice")
-    by_name = {s.name: s for s in session.strategies}
-    if choice not in by_name:
-        _fail_input(f"no strategy named {choice!r}")
-    try:
-        model = session.model(model_name)
-        result = games.rationalizable(
-            by_name[choice],
-            session.strategies,
-            model,
-            additive_only=additive_only,
-            weak=weak,
-        )
-    except (games.GamesError, files.FileFormatError, ModelError) as e:
-        _fail_input(str(e))
+    session = _session(ctx, session_file, assessment=False)
+    strategy = session.strategy(choice)
+    result = games.rationalizable(
+        strategy,
+        session.strategies,
+        session.model(model_name),
+        additive_only=additive_only,
+        weak=weak,
+    )
     lines = [
-        f"strategy {choice}: "
+        f"strategy {strategy.name}: "
         + ("rationalizable" if result.rationalizable else "NOT rationalizable")
         + f" ({result.mode})"
     ]
@@ -388,14 +365,8 @@ def rationalize(ctx, session_file, choice, model_name, additive_only, weak):
 @click.pass_obj
 def choquet_cmd(ctx, session_file, model_name, act_path):
     """Choquet integral of a state payoff vector under a model's appraisal."""
-    session = _load_session(session_file)
-    _resolve_format(ctx, session)
-    try:
-        model = session.model(model_name)
-        vec = files.load_payoff_vector(Path(act_path), model)
-        value = choquet(model, vec)
-    except (files.FileFormatError, ModelError) as e:
-        _fail_input(str(e))
+    model = _session(ctx, session_file, assessment=False).model(model_name)
+    value = choquet(model, files.load_payoff_vector(Path(act_path), model))
     _emit(ctx, lambda: {"command": "choquet", "value": str(value)},
           lambda: [f"choquet integral: {value}"])
     sys.exit(PASS)
@@ -409,23 +380,17 @@ def choquet_cmd(ctx, session_file, model_name, act_path):
 @click.pass_obj
 def mobius_cmd(ctx, session_file, model_name, invert):
     """Mobius masses of a model's appraisal (or the appraisal from masses)."""
-    session = _load_session(session_file)
-    _resolve_format(ctx, session)
-    try:
-        model = session.model(model_name)
-        if invert:
-            if model.mass is None:
-                _fail_input("model carries no masses to invert")
-            values = inverse_mobius(
-                {1 << i: v for i, v in enumerate(model.mass)}, len(model.states)
-            )
-            title = "appraisal from masses"
-        else:
-            values = {ev: v for ev, v in mobius(model).items() if v != 0}
-            title = "mobius masses (zeros omitted)"
-        out = {label: str(v) for label, v in model.labelled(values)}
-    except ModelError as e:
-        _fail_input(str(e))
+    model = _session(ctx, session_file, assessment=False).model(model_name)
+    if invert:
+        if model.mass is None:
+            _fail_input("model carries no masses to invert")
+        masses = {1 << i: v for i, v in enumerate(model.mass)}
+        values = inverse_mobius(masses, len(model.states))
+        title = "appraisal from masses"
+    else:
+        values = {ev: v for ev, v in mobius(model).items() if v != 0}
+        title = "mobius masses (zeros omitted)"
+    out = {label: str(v) for label, v in model.labelled(values)}
     lines = [f"{title}:"] + [f"  {k or '(empty)'}: {v}" for k, v in out.items()]
     _emit(ctx, lambda: {"command": "mobius", "values": out}, lambda: lines)
     sys.exit(PASS)

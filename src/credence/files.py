@@ -52,14 +52,14 @@ def rational_pair(value) -> tuple[int, int]:
     if isinstance(value, str):
         num, slash, den = value.partition("/")
         digits = num[1:] if num[:1] == "-" else num
-        if value.isascii() and digits.isdigit() and (den.isdigit() or not slash):
-            if not slash:
-                return int(num), 1
-            num, den = int(num), int(den)
-            if den:
-                g = math.gcd(num, den)
-                return num // g, den // g
-        try:
+        try:  # int() past the digit limit raises ValueError too
+            if value.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+                if not slash:
+                    return int(num), 1
+                num, den = int(num), int(den)
+                if den:
+                    g = math.gcd(num, den)
+                    return num // g, den // g
             q = Fraction(value)
         except (ValueError, ZeroDivisionError) as e:
             raise FileFormatError(f"bad rational {value!r}: {e}") from None
@@ -92,9 +92,22 @@ def _read_json(path: Path) -> dict:
         raise FileFormatError(f"file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise FileFormatError(f"invalid JSON in {path}: {e}") from None
+    # a directory, a NUL byte in the path, bytes that are not UTF-8, nesting too deep
+    except (OSError, ValueError, RecursionError) as e:
+        raise FileFormatError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from None
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: the top level must be a JSON object")
     return data
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to the file at ``path``; a path that cannot be
+    written is a FileFormatError."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except (OSError, ValueError) as e:
+        raise FileFormatError(f"cannot write {path}: {getattr(e, 'strerror', None) or e}") from None
 
 
 def _expect(data, key, path, kind=dict):
@@ -170,7 +183,7 @@ def load_model(path: Path, language: Language, name: str | None = None) -> Subje
     model holds them as bit masks, and appraisal values and masses as
     int numerators over the common denominator of them all."""
     data = _read_json(path)
-    states = _expect(data, "states", path, list)
+    states = check_states(_expect(data, "states", path, list))
     index = {s: i for i, s in enumerate(states)}
     truth_labels = {
         language.parse(text): labels for text, labels in _expect(data, "t", path).items()
@@ -184,9 +197,10 @@ def load_model(path: Path, language: Language, name: str | None = None) -> Subje
         for num, den in map(rational_pair, data["mass"].values()):
             nums.append(num)
             dens.append(den)
-    check_states(states)
     truth = {}
     for f, labels in truth_labels.items():
+        if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+            raise ModelError(f"truth event for {unparse(f)} must be a list of state labels")
         truth[f] = _mask(labels, index)
         if truth[f] is None:
             raise ModelError(f"truth event for {unparse(f)} mentions unknown states")
@@ -283,6 +297,20 @@ class Session:
         if name not in self.models:
             raise FileFormatError(f"no model named {name!r} in session")
         return self.models[name]
+
+    def strategy(self, name: str | None) -> Strategy:
+        """The strategy called ``name``, or the session's choice without one."""
+        if not self.strategies:
+            raise FileFormatError("session declares no strategies")
+        name = name or self.choice
+        if name is None:
+            raise FileFormatError(
+                "no strategy chosen; set 'choice' in the session or pass --choice"
+            )
+        for s in self.strategies:
+            if s.name == name:
+                return s
+        raise FileFormatError(f"no strategy named {name!r}")
 
 
 def load_session(path) -> Session:

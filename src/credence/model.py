@@ -53,15 +53,17 @@ def bits(mask: int) -> list[int]:
 
 def check_states(states) -> tuple[str, ...]:
     """The state labels as a tuple, once they are known to be nonempty,
-    distinct and free of the event separator '|'."""
+    strings, distinct and free of the event separator '|'."""
     states = tuple(states)
     if not states:
         raise ModelError("a model needs at least one state")
-    if len(set(states)) != len(states):
-        raise ModelError("duplicate state labels")
     for s in states:
+        if not isinstance(s, str):
+            raise ModelError(f"state label {s!r} is not a string")
         if "|" in s:
             raise ModelError(f"state label {s!r} may not contain '|'")
+    if len(set(states)) != len(states):
+        raise ModelError("duplicate state labels")
     return states
 
 

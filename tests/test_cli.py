@@ -252,6 +252,20 @@ class TestInternalErrors:
         assert res.exit_code == 3
         assert "internal: built model fails to reproduce" in res.output
 
+    def test_unsolved_matrix_game_exits_3(self, runner, monkeypatch):
+        # the shifted game's LP is always optimal with a positive value
+        from credence import _simplex
+
+        monkeypatch.setattr(
+            _simplex, "maximize", lambda *args: _simplex.LpResult("unbounded", None, None)
+        )
+        res = invoke(
+            runner, "rationalize", FIXTURES / "strategies" / "session-rationalize.json",
+            "--additive-only",
+        )
+        assert res.exit_code == 3
+        assert res.output == "error: internal: the game's LP came back unbounded, value None\n"
+
     @pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, {1: "x"}],
                              ids=["fraction", "float", "int key"])
     def test_unwritable_report_exits_3(self, runner, monkeypatch, value):
@@ -424,6 +438,57 @@ class TestMalformedSessions:
         (tmp_path / "theory.json").write_text(json.dumps({"generators": [5]}))
         res = invoke(runner, "check", self.session(tmp_path, theory="theory.json"))
         self.assert_input_error(res, "every generator must be a formula string")
+
+    def test_session_path_is_a_directory(self, runner, tmp_path):
+        res = invoke(runner, "check", tmp_path)
+        self.assert_input_error(res, f"error: cannot read {tmp_path}: Is a directory")
+
+    def test_out_path_is_a_directory(self, runner, tmp_path):
+        res = invoke(runner, "build", FIXTURES / "linda" / "session.json", "product",
+                     "--out", tmp_path)
+        self.assert_input_error(res, f"error: cannot write {tmp_path}: Is a directory")
+
+    def test_nul_byte_in_a_path(self, runner, tmp_path):
+        session = self.session(tmp_path, assessment="assessment\0.json")
+        self.assert_input_error(invoke(runner, "check", session), ": embedded null byte")
+
+    def test_file_not_utf8(self, runner, tmp_path):
+        (tmp_path / "theory.json").write_bytes(b'{"generators": ["\xff"]}')
+        res = invoke(runner, "check", self.session(tmp_path, theory="theory.json"))
+        self.assert_input_error(res, "theory.json: 'utf-8' codec can't decode byte 0xff")
+
+    def test_json_nested_too_deep(self, runner, tmp_path):
+        (tmp_path / "theory.json").write_text("[" * 100_000)
+        res = invoke(runner, "check", self.session(tmp_path, theory="theory.json"))
+        self.assert_input_error(res, "theory.json: maximum recursion depth exceeded")
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit")
+    def test_integer_past_the_digit_limit(self, runner, tmp_path):
+        digits = "7" * (sys.get_int_max_str_digits() + 1)
+        (tmp_path / "assessment.json").write_text(
+            json.dumps({"atoms": ["p"], "pi": {"p": f"1/{digits}"}})
+        )
+        res = invoke(runner, "check", self.session(tmp_path, assessment="assessment.json"))
+        self.assert_input_error(res, "error: bad rational '1/777")
+
+    @pytest.mark.parametrize("command", [["mobius"], ["choquet", "--act", "act.json"],
+                                         ["build", "belief-lift"], ["rationalize"]])
+    def test_session_without_models(self, runner, tmp_path, command):
+        (tmp_path / "strategies.json").write_text(json.dumps({"s": {"payoffs": {"p": "1"}}}))
+        session = self.session(tmp_path, strategies="strategies.json", choice="s")
+        res = invoke(runner, command[0], session, *command[1:])
+        self.assert_input_error(res, "error: session declares no model files")
+
+    @pytest.mark.parametrize("keys, choice, message", [
+        ({}, "s", "session declares no strategies"),
+        ({"strategies": "strategies.json"}, None,
+         "no strategy chosen; set 'choice' in the session or pass --choice"),
+    ])
+    def test_strategy_not_chosen(self, runner, tmp_path, keys, choice, message):
+        (tmp_path / "strategies.json").write_text(json.dumps({"s": {"payoffs": {"p": "1"}}}))
+        session = self.session(tmp_path, **keys)
+        res = invoke(runner, "rationalize", session, *(["--choice", choice] if choice else []))
+        self.assert_input_error(res, f"error: {message}")
 
 
 class TestOversizedValues:

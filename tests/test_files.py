@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,17 @@ class TestRationals:
     ])
     def test_pair_in_lowest_terms(self, value, pair):
         assert rational_pair(value) == pair
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit")
+    @pytest.mark.parametrize("form", ["{n}", "-{n}", "1/{n}", "{n}/3"])
+    def test_integers_past_the_digit_limit_are_bad_rationals(self, form):
+        # the int fast path reports them as Fraction's parser does
+        text = form.format(n="7" * (sys.get_int_max_str_digits() + 1))
+        with pytest.raises(ValueError) as want:
+            Fraction(text)
+        with pytest.raises(FileFormatError) as got:
+            rational_pair(text)
+        assert str(got.value) == f"bad rational {text!r}: {want.value}"
 
     def test_format_reduces(self):
         assert format_ratios([2, -3, 0, 4, 2], 4) == ["1/2", "-3/4", "0", "1", "1/2"]
@@ -105,6 +117,16 @@ class TestSchemas:
         ({"states": [], "t": {}}, ModelError, "a model needs at least one state"),
         ({"states": ["w1", "w1"], "t": {"p": ["w9"]}}, ModelError, "duplicate state labels"),
         ({"states": ["w|1"], "t": {}}, ModelError, "state label 'w|1' may not contain '|'"),
+        ({"states": [{"x": 1}], "t": {}}, ModelError, "state label {'x': 1} is not a string"),
+        ({"states": [1, 2], "t": {}}, ModelError, "state label 1 is not a string"),
+        ({"states": ["w1", "w|1"], "t": {"p": 5}}, ModelError,
+         "state label 'w|1' may not contain '|'"),
+        ({"states": ["w1"], "t": {"p": 5}}, ModelError,
+         "truth event for p must be a list of state labels"),
+        ({"states": ["a", "b"], "t": {"p": "ab"}}, ModelError,
+         "truth event for p must be a list of state labels"),
+        ({"states": ["a", "b"], "t": {"p": ["a", 1]}}, ModelError,
+         "truth event for p must be a list of state labels"),
         ({"states": ["w1"], "t": {"p": ["w1", "w9"]}}, ModelError,
          "truth event for p mentions unknown states"),
         ({"states": ["w1"], "t": {"T": []}}, ModelError, "T must be valued as ['w1']"),

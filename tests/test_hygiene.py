@@ -7,9 +7,12 @@ literal or ``float(...)`` call (every value is an exact rational, and the
 integer fast paths rely on it).  The LP core's ``pivot`` and
 ``_run_simplex`` must also stay fraction-free: no true division and no
 ``Fraction``, so every pivot stays integer arithmetic over one
-denominator."""
+denominator.  Every ``ValueError`` the package defines must have its
+exit code: an input error in ``cli.INPUT_ERRORS``, or the one verdict,
+``construct.BuildError``."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -169,3 +172,31 @@ def test_fraction_uses_are_found(snippet, what):
 )
 def test_fraction_free_code_passes(snippet):
     assert fraction_uses(snippet) == []
+
+
+def defined_classes(base) -> list[type]:
+    """Every subclass of ``base`` that a module of the package defines."""
+    found = []
+    for path in MODULES:
+        name = "credence" if path.stem == "__init__" else f"credence.{path.stem}"
+        module = importlib.import_module(name)
+        found += [
+            value for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, base)
+            and value.__module__ == module.__name__
+        ]
+    return found
+
+
+def test_every_value_error_has_an_exit_code():
+    from credence import cli, construct
+    from credence.errors import InternalError
+
+    errors = defined_classes(ValueError)
+    assert construct.BuildError in errors and cli.INPUT_ERRORS[0] in errors
+    uncovered = [
+        f"{e.__module__}.{e.__qualname__}" for e in errors
+        if not issubclass(e, cli.INPUT_ERRORS) and e is not construct.BuildError
+    ]
+    assert uncovered == []
+    assert not issubclass(InternalError, cli.INPUT_ERRORS)
