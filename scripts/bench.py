@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the axiom IE checker, the CLI's JSON report writer, the
-formula-heavy cliffs and model file I/O in-process, and write the
-figures to a JSON file.
+formula-heavy cliffs, model file I/O and the rationalizability decision
+in-process, and write the figures to a JSON file.
 
 The IE checker and the writer run on seeded 3-atom universes of 64 and
 128 of the 256 equivalence classes with random values.
@@ -35,6 +35,17 @@ texts; and on one seeded set of 1,000 valuations over 10 atoms and one
 of 5,000 over 16, rendering and taking ``sat`` on a new ``Language``,
 with the formula's depth and text length.  A renderer that fails there
 (a ``RecursionError``) is recorded by name instead of its figures.
+
+The rationalizability decision ``games.rationalizable`` is timed on the
+128 pools of the ``rationalize`` benchmark workload at seed 0
+(``perfbench/gen.py``; 4-6 strategies, k = 6-11 coordinate events, one
+8-state capacity), each pool's chosen strategy decided in all four
+modes: general and additive-only, each strict and weak.  Each decision
+is the best of five runs; each mode records the sum and the median of
+its decisions, its rationalizable count and a SHA-256 digest of every
+verdict's ``credence.cli`` JSON text, which must match between two
+commits.  The general weak decisions, which no benchmark workload runs,
+are also given per k.
 
 Times are raw wall seconds on the host that ran the script; its Python
 version and machine are recorded beside them, and so is, next to each
@@ -73,7 +84,8 @@ from credence import (  # noqa: E402
 )
 from credence.cli import _json_text  # noqa: E402
 from credence.construct import build_canonical_sound, build_product_model  # noqa: E402
-from credence.files import load_model, model_to_dict  # noqa: E402
+from credence.files import load_model, load_session, model_to_dict  # noqa: E402
+from credence.games import rationalizable  # noqa: E402
 from credence.model import choquet, mobius  # noqa: E402
 from helpers import (  # noqa: E402
     disjoint_gap_tables,
@@ -99,13 +111,28 @@ BUILT_CLASSES = 12  # statements assessed, of the 256 3-atom classes
 RENDER_ATOMS = (3, 4)  # the seed of each batch of sets is its atom count
 RENDER_SETS = 300
 RENDER_LARGE = ((10, 1000), (16, 5000))  # (atoms, valuations), seeded by atoms
+RATIONALIZE_SEED = 0
+# (additive_only, weak) of each mode
+RATIONALIZE_MODES = {
+    "general": (False, False),
+    "general-weak": (False, True),
+    "additive": (True, False),
+    "additive-weak": (True, True),
+}
 REFERENCES = 5  # reference loops timed before and again after each figure
 
-_child = importlib.util.spec_from_file_location(
-    "perfbench_child", Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
-)
-child = importlib.util.module_from_spec(_child)
-_child.loader.exec_module(child)
+
+def _perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+child = _perfbench("child")
+gen = _perfbench("gen")
 
 
 def best_of(fn) -> tuple[float, object]:
@@ -336,6 +363,42 @@ def bench_model_to_dict() -> dict:
     return out
 
 
+def bench_rationalize() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = gen.generate("rationalize", RATIONALIZE_SEED, tmp)
+        sessions = [load_session(Path(tmp) / name) for name in plan["sessions"]]
+    coordinates = {op["session"]: op["coordinates"] for op in plan["ops"]}
+    ks = [coordinates[name] for name in plan["sessions"]]
+    out = {"seed": RATIONALIZE_SEED, "pools": len(sessions), "modes": {}}
+    weak_by_k = {}
+    for mode, (additive_only, weak) in RATIONALIZE_MODES.items():
+        times, texts, verdicts = [], [], 0
+        for session in sessions:
+            chosen, model = session.strategy(None), session.model(None)
+            best_s, result = best_of(lambda: rationalizable(
+                chosen, session.strategies, model, additive_only=additive_only, weak=weak
+            ))
+            times.append(best_s)
+            texts.append(_json_text(result.to_dict()))
+            verdicts += result.rationalizable
+        out["modes"][mode] = {
+            "decisions": len(times),
+            "rationalizable": verdicts,
+            "total_best_s": sum(times),
+            "median_ms": statistics.median(times) * 1e3,
+            "digest": hashlib.sha256("".join(texts).encode()).hexdigest(),
+        }
+        if mode == "general-weak":
+            for k, t in zip(ks, times):
+                weak_by_k.setdefault(k, []).append(t)
+    out["general_weak_by_k"] = {
+        str(k): {"pools": len(ts), "median_ms": statistics.median(ts) * 1e3,
+                 "max_ms": max(ts) * 1e3}
+        for k, ts in sorted(weak_by_k.items())
+    }
+    return out
+
+
 def main(out: Path, before: Path | None):
     results = {
         "python": platform.python_version(),
@@ -349,6 +412,7 @@ def main(out: Path, before: Path | None):
         "load_model": [referenced(bench_load_model, n) for n in CAPACITY_STATES],
         "unshared_denominators": referenced(bench_unshared_denominators),
         "model_to_dict": referenced(bench_model_to_dict),
+        "rationalize": referenced(bench_rationalize),
     }
     if before is not None:
         results = {"before": json.loads(before.read_text()), "after": results}

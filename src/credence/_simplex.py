@@ -7,10 +7,11 @@ and the valuation-mass row reduction of ``construct``.  A tableau holds
 Python ints together with one positive common denominator ``d``; its true
 entries are ``tab / d``.  The step is Bareiss's (1968) integer pivoting,
 as in Avis's lrs: every entry stays a minor of the starting matrix, so
-each division by ``d`` is exact and no gcd is ever taken.  ``Fraction``
-appears only at the edges: inputs are scaled by the lcm of their
-denominators on the way in, and results are read off as ``row / d`` on
-the way out.
+each division by ``d`` is exact and no gcd is ever taken.  ``maximize``
+takes int rows as they are; rows holding ``Fraction``s are scaled by the
+lcm of their denominators on the way in.  The optimum comes back as int
+numerators over one denominator, and ``Fraction``s are built only when a
+caller reads ``x``, ``value`` or ``duals``.
 
 The simplex keeps its objective as the tableau's last row, so one pivot
 updates the reduced costs along with the constraint rows.  Phase 1
@@ -22,6 +23,8 @@ Optimal duals are read off the final objective row.  Bland's rule makes
 pivoting deterministic and cycle-free; scaling by a positive constant
 changes no sign and no ratio order, so the pivots, and hence every
 result and dual, are those of the same simplex run on ``Fraction``s.
+A caller that poses its LP in ints over a denominator of its own keeps
+that property by scaling every row, right-hand side and cost alike.
 """
 
 from __future__ import annotations
@@ -31,9 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class SimplexError(Exception):
@@ -94,25 +94,49 @@ def _run_simplex(tab, d, basis, ncols):
 
 @dataclass
 class LpResult:
+    """An LP's outcome.  At an optimum the solution, its value and one dual
+    (>= 0) per ``a_ub`` row are int numerators over one positive
+    ``denominator``; ``x``, ``value`` and ``duals`` read them as
+    ``Fraction``s."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
-    x: list[Fraction] | None
-    value: Fraction | None
-    duals: list[Fraction] | None = None  # one per a_ub row, when optimal
+    x_numerators: list[int] | None = None
+    value_numerator: int | None = None
+    dual_numerators: list[int] | None = None
+    denominator: int = 1
+
+    def _read(self, numerators):
+        if numerators is None:
+            return None
+        return [Fraction(v, self.denominator) for v in numerators]
+
+    @property
+    def x(self) -> list[Fraction] | None:
+        return self._read(self.x_numerators)
+
+    @property
+    def value(self) -> Fraction | None:
+        v = self.value_numerator
+        return None if v is None else Fraction(v, self.denominator)
+
+    @property
+    def duals(self) -> list[Fraction] | None:
+        return self._read(self.dual_numerators)
 
 
 def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
-    """Maximize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0.
+    """Maximize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0, for
+    entries that are ints or ``Fraction``s.
 
     At an optimum, ``duals`` holds an optimal dual value (>= 0) for each
     ``a_ub`` row, read off the reduced cost of its slack or surplus column."""
-    c = [Fraction(v) for v in c]
     n = len(c)
-    ub = [(list(map(Fraction, r)), Fraction(b)) for r, b in zip(a_ub or [], b_ub or [])]
-    eq = [(list(map(Fraction, r)), Fraction(b)) for r, b in zip(a_eq or [], b_eq or [])]
+    ub = list(zip(a_ub or [], b_ub or []))
+    eq = list(zip(a_eq or [], b_eq or []))
 
     # one common denominator turns every structural entry, right-hand
-    # side and cost into an int; the scaled LP has the same x, the same
-    # duals and the same pivots
+    # side and cost into an int (int rows stay as they are); the scaled
+    # LP has the same x, the same duals and the same pivots
     scale = math.lcm(
         *(v.denominator for v in c),
         *(v.denominator for coeffs, b in ub + eq for v in (*coeffs, b)),
@@ -180,13 +204,14 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     except SimplexError:
         return LpResult("unbounded", None, None)
 
-    x = [ZERO] * n
+    # x = row / d, value = -objective / (d * scale) and duals = -reduced
+    # cost / d, all put over d * scale
+    x = [0] * n
     for row, b in zip(tab, basis):
         if b < n:
-            x[b] = Fraction(row[-1], d)
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    duals = [Fraction(-tab[-1][n + i], d) for i in range(len(ub))]
-    return LpResult("optimal", x, value, duals)
+            x[b] = row[-1] * scale
+    duals = [-tab[-1][n + i] * scale for i in range(len(ub))]
+    return LpResult("optimal", x, -tab[-1][-1], duals, d * scale)
 
 
 @dataclass
@@ -196,28 +221,39 @@ class GameSolution:
     col_mixture: list[Fraction]
 
 
-def solve_matrix_game(matrix) -> GameSolution:
+def solve_matrix_game(matrix, denominator: int = 1) -> GameSolution:
     """Value and optimal mixed strategies of the zero-sum game whose row
-    player maximizes ``matrix[i][j]``.
+    player maximizes ``matrix[i][j] / denominator``; int entries are
+    taken as they are.
 
-    Solved by shifting the matrix positive and maximizing ``sum(z)``
+    Solved by shifting the game positive and maximizing ``sum(z)``
     subject to ``G z <= 1``; the column mixture is the scaled primal
     solution and the row mixture the scaled duals.  Every shifted entry
     is at least 1, so that LP is feasible and bounded with a positive
-    optimum; any other outcome is an ``InternalError``.
+    optimum; any other outcome is an ``InternalError``.  The LP is posed
+    times ``denominator``: the shift, the right-hand side and the costs
+    are scaled with the matrix, so its pivots are those of the game's
+    own LP.
     """
-    g = [list(map(Fraction, row)) for row in matrix]
+    g = [list(row) for row in matrix]
     if not g or not g[0]:
         raise SimplexError("empty game matrix")
     m, n = len(g), len(g[0])
     if any(len(row) != n for row in g):
         raise SimplexError("ragged game matrix")
 
-    shift = ONE - min(min(row) for row in g)
-    res = maximize([ONE] * n, [[v + shift for v in row] for row in g], [ONE] * m)
-    if res.status != "optimal" or res.value <= 0:
+    shift = denominator - min(min(row) for row in g)
+    res = maximize(
+        [denominator] * n, [[v + shift for v in row] for row in g], [denominator] * m
+    )
+    if res.status != "optimal" or res.value_numerator <= 0:
         raise InternalError(f"internal: the game's LP came back {res.status}, value {res.value}")
-    u = res.value
+    # with value = v / den, sum(z) = u = v / (den * denominator); the
+    # game's value is 1/u - shift/denominator and the mixtures are x/u
+    # and duals/u
+    v, den = res.value_numerator, res.denominator
     return GameSolution(
-        ONE / u - shift, [v / u for v in res.duals], [v / u for v in res.x]
+        Fraction(den * denominator * denominator - shift * v, v * denominator),
+        [Fraction(y * denominator, v) for y in res.dual_numerators],
+        [Fraction(z * denominator, v) for z in res.x_numerators],
     )

@@ -16,10 +16,20 @@ over its 2^k states is one exact-rational linear program with pool +
 k + 1 variables, and no cap on k is needed.  Every witness it produces
 is re-verified by direct Choquet comparison, never trusted from the LP
 alone.
+
+The decision runs in ints.  ``rationalizable`` puts every payoff over
+the pool's one denominator, the lcm of its payoff denominators, so the
+state vectors, the layer levels and weights, the affine forms and every
+LP row are int numerators over it, and ``_simplex`` takes those rows as
+they are.  Each LP is the one posed in payoff units times that
+denominator, so its pivots, vertices and duals are unchanged.  A
+``Fraction`` is built only for a reported value: the margin epsilon, a
+mixture, a prior or a Choquet value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -86,16 +96,30 @@ def _require_sound(model: SubjectiveModel, what: str):
         )
 
 
+def _denominator(pool) -> int:
+    """The lcm of the pool's payoff denominators: every payoff is an int
+    over it."""
+    return math.lcm(*(v.denominator for s in pool for v in s.payoffs.values()))
+
+
+def _state_numerators(model: SubjectiveModel, strategy: Strategy, denominator: int) -> list[int]:
+    """``t_circ`` as int numerators over ``denominator``, a common multiple
+    of the strategy's payoff denominators."""
+    _require_sound(model, "strategy evaluation")
+    out = [0] * len(model.states)
+    for f, v in strategy.payoffs.items():
+        v = v.numerator * (denominator // v.denominator)
+        for i in bits(model.truth_of(f)):
+            out[i] += v
+    return out
+
+
 def t_circ(model: SubjectiveModel, strategy: Strategy) -> list[Fraction]:
     """State payoff vector of a strategy under a sound valuation, in state
     order: at each state, the sum of payoffs of the statements true
     there.  Linear in the strategy."""
-    _require_sound(model, "strategy evaluation")
-    out = [ZERO] * len(model.states)
-    for f, v in strategy.payoffs.items():
-        for i in bits(model.truth_of(f)):
-            out[i] += v
-    return out
+    d = _denominator([strategy])
+    return [Fraction(v, d) for v in _state_numerators(model, strategy, d)]
 
 
 def layer_decompose(payoff, model: SubjectiveModel) -> list[tuple[Fraction, Formula]]:
@@ -107,10 +131,12 @@ def layer_decompose(payoff, model: SubjectiveModel) -> list[tuple[Fraction, Form
 
     The statement naming each upper set is chosen canonically from the
     valuations the model's states realize; if states inside and outside
-    an upper set share a valuation, no statement names it.
+    an upper set share a valuation, no statement names it.  Int payoffs
+    are taken as they are: numerators over any one denominator give the
+    levels as numerators over the same one.
     """
     _require_sound(model, "layer decomposition")
-    x = [Fraction(v) for v in payoff]
+    x = list(payoff)
     if len(x) != len(model.states):
         raise GamesError("payoff must value exactly the model's states")
     if any(v < 0 for v in x):
@@ -135,10 +161,10 @@ def layer_decompose(payoff, model: SubjectiveModel) -> list[tuple[Fraction, Form
     return layers
 
 
-def _layer_weights(layers) -> list[Fraction]:
+def _layer_weights(layers) -> list:
     weights = []
     for i, (a, _) in enumerate(layers):
-        nxt = layers[i + 1][0] if i + 1 < len(layers) else ZERO
+        nxt = layers[i + 1][0] if i + 1 < len(layers) else 0
         weights.append(a - nxt)
     return weights
 
@@ -251,10 +277,10 @@ def transported_vector(
     y(m) = constant + sum_j coefficient_j * m_j, where the constant is
     the weight of the full-event layers and coefficient_j the weight of
     the layer on coordinate j.  Returns (constant, coefficients in
-    coordinate order)."""
+    coordinate order), over the same denominator as the layer levels."""
     index = {ev: j for j, ev in enumerate(coordinates)}
-    constant = ZERO
-    coefficients = [ZERO] * len(index)
+    constant = 0
+    coefficients = [0] * len(index)
     for w, (_, f) in zip(_layer_weights(layers), layers):
         ev = model.truth_of(f)
         if ev == model.omega:
@@ -291,9 +317,12 @@ class DominanceResult:
         }
 
 
-def pointwise_undominated(x, alternatives, weak: bool = False) -> DominanceResult:
+def pointwise_undominated(
+    x, alternatives, weak: bool = False, denominator: int = 1
+) -> DominanceResult:
     """Whether some mixture of the alternatives strictly (default) or
-    weakly beats ``x`` at every state.
+    weakly beats ``x`` at every state.  Payoffs are ``Fraction``s, or
+    int numerators over ``denominator``, taken as they are.
 
     Strict mode solves  max epsilon s.t. mix >= x + epsilon everywhere,
     mix in the simplex; dominated means optimal epsilon > 0, with the
@@ -308,24 +337,27 @@ def pointwise_undominated(x, alternatives, weak: bool = False) -> DominanceResul
         if set(alt) != set(states):
             raise GamesError("payoff vectors must share one state space")
     if not weak:
-        matrix = [
-            [Fraction(alt[s]) - Fraction(x[s]) for s in states] for alt in alternatives
-        ]
-        game = _simplex.solve_matrix_game(matrix)
+        matrix = [[alt[s] - x[s] for s in states] for alt in alternatives]
+        game = _simplex.solve_matrix_game(matrix, denominator)
         if game.value > 0:
             return DominanceResult(True, "strict", game.value, game.row_mixture, None)
         prior = dict(zip(states, game.col_mixture))
         return DominanceResult(False, "strict", game.value, None, prior)
 
-    # weak mode: maximize the total slack of a mixture kept >= x pointwise
-    c = [sum(Fraction(alt[s]) for s in states) for alt in alternatives]
-    a_ub = [[-Fraction(alt[s]) for alt in alternatives] for s in states]
-    b_ub = [-Fraction(x[s]) for s in states]
-    a_eq = [[ONE] * len(alternatives)]
-    res = _simplex.maximize(c, a_ub, b_ub, a_eq, [ONE])
+    # weak mode: maximize the total slack of a mixture kept >= x
+    # pointwise, every row and cost times ``denominator``
+    c = [sum(alt[s] for s in states) for alt in alternatives]
+    a_ub = [[-alt[s] for alt in alternatives] for s in states]
+    b_ub = [-x[s] for s in states]
+    a_eq = [[denominator] * len(alternatives)]
+    res = _simplex.maximize(c, a_ub, b_ub, a_eq, [denominator])
     if res.status != "optimal":
         return DominanceResult(False, "weak", None, None, None)
-    slack = res.value - sum(Fraction(x[s]) for s in states)
+    # the LP's value is denominator times the mixture's total payoff
+    den = res.denominator
+    slack = Fraction(
+        res.value_numerator - den * sum(x[s] for s in states), den * denominator
+    )
     if slack > 0:
         return DominanceResult(True, "weak", slack, res.x, None)
     return DominanceResult(False, "weak", slack, None, None)
@@ -338,19 +370,19 @@ class _AffineDominance:
     marginals: list[Fraction] | None  # strict mode only
 
 
-def _worst_margin(a, d, weights) -> Fraction:
+def _worst_margin(a, d, weights):
     """min over m in {0,1}^k of sum_i weights_i * (a_i + d_i . m): each
     coordinate bit is set exactly where the mixed coefficient is negative."""
-    total = sum((w * ai for w, ai in zip(weights, a)), ZERO)
+    total = sum(w * ai for w, ai in zip(weights, a))
     for column in zip(*d):
-        total += min(ZERO, sum((w * dij for w, dij in zip(weights, column)), ZERO))
+        total += min(0, sum(w * dij for w, dij in zip(weights, column)))
     return total
 
 
-def _affine_dominance(forms, choice: int, weak: bool) -> _AffineDominance:
+def _affine_dominance(forms, choice: int, weak: bool, denominator: int) -> _AffineDominance:
     """Wald-Pearce dominance of ``forms[choice]`` by a mixture of the
     affine ``forms`` over the maximal model's 2^k states, decided without
-    enumerating them.
+    enumerating them.  The forms are int numerators over ``denominator``.
 
     With a_i and d_i the constant and coefficients of form i minus the
     choice's, a mixture sigma beats the choice at its worst state by
@@ -362,54 +394,66 @@ def _affine_dominance(forms, choice: int, weak: bool) -> _AffineDominance:
     * weak: keep A(sigma) - sum_j u_j >= 0 and maximize the total slack
       over the 2^k states, 2^k A(sigma) + 2^(k-1) sum_j D_j(sigma).
 
+    Every row, right-hand side and cost is posed times ``denominator``,
+    so sigma, u, epsilon and the duals are those of the LP in payoff
+    units, and its value is ``denominator`` times theirs.
+
     The strict duals of the u-rows, scaled by the dual of the margin
     row, are coordinate marginals q in [0, 1]^k with max_i (a_i + d_i . q)
     = epsilon: a prior under which nothing beats the choice by more than
     epsilon.  The mixture's worst-case margin and the marginals are both
-    checked against the LP optimum exactly.
+    checked against the LP optimum exactly, in ints.
     """
     a_x, c_x = forms[choice]
     a = [ai - a_x for ai, _ in forms]
     d = [[cij - cxj for cij, cxj in zip(ci, c_x)] for _, ci in forms]
     n, k = len(forms), len(c_x)
-    margin = [] if weak else [ONE]
-    a_ub = [[-ai for ai in a] + [ONE] * k + margin]
+    one = denominator
+    margin = [] if weak else [one]
+    a_ub = [[-ai for ai in a] + [one] * k + margin]
     for j in range(k):
-        u = [ZERO] * k
-        u[j] = -ONE
-        a_ub.append([-di[j] for di in d] + u + [ZERO] * len(margin))
-    a_eq = [[ONE] * n + [ZERO] * (k + len(margin))]
+        u = [0] * k
+        u[j] = -one
+        a_ub.append([-di[j] for di in d] + u + [0] * len(margin))
+    a_eq = [[one] * n + [0] * (k + len(margin))]
     if weak:
-        c = [2 * ai + sum(di, ZERO) for ai, di in zip(a, d)] + [ZERO] * k
+        c = [2 * ai + sum(di) for ai, di in zip(a, d)] + [0] * k
     else:
-        c = [ZERO] * (n + k) + [ONE]
-    res = _simplex.maximize(c, a_ub, [ZERO] * (k + 1), a_eq, [ONE])
+        c = [0] * (n + k) + [one]
+    res = _simplex.maximize(c, a_ub, [0] * (k + 1), a_eq, [one])
     if res.status != "optimal":
         raise InternalError(f"internal: the dominance LP came back {res.status}")
-    sigma = res.x[:n]
+    # sigma and the duals are numerators over den; the value, and the
+    # worst-case margin of sigma, are numerators over den * denominator
+    den, value = res.denominator, res.value_numerator
+    sigma = res.x_numerators[:n]
     worst = _worst_margin(a, d, sigma)
+    mixture = [Fraction(v, den) for v in sigma] if value > 0 else None
 
     if weak:
         if worst < 0:
             raise InternalError("internal: the weak dominance LP broke its own constraint")
-        epsilon = res.value * Fraction(1 << k, 2)
-        return _AffineDominance(epsilon, sigma if epsilon > 0 else None, None)
+        epsilon = Fraction(value << k, 2 * den * denominator)
+        return _AffineDominance(epsilon, mixture, None)
 
-    epsilon = res.value
-    if worst != epsilon:
+    epsilon = Fraction(value, den * denominator)
+    if worst != value:
         raise InternalError(
-            f"internal: the mixture's worst-case margin {worst} is not the LP optimum {epsilon}"
+            "internal: the mixture's worst-case margin "
+            f"{Fraction(worst, den * denominator)} is not the LP optimum {epsilon}"
         )
-    scale = res.duals[0]
+    # q_j = duals[j + 1] / duals[0]; max_i (a_i + d_i . q) is best over
+    # scale * denominator
+    scale, *duals = res.dual_numerators
     if scale <= 0:
         raise InternalError("internal: the margin row has no positive dual")
-    marginals = [v / scale for v in res.duals[1:]]
-    best = max(ai + sum(dij * qj for dij, qj in zip(di, marginals)) for ai, di in zip(a, d))
-    if best != epsilon or not all(ZERO <= q <= ONE for q in marginals):
+    best = max(ai * scale + sum(dij * qj for dij, qj in zip(di, duals)) for ai, di in zip(a, d))
+    if best * den != value * scale or not all(0 <= q <= scale for q in duals):
         raise InternalError(
-            f"internal: the dual marginals give {best}, not the LP optimum {epsilon}"
+            f"internal: the dual marginals give {Fraction(best, scale * denominator)}, "
+            f"not the LP optimum {epsilon}"
         )
-    return _AffineDominance(epsilon, sigma if epsilon > 0 else None, marginals)
+    return _AffineDominance(epsilon, mixture, [Fraction(q, scale) for q in duals])
 
 
 # -- rationalizability ---------------------------------------------------------
@@ -470,12 +514,13 @@ def _witness_from_events(model, events) -> SubjectiveModel:
     )
 
 
-def _best_response(witness, names, vectors, choice_name):
-    """Each pool member's Choquet value under the witness, and whether the
+def _best_response(witness, names, vectors, choice: int, denominator: int):
+    """Each pool member's Choquet value under the witness, for state
+    vectors of int numerators over ``denominator``, and whether the
     choice attains the largest."""
-    values = [(n, choquet(witness, v)) for n, v in zip(names, vectors)]
-    chosen_value = dict(values)[choice_name]
-    return values, all(chosen_value >= v for _, v in values)
+    values = [choquet(witness, v) for v in vectors]
+    best = all(values[choice] >= v for v in values)
+    return [(n, v / denominator) for n, v in zip(names, values)], best
 
 
 def rationalizable(
@@ -487,33 +532,38 @@ def rationalizable(
 ) -> RationalizabilityResult:
     """Whether the chosen strategy maximizes some likelihood appraisal's
     Choquet payoff over the pool (or some additive prior's expected
-    payoff, with ``additive_only``).
+    payoff, with ``additive_only``).  The chosen strategy is the pool
+    member that is the very object ``strategy``: strategies with equal
+    payoffs are told apart by their place in the pool.
 
     The decision runs Wald-Pearce dominance on the payoffs transported
     into the maximal model built from the pool's k named events, each an
     affine form in the k coordinate bits, as one LP with pool + k + 1
-    variables (see ``_affine_dominance``).  When rationalizable, the
-    witness appraisal is the model's own one if it is present and
-    verifies, otherwise the LP's coordinate marginals (the maximal-model
-    prior pulled back along the coordinates); either way the reported
-    witness is confirmed by comparing exact Choquet values of every pool
-    member.  Weak mode is a sensitivity check only: its LP carries no
-    best-response dual, so a weakly undominated choice may come back
-    without a witness.
+    variables (see ``_affine_dominance``), all in ints over the pool's
+    one denominator.  When rationalizable, the witness appraisal is the
+    model's own one if it is present and verifies, otherwise the LP's
+    coordinate marginals (the maximal-model prior pulled back along the
+    coordinates); either way the reported witness is confirmed by
+    comparing exact Choquet values of every pool member.  Weak mode is a
+    sensitivity check only: its LP carries no best-response dual, so a
+    weakly undominated choice may come back without a witness.
     """
     pool = list(pool)
-    if strategy not in pool:
+    choice = next((i for i, s in enumerate(pool) if s is strategy), None)
+    if choice is None:
         raise GamesError("the chosen strategy must belong to the comparison pool")
     names = _names(pool)
-    choice_name = names[pool.index(strategy)]
+    choice_name = names[choice]
     mode = "weak" if weak else "strict"
 
-    base_vectors = [t_circ(model, s) for s in pool]
+    # every state payoff as an int numerator over the pool's denominator
+    denominator = _denominator(pool)
+    base_vectors = [_state_numerators(model, s, denominator) for s in pool]
 
     if additive_only:
         # keyed by label, so that the dominance LP orders its states by label
         labelled = [dict(zip(model.states, x)) for x in base_vectors]
-        dom = pointwise_undominated(labelled[pool.index(strategy)], labelled, weak=weak)
+        dom = pointwise_undominated(labelled[choice], labelled, weak, denominator)
         if dom.dominated:
             return RationalizabilityResult(
                 False,
@@ -531,7 +581,7 @@ def rationalizable(
                 model.language, model.states, dict(model.truth),
                 mass=[dom.prior[s] for s in model.states], name="additive-witness",
             )
-            values, best = _best_response(witness, names, base_vectors, choice_name)
+            values, best = _best_response(witness, names, base_vectors, choice, denominator)
             result.witness_mass = dom.prior
             result.choquet_values = values
             result.verified = best
@@ -542,7 +592,7 @@ def rationalizable(
     layerings = [layer_decompose(x, model) for x in base_vectors]
     events = strategy_events(model, layerings)
     forms = [transported_vector(model, events, layers) for layers in layerings]
-    dom = _affine_dominance(forms, pool.index(strategy), weak)
+    dom = _affine_dominance(forms, choice, weak, denominator)
     if dom.mixture is not None:
         return RationalizabilityResult(
             False,
@@ -569,7 +619,7 @@ def rationalizable(
 
     for source, witness in candidates:
         try:
-            values, best = _best_response(witness, names, base_vectors, choice_name)
+            values, best = _best_response(witness, names, base_vectors, choice, denominator)
         except ModelError:
             continue
         if best:

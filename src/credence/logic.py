@@ -23,10 +23,15 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 import weakref
 from dataclasses import FrozenInstanceError
 
 MAX_ATOMS = 16
+# ``parse``, ``sat`` and ``unparse`` recurse once per level of a formula,
+# so a parsed formula may be half the interpreter's recursion limit deep
+# (500 at the default of 1000), which leaves the other half to callers
+MAX_DEPTH = sys.getrecursionlimit() // 2
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -168,6 +173,23 @@ def unparse(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _depth(f: Formula) -> int:
+    """The number of connectives on the longest path down ``f``, each
+    shared subformula measured once, without recursion."""
+    depth = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        kids = () if isinstance(g, (Atom, Const)) else [getattr(g, n) for n in g.__slots__]
+        todo = [k for k in kids if k not in depth]
+        if todo:
+            stack.extend(todo)
+        else:
+            stack.pop()
+            depth[g] = 1 + max((depth[k] for k in kids), default=-1)
+    return depth[f]
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     i = 0
@@ -242,7 +264,9 @@ class Language:
             op      := '&' | '|' | '->' | '<->'
 
         ``->`` and ``<->`` are expanded into ``!``/``&``/``|`` at parse
-        time.  Atom names must be declared in this language.
+        time.  Atom names must be declared in this language.  A formula
+        nesting more than ``MAX_DEPTH`` connectives deep once expanded is
+        a ``ParseError``.
         """
         tokens = _tokenize(text)
         pos = 0
@@ -256,8 +280,10 @@ class Language:
             pos += 1
             return tok
 
-        def formula() -> Formula:
+        def formula(level: int) -> Formula:
             kind, value, at = advance()
+            if level == MAX_DEPTH and kind in ("!", "("):
+                raise ParseError(f"formula nests more than {MAX_DEPTH} levels deep", at)
             if kind == "ident":
                 if value == "T":
                     return TRUE
@@ -267,15 +293,15 @@ class Language:
                     raise UndeclaredAtomError(f"undeclared atom {value!r}", at)
                 return Atom(value)
             if kind == "!":
-                return Not(formula())
+                return Not(formula(level + 1))
             if kind == "(":
-                left = formula()
+                left = formula(level + 1)
                 op_kind, op_value, op_at = advance()
                 if op_kind not in ("&", "|", "imp", "iff"):
                     raise ParseError(
                         f"expected a connective, got {op_value or 'end of input'!r}", op_at
                     )
-                right = formula()
+                right = formula(level + 1)
                 close_kind, _, close_at = advance()
                 if close_kind != ")":
                     raise ParseError("expected ')'", close_at)
@@ -288,10 +314,16 @@ class Language:
                 return And(Or(Not(left), right), Or(Not(right), left))
             raise ParseError(f"expected a formula, got {value or 'end of input'!r}", at)
 
-        result = formula()
+        result = formula(0)
         kind, value, at = peek()
         if kind != "end":
             raise ParseError(f"trailing input {value!r}", at)
+        # without "->" and "<->" the formula is as deep as the text, whose
+        # nesting is checked above; expanding them adds at most two levels
+        # per token, so only a text of more than MAX_DEPTH / 3 tokens with
+        # one of them can come out deeper
+        if 3 * len(tokens) > MAX_DEPTH and "->" in text and _depth(result) > MAX_DEPTH:
+            raise ParseError(f"formula nests more than {MAX_DEPTH} levels deep", 0)
         return result
 
     # -- semantics ----------------------------------------------------

@@ -549,9 +549,10 @@ def choquet(model: SubjectiveModel, payoff) -> Fraction:
         sum_j (a_j - a_{j+1}) * lambda({payoff >= a_j}).
 
     Every upper set must carry an appraisal value.  Equals the
-    mass-weighted dot product when the appraisal is additive.
+    mass-weighted dot product when the appraisal is additive.  Payoffs
+    are ints or ``Fraction``s, taken as they are.
     """
-    x = [_rational(v) for v in payoff]
+    x = list(payoff)
     if len(x) != len(model.states):
         raise ModelError("payoff must value exactly the model's states")
     if any(v < 0 for v in x):

@@ -15,6 +15,10 @@ simplex and matrix-game solver as they ran before the single tableau
 own), and the single-tableau simplex and the valuation-mass row
 reduction as they ran on ``Fraction``s before the fraction-free integer
 pivot; all must give the same pivots and hence the same exact results.
+``rationalizable_oracle`` is the rationalizability decision as it ran on
+``Fraction``s from the payoffs to the LP rows, on that ``Fraction``
+simplex and game tableau, before it ran in ints over the pool's one
+denominator.
 Last come the subjective model with events as frozensets of state
 labels, its grading, Mobius, Choquet and representation functions and
 the five builders on it, as they ran before states became bit
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -63,7 +68,18 @@ from credence.construct import (
 )
 from credence.errors import InternalError
 from credence.files import FileFormatError, _expect, _read_json
-from credence.games import GamesError, Strategy, layer_decompose, t_circ
+from credence.games import (
+    DominanceResult,
+    GamesError,
+    RationalizabilityResult,
+    Strategy,
+    _names,
+    _witness_from_events,
+    layer_decompose,
+    strategy_events,
+    t_circ,
+    transported_vector,
+)
 from credence.identify import IdentifyError, SubtheoryResult, _theory_for_valuations
 from credence.logic import (
     FALSE,
@@ -90,6 +106,7 @@ from credence.model import (
     SubjectiveModel,
     TruthFlags,
     check_states,
+    choquet,
 )
 
 ZERO = Fraction(0)
@@ -829,6 +846,17 @@ def _run_simplex_oracle(rows, obj, basis, ncols):
         _pivot_oracle(rows, obj, basis, best[1], col)
 
 
+def lp_optimum(x, value, duals) -> LpResult:
+    """An optimum given as ``Fraction``s, put over one common denominator
+    the way ``maximize`` returns it."""
+    den = math.lcm(*(v.denominator for v in (*x, value, *duals)))
+
+    def over(v):
+        return v.numerator * (den // v.denominator)
+
+    return LpResult("optimal", [over(v) for v in x], over(value), [over(v) for v in duals], den)
+
+
 def maximize_oracle(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     """Maximize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0: the
     simplex as it ran before the single tableau, with a separate objective
@@ -935,7 +963,7 @@ def maximize_oracle(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
             x[bi] = tab[i][-1]
     value = sum(ci * xi for ci, xi in zip(c, x))
     duals = [-obj[n + i] for i in range(len(a_ub))]
-    return LpResult("optimal", x, value, duals)
+    return lp_optimum(x, value, duals)
 
 
 def solve_matrix_game_oracle(matrix) -> GameSolution:
@@ -1087,7 +1115,163 @@ def maximize_fraction_oracle(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> L
             x[b] = row[-1]
     value = sum(ci * xi for ci, xi in zip(c, x))
     duals = [-tab[-1][n + i] for i in range(len(ub))]
-    return LpResult("optimal", x, value, duals)
+    return lp_optimum(x, value, duals)
+
+
+# -- rationalizability on Fractions, before the pool's one denominator ---
+
+
+def _pointwise_undominated_oracle(x, alternatives, weak: bool = False) -> DominanceResult:
+    """``pointwise_undominated`` with every payoff a ``Fraction``."""
+    states = sorted(x)
+    if not weak:
+        matrix = [
+            [Fraction(alt[s]) - Fraction(x[s]) for s in states] for alt in alternatives
+        ]
+        game = solve_matrix_game_oracle(matrix)
+        if game.value > 0:
+            return DominanceResult(True, "strict", game.value, game.row_mixture, None)
+        prior = dict(zip(states, game.col_mixture))
+        return DominanceResult(False, "strict", game.value, None, prior)
+
+    c = [sum(Fraction(alt[s]) for s in states) for alt in alternatives]
+    a_ub = [[-Fraction(alt[s]) for alt in alternatives] for s in states]
+    b_ub = [-Fraction(x[s]) for s in states]
+    a_eq = [[ONE] * len(alternatives)]
+    res = maximize_fraction_oracle(c, a_ub, b_ub, a_eq, [ONE])
+    if res.status != "optimal":
+        return DominanceResult(False, "weak", None, None, None)
+    slack = res.value - sum(Fraction(x[s]) for s in states)
+    if slack > 0:
+        return DominanceResult(True, "weak", slack, res.x, None)
+    return DominanceResult(False, "weak", slack, None, None)
+
+
+def _worst_margin_oracle(a, d, weights) -> Fraction:
+    total = sum((w * ai for w, ai in zip(weights, a)), ZERO)
+    for column in zip(*d):
+        total += min(ZERO, sum((w * dij for w, dij in zip(weights, column)), ZERO))
+    return total
+
+
+def _affine_dominance_oracle(forms, choice: int, weak: bool):
+    """The affine dominance LP on ``Fraction`` rows: (epsilon, mixture or
+    None, marginals or None), with both exact checks."""
+    a_x, c_x = forms[choice]
+    a = [ai - a_x for ai, _ in forms]
+    d = [[cij - cxj for cij, cxj in zip(ci, c_x)] for _, ci in forms]
+    n, k = len(forms), len(c_x)
+    margin = [] if weak else [ONE]
+    a_ub = [[-ai for ai in a] + [ONE] * k + margin]
+    for j in range(k):
+        u = [ZERO] * k
+        u[j] = -ONE
+        a_ub.append([-di[j] for di in d] + u + [ZERO] * len(margin))
+    a_eq = [[ONE] * n + [ZERO] * (k + len(margin))]
+    if weak:
+        c = [2 * ai + sum(di, ZERO) for ai, di in zip(a, d)] + [ZERO] * k
+    else:
+        c = [ZERO] * (n + k) + [ONE]
+    res = maximize_fraction_oracle(c, a_ub, [ZERO] * (k + 1), a_eq, [ONE])
+    if res.status != "optimal":
+        raise InternalError(f"internal: the dominance LP came back {res.status}")
+    sigma = res.x[:n]
+    worst = _worst_margin_oracle(a, d, sigma)
+    if weak:
+        if worst < 0:
+            raise InternalError("internal: the weak dominance LP broke its own constraint")
+        epsilon = res.value * Fraction(1 << k, 2)
+        return epsilon, sigma if epsilon > 0 else None, None
+    epsilon = res.value
+    if worst != epsilon:
+        raise InternalError("internal: the mixture's worst-case margin is not the LP optimum")
+    duals = res.duals
+    if duals[0] <= 0:
+        raise InternalError("internal: the margin row has no positive dual")
+    marginals = [v / duals[0] for v in duals[1:]]
+    best = max(ai + sum(dij * qj for dij, qj in zip(di, marginals)) for ai, di in zip(a, d))
+    if best != epsilon or not all(ZERO <= q <= ONE for q in marginals):
+        raise InternalError("internal: the dual marginals do not give the LP optimum")
+    return epsilon, sigma if epsilon > 0 else None, marginals
+
+
+def _best_response_oracle(witness, names, vectors, choice: int):
+    values = [(n, choquet(witness, v)) for n, v in zip(names, vectors)]
+    return values, all(values[choice][1] >= v for _, v in values)
+
+
+def rationalizable_oracle(
+    strategy: Strategy, pool, model: SubjectiveModel, additive_only: bool = False,
+    weak: bool = False,
+) -> RationalizabilityResult:
+    """``rationalizable`` with the state vectors, layers, affine forms and
+    LP rows all ``Fraction``s, solved on the ``Fraction`` tableau."""
+    pool = list(pool)
+    choice = next(i for i, s in enumerate(pool) if s is strategy)
+    names = _names(pool)
+    mode = "weak" if weak else "strict"
+    base_vectors = [t_circ(model, s) for s in pool]
+
+    if additive_only:
+        labelled = [dict(zip(model.states, x)) for x in base_vectors]
+        dom = _pointwise_undominated_oracle(labelled[choice], labelled, weak=weak)
+        if dom.dominated:
+            return RationalizabilityResult(
+                False, f"additive-{mode}", names[choice], model, epsilon=dom.epsilon,
+                dominating_mixture=list(zip(names, dom.mixture)),
+            )
+        result = RationalizabilityResult(
+            True, f"additive-{mode}", names[choice], model, epsilon=dom.epsilon
+        )
+        if dom.prior is not None:
+            witness = SubjectiveModel(
+                model.language, model.states, dict(model.truth),
+                mass=[dom.prior[s] for s in model.states], name="additive-witness",
+            )
+            values, best = _best_response_oracle(witness, names, base_vectors, choice)
+            if not best:
+                raise InternalError("internal: additive witness failed verification")
+            result.witness_mass = dom.prior
+            result.choquet_values = values
+            result.verified = True
+        return result
+
+    layerings = [layer_decompose(x, model) for x in base_vectors]
+    events = strategy_events(model, layerings)
+    forms = [transported_vector(model, events, layers) for layers in layerings]
+    epsilon, mixture, marginals = _affine_dominance_oracle(forms, choice, weak)
+    if mixture is not None:
+        return RationalizabilityResult(
+            False, mode, names[choice], model, epsilon=epsilon,
+            dominating_mixture=list(zip(names, mixture)), coordinates=list(events),
+        )
+    result = RationalizabilityResult(
+        True, mode, names[choice], model, epsilon=epsilon, coordinates=list(events)
+    )
+    candidates = []
+    if any(model.lambda_numerator(ev) is not None for ev in events):
+        candidates.append(("model", model))
+    if marginals is not None:
+        pulled = dict(zip(events, marginals))
+        pulled[model.omega] = ONE
+        pulled[0] = ZERO
+        candidates.append(("maximal-model prior", _witness_from_events(model, pulled)))
+    for source, witness in candidates:
+        try:
+            values, best = _best_response_oracle(witness, names, base_vectors, choice)
+        except ModelError:
+            continue
+        if best:
+            result.witness_source = source
+            result.choquet_values = values
+            result.witness_events = {
+                ev: witness.lambda_of(ev) for ev in list(events) + [model.omega, 0]
+            }
+            result.verified = True
+            break
+    if not result.verified and not weak:
+        raise InternalError("internal: no witness appraisal verified")
+    return result
 
 
 def valuation_masses_oracle(assessment: Assessment):

@@ -227,6 +227,25 @@ class TestRationalize:
         payload = json.loads(out1)
         assert payload["witness_lambda"]["w1"] == "1/4"
 
+    @pytest.mark.parametrize("flags", [[], ["--additive-only"]])
+    def test_choice_with_the_payoffs_of_another_member(self, runner, tmp_path, flags):
+        # s4 pays what s3 pays, so the two are equal strategies; the
+        # report must still name the one chosen
+        source = FIXTURES / "strategies"
+        (tmp_path / "model_objective.json").write_text(
+            (source / "model_objective.json").read_text()
+        )
+        strategies = json.loads((source / "strategies-rat.json").read_text())
+        strategies["s4"] = {"payoffs": {"T": "1/3"}}
+        (tmp_path / "strategies-rat.json").write_text(json.dumps(strategies))
+        session = json.loads((source / "session-rationalize.json").read_text())
+        session["choice"] = "s4"
+        (tmp_path / "session.json").write_text(json.dumps(session))
+        res = invoke(runner, "--format", "json", "rationalize", tmp_path / "session.json", *flags)
+        payload = json.loads(res.output)
+        assert payload["choice"] == "s4"
+        assert payload["rationalizable"] == (not flags)
+
 
 class TestInternalErrors:
     def test_unverified_witness_exits_3(self, runner, monkeypatch):

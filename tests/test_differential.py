@@ -1,6 +1,8 @@
 """Differential tests of the indexed fast paths against the pair-loop and
 subset-sum oracles in ``helpers``, of the affine rationalizability LP
-against dominance in the materialized maximal model, of the single
+against dominance in the materialized maximal model, of the decision in
+ints over the pool's one denominator against the ``Fraction`` decision
+it replaced, of the single
 integer simplex tableau against the big-M simplex and game solver and
 the ``Fraction`` tableau it replaced, of the integer valuation solve
 against its ``Fraction`` row reduction, and of the indexed model core
@@ -93,6 +95,7 @@ from helpers import (
     passes_s_i_oracle,
     random_capacity,
     random_fraction,
+    rationalizable_oracle,
     solve_matrix_game_oracle,
     transported_vector_oracle,
     truth_table_implies,
@@ -345,8 +348,16 @@ def witness_confirms(result, pool, model) -> bool:
     return values[result.choice] == max(values.values())
 
 
+SHARED_PAYOFFS = st.sampled_from([F(1, 3), F(1, 2), F(1), F(3, 2), F(2)])
+# denominators with no common factor, so the pool's one denominator is
+# their product
+UNRELATED_PAYOFFS = st.builds(
+    F, st.integers(1, 60), st.sampled_from([1, 2, 3, 7, 11, 13, 97, 65521])
+)
+
+
 @st.composite
-def pools(draw):
+def pools(draw, payoff=SHARED_PAYOFFS):
     """A pool of 2-5 strategies on a fixture language, a chosen member and
     a sound model, with or without an appraisal of its own.  A pool may
     carry the choice plus a bonus, on T (strictly dominating) or on a
@@ -354,7 +365,6 @@ def pools(draw):
     atoms = draw(st.sampled_from(FIXTURE_ATOMS))
     lang = Language(atoms)
     classes = [f for bits, f in CLASSES_BY_ATOMS[len(atoms)] if bits not in (0, lang.full_mask)]
-    payoff = st.sampled_from([F(1, 3), F(1, 2), F(1), F(3, 2), F(2)])
     pool = []
     for _ in range(draw(st.integers(2, 5))):
         support = draw(st.lists(st.sampled_from(classes), min_size=1, max_size=2, unique=True))
@@ -406,6 +416,17 @@ def test_affine_lp_matches_the_maximal_model(case, weak):
     elif not weak:
         assert result.verified
         assert witness_confirms(result, pool, model)
+
+
+@given(pools(UNRELATED_PAYOFFS), st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_int_decision_matches_the_fraction_decision(case, additive_only, weak):
+    """Every mode, general or additive and strict or weak, reports what
+    the decision on ``Fraction``s reports, to the last witness value."""
+    pool, chosen, model = case
+    got = rationalizable(chosen, pool, model, additive_only=additive_only, weak=weak)
+    want = rationalizable_oracle(chosen, pool, model, additive_only=additive_only, weak=weak)
+    assert got.to_dict() == want.to_dict()
 
 
 def test_pool_above_sixteen_coordinates_is_decided_and_witnessed():

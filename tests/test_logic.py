@@ -1,5 +1,6 @@
 import copy
 import gc
+import json
 import pickle
 import random
 from dataclasses import FrozenInstanceError
@@ -30,7 +31,7 @@ from credence.logic import (
 )
 from credence.identify import _theory_for_valuations
 
-from helpers import truth_table_implies
+from helpers import formula_depth, truth_table_implies
 
 PQ = Language(["p", "q"])
 P = Language(["p"])
@@ -140,6 +141,51 @@ class TestParse:
     def test_bad_character(self):
         with pytest.raises(ParseError):
             PQ.parse("p + q")
+
+    def test_formulas_at_the_depth_bound_are_evaluated_and_rendered(self):
+        deep = "!" * logic.MAX_DEPTH + "p"
+        flip = PQ.full_mask if logic.MAX_DEPTH % 2 else 0
+        assert PQ.sat(PQ.parse(deep)) == PQ.sat(Atom("p")) ^ flip
+        assert unparse(PQ.parse(deep)) == deep
+        # an implication is two levels deep once expanded
+        text, bits = "p", PQ.sat(Atom("p"))
+        for _ in range(logic.MAX_DEPTH // 2):
+            text, bits = f"({text} -> q)", (PQ.full_mask & ~bits) | PQ.sat(Atom("q"))
+        f = PQ.parse(text)
+        assert PQ.sat(f) == bits
+        assert unparse(f).count("!") == logic.MAX_DEPTH // 2
+        # an equivalence is three
+        f = PQ.parse("!" * (logic.MAX_DEPTH - 3) + "(p <-> q)")
+        assert PQ.sat(f) in (0b1001, 0b0110)
+        assert unparse(f).startswith("!" * (logic.MAX_DEPTH - 3) + "((")
+
+    @pytest.mark.parametrize("text,position", [
+        ("!" * (logic.MAX_DEPTH + 1) + "p", logic.MAX_DEPTH),
+        ("(" * (logic.MAX_DEPTH + 1) + "p", logic.MAX_DEPTH),
+        ("!" * (logic.MAX_DEPTH - 2) + "(p <-> q)", 0),
+        ("(" * (logic.MAX_DEPTH // 2 + 1) + "p" + " -> q)" * (logic.MAX_DEPTH // 2 + 1), 0),
+    ])
+    def test_formulas_past_the_depth_bound_are_parse_errors(self, text, position):
+        with pytest.raises(ParseError) as e:
+            PQ.parse(text)
+        assert e.value.position == position
+        assert f"nests more than {logic.MAX_DEPTH} levels deep" in str(e.value)
+
+    @given(formulas(max_depth=7))
+    @settings(max_examples=200)
+    def test_depth_counts_the_connectives_on_the_longest_path(self, f):
+        assert logic._depth(f) == formula_depth(f) - 1
+
+    def test_deeply_nested_assessment_key_exits_2(self, tmp_path):
+        (tmp_path / "assessment.json").write_text(
+            json.dumps({"atoms": ["p"], "pi": {"p": "1/2", "!" * 5000 + "p": "1/2"}})
+        )
+        (tmp_path / "session.json").write_text(
+            json.dumps({"atoms": ["p"], "assessment": "assessment.json"})
+        )
+        res = CliRunner().invoke(main, ["check", str(tmp_path / "session.json")])
+        assert res.exit_code == 2
+        assert f"nests more than {logic.MAX_DEPTH} levels deep" in res.output
 
     def test_atom_named_like_constant_rejected(self):
         with pytest.raises(Exception):
