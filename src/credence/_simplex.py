@@ -8,8 +8,8 @@ Python ints together with one positive common denominator ``d``; its true
 entries are ``tab / d``.  The step is Bareiss's (1968) integer pivoting,
 as in Avis's lrs: every entry stays a minor of the starting matrix, so
 each division by ``d`` is exact and no gcd is ever taken.  ``maximize``
-takes int rows as they are; rows holding ``Fraction``s are scaled by the
-lcm of their denominators on the way in.  The optimum comes back as int
+takes int rows as they are; rows holding ``Fraction``s are put over one
+denominator by ``_exact`` on the way in.  The optimum comes back as int
 numerators over one denominator, and ``Fraction``s are built only when a
 caller reads ``x``, ``value`` or ``duals``.
 
@@ -29,10 +29,11 @@ that property by scaling every row, right-hand side and cost alike.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._exact import over_one_denominator
 from .errors import InternalError
 
 
@@ -137,13 +138,11 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     # one common denominator turns every structural entry, right-hand
     # side and cost into an int (int rows stay as they are); the scaled
     # LP has the same x, the same duals and the same pivots
-    scale = math.lcm(
-        *(v.denominator for v in c),
-        *(v.denominator for coeffs, b in ub + eq for v in (*coeffs, b)),
+    scale, nums = over_one_denominator(
+        itertools.chain(c, *(itertools.chain(coeffs, (b,)) for coeffs, b in ub + eq))
     )
-
-    def ints(values):
-        return [v.numerator * (scale // v.denominator) for v in values]
+    nums = iter(nums)
+    cost = list(itertools.islice(nums, n))
 
     # column layout: n structural, one slack (or surplus, on a row flipped
     # to a nonnegative rhs) per inequality row, then one artificial per
@@ -155,7 +154,7 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     art = art_start
     for i, (coeffs, b) in enumerate(ub + eq):
         flipped = b < 0
-        row = ints(coeffs) + pad + ints([b])
+        row = list(itertools.islice(nums, len(coeffs))) + pad + [next(nums)]
         if flipped:
             row = [-v for v in row]
         if i < len(ub):
@@ -192,7 +191,6 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
         basis = [basis[i] for i in keep]
 
     # phase 2: the reduced costs d*Lc - sum of Lc_b * row_b over the basis
-    cost = ints(c)
     obj = [d * v for v in cost] + [0] * (art_start - n + 1)
     for row, b in zip(tab, basis):
         f = cost[b] if b < n else 0

@@ -8,16 +8,19 @@ induced by expected value, so the checkers below reduce each rationality
 axiom to arithmetic (in)equalities on pi.  All checks are relative to
 the elicited universe: instances that would need a compound statement
 the universe lacks are reported as untestable, never silently passed.
+An assessment holds its values in the format of ``_exact``, as int
+numerators over one denominator, so the checkers compare ints and build
+a ``Fraction`` only for a value they report.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._exact import over_one_denominator
 from .logic import FALSE, TRUE, Formula, Language, Theory, unparse
 
 ZERO = Fraction(0)
@@ -32,13 +35,14 @@ class Assessment:
     """A map pi from a finite formula universe to [0, 1], exact rationals.
 
     TRUE and FALSE always belong to the universe; when missing from the
-    input they are added with the normalized values 1 and 0.
+    input they are added with the normalized values 1 and 0.  The values
+    are held once, as int ``numerators`` over one ``denominator`` in the
+    statement index; ``value`` builds a ``Fraction`` on lookup.
     """
 
     def __init__(self, language: Language, pi, texts=None):
         self.language = language
         values: dict[Formula, Fraction] = {}
-        order: list[Formula] = []
         for f, v in pi.items() if isinstance(pi, dict) else pi:
             v = Fraction(v)
             if f in values:
@@ -48,43 +52,33 @@ class Assessment:
                     f"pi({unparse(f)}) = {v} falls outside [0, 1]"
                 )
             values[f] = v
-            order.append(f)
-        if TRUE not in values:
-            values[TRUE] = ONE
-            order.append(TRUE)
-        if FALSE not in values:
-            values[FALSE] = ZERO
-            order.append(FALSE)
-        self.pi = values
-        self.formulas = tuple(order)
-        self._texts = {f: unparse(f) for f in order}
+        values.setdefault(TRUE, ONE)
+        values.setdefault(FALSE, ZERO)
+        self.formulas = tuple(values)
+        text = {f: unparse(f) for f in values}
         if texts:
-            self._texts.update({f: t for f, t in texts.items() if f in values})
+            text.update({f: t for f, t in texts.items() if f in values})
         # The statement index: parallel tuples in text order, built once.
-        self.statements = tuple(sorted(order, key=self._texts.__getitem__))
+        self.statements = tuple(sorted(values, key=text.__getitem__))
         self.sats = tuple(language.sat(f) for f in self.statements)
-        self.values = tuple(values[f] for f in self.statements)
-        self.texts = tuple(self._texts[f] for f in self.statements)
-        # the values as int numerators over their least common denominator
-        self.denominator = math.lcm(*(v.denominator for v in self.values))
-        self.numerators = tuple(
-            v.numerator * (self.denominator // v.denominator) for v in self.values
-        )
+        self.texts = tuple(map(text.__getitem__, self.statements))
+        den, nums = over_one_denominator(map(values.__getitem__, self.statements))
+        self.denominator, self.numerators = den, tuple(nums)
+        self._index = {f: i for i, f in enumerate(self.statements)}
         self._by_sat: dict[int, int] = {}
         for i, bits in enumerate(self.sats):
             self._by_sat.setdefault(bits, i)
         self._reversals = None
 
     def value(self, f: Formula) -> Fraction:
-        try:
-            return self.pi[f]
-        except KeyError:
-            raise AssessmentError(
-                f"formula outside the assessed universe: {unparse(f)}"
-            ) from None
+        i = self._index.get(f)
+        if i is None:
+            raise AssessmentError(f"formula outside the assessed universe: {unparse(f)}")
+        return Fraction(self.numerators[i], self.denominator)
 
     def text(self, f: Formula) -> str:
-        return self._texts.get(f) or unparse(f)
+        i = self._index.get(f)
+        return unparse(f) if i is None else self.texts[i]
 
     def index_of(self, sat_bits: int) -> int | None:
         """The index of the first (by text) statement with the given
@@ -194,35 +188,28 @@ def _report(axiom, violations, untestable=None, meta=None) -> AxiomReport:
 
 
 def check_nt(a: Assessment) -> AxiomReport:
-    """Non-Triviality: certainty is valued 1, impossibility 0, and every
-    value lies in [0, 1]."""
-    violations = []
-    if a.value(TRUE) != ONE:
-        violations.append(
-            Violation("NT", ("T",), a.value(TRUE), ONE, "pi(T) = 1")
-        )
-    if a.value(FALSE) != ZERO:
-        violations.append(
-            Violation("NT", ("F",), a.value(FALSE), ZERO, "pi(F) = 0")
-        )
-    for t, v in zip(a.texts, a.values):
-        if not ZERO <= v <= ONE:  # guarded at construction; kept for loaded data
-            violations.append(Violation("NT", (t,), v, ONE, "0 <= pi <= 1"))
+    """Non-Triviality: certainty is valued 1 and impossibility 0; every
+    value lies in [0, 1] by construction."""
+    violations = [
+        Violation("NT", (t,), a.value(f), want, f"pi({t}) = {want}")
+        for f, t, want in ((TRUE, "T", ONE), (FALSE, "F", ZERO))
+        if a.value(f) != want
+    ]
     return _report("NT", violations)
 
 
 def check_e(a: Assessment) -> AxiomReport:
     """Equivalence: logically equivalent statements get equal values."""
     violations = []
-    sats, values, texts = a.sats, a.values, a.texts
+    sats, num, den, texts = a.sats, a.numerators, a.denominator, a.texts
     for i, j in itertools.combinations(range(len(sats)), 2):
-        if sats[i] == sats[j] and values[i] != values[j]:
+        if sats[i] == sats[j] and num[i] != num[j]:
             violations.append(
                 Violation(
                     "E",
                     (texts[i], texts[j]),
-                    values[i],
-                    values[j],
+                    Fraction(num[i], den),
+                    Fraction(num[j], den),
                     f"pi({texts[i]}) = pi({texts[j]})",
                 )
             )
@@ -232,13 +219,13 @@ def check_e(a: Assessment) -> AxiomReport:
 def _reversed_entailments(a: Assessment, axiom: str, valuations: int, under: str):
     """One violation per statement pair that entails relative to
     ``valuations`` while the values reverse the entailment."""
-    texts, values = a.texts, a.values
+    texts, num, den = a.texts, a.numerators, a.denominator
     return [
         Violation(
             axiom,
             (texts[i], texts[j]),
-            values[i],
-            values[j],
+            Fraction(num[i], den),
+            Fraction(num[j], den),
             f"{texts[i]} implies {texts[j]}{under} so "
             f"pi({texts[j]}) >= pi({texts[i]})",
         )
@@ -269,18 +256,16 @@ def check_ie(a: Assessment, n_max: int = 3) -> AxiomReport:
     conjunction the universe lacks is reported untestable, naming the
     first missing conjunction by size, then by statement order.
 
-    Each family is summed once, not once per consequent.  Every value is
-    put over one common denominator D, so the sums are exact Python ints.
-    Families grow one later statement at a time: adding phi_j meets it
-    with every subset's conjunction already found, flipping that subset's
-    parity.  A family one statement short of ``n_max`` sums and tests its
+    Each family is summed once, not once per consequent, in the
+    assessment's int numerators over its denominator D.  Families grow
+    one later statement at a time: adding phi_j meets it with every
+    subset's conjunction already found, flipping that subset's parity.
+    A family one statement short of ``n_max`` sums and tests its
     extensions in one flat loop, with no call per leaf family; a leaf
     missing a conjunction goes the untestable way.  The consequents of a
     family are the statements whose valuation sets contain the family's
-    union; they are listed once per union, sorted by value, and the
-    violated ones are the prefix with D * pi(psi) < odd - even (both sums
-    as numerators over D), found by bisection.  Only a reported violation
-    is turned back into fractions.
+    union, listed once per union and sorted by value; the violated ones
+    are the prefix with D * pi(psi) < odd - even, found by bisection.
     """
     if n_max < 1:
         raise AssessmentError(f"IE needs families of at least 1 statement; n_max = {n_max}")
@@ -398,7 +383,7 @@ def check_a(a: Assessment) -> AxiomReport:
     their disjunction, whenever the disjunction is assessed."""
     violations = []
     untestable = []
-    sats, values, texts = a.sats, a.values, a.texts
+    sats, num, den, texts = a.sats, a.numerators, a.denominator, a.texts
     for i, si in enumerate(sats):
         for j in range(i, len(sats)):
             if si & sats[j]:
@@ -409,13 +394,13 @@ def check_a(a: Assessment) -> AxiomReport:
                     f"disjoint pair ({texts[i]}, {texts[j]}): disjunction not assessed"
                 )
                 continue
-            if values[i] + values[j] != values[member]:
+            if num[i] + num[j] != num[member]:
                 violations.append(
                     Violation(
                         "A",
                         (texts[i], texts[j], texts[member]),
-                        values[i] + values[j],
-                        values[member],
+                        Fraction(num[i] + num[j], den),
+                        Fraction(num[member], den),
                         f"pi({texts[i]}) + pi({texts[j]}) = pi({texts[member]})",
                     )
                 )

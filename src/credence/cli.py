@@ -8,7 +8,8 @@ not rationalizable, refused build or identification), 2 = input error,
 Commands report only their verdicts; ``_Main.invoke`` maps every other
 error to its exit code in one table: an ``INPUT_ERRORS`` exception
 exits 2, an ``InternalError`` exits 3, and anything else is a bug and
-ends in a traceback.
+ends in a traceback.  Paths are taken as plain strings, so a path that
+cannot be opened is the file readers' input error.
 Reports are deterministic: statements in text order, rationals reduced.
 """
 
@@ -182,9 +183,9 @@ def _report_lines(report) -> list[str]:
 
 
 @main.command()
-@click.argument("session_file", type=click.Path())
+@click.argument("session_file")
 @click.argument("which", nargs=-1)
-@click.option("--theory", "theory_path", type=click.Path(), default=None,
+@click.option("--theory", "theory_path", metavar="PATH", default=None,
               help="Theory file overriding the session's for s-i.")
 @click.option("--n-max", type=click.IntRange(min=1), default=3, show_default=True,
               help="Largest antecedent family size for the IE check.")
@@ -218,11 +219,11 @@ def check(ctx, session_file, which, theory_path, n_max):
 
 
 @main.command()
-@click.argument("session_file", type=click.Path())
+@click.argument("session_file")
 @click.argument("construction", type=click.Choice(
     ["product", "canonical-sound", "interval-additive", "additive-sound", "belief-lift"]
 ))
-@click.option("--out", type=click.Path(), default=None, help="Write the model JSON here.")
+@click.option("--out", metavar="PATH", default=None, help="Write the model JSON here.")
 @click.option("--model", "model_name", default=None,
               help="Source model for belief-lift.")
 @click.option("--complete-maxent", is_flag=True,
@@ -270,8 +271,8 @@ def build(ctx, session_file, construction, out, model_name, complete_maxent):
 
 
 @main.command(name="identify")
-@click.argument("session_file", type=click.Path())
-@click.option("--theory", "theory_path", type=click.Path(), default=None)
+@click.argument("session_file")
+@click.option("--theory", "theory_path", metavar="PATH", default=None)
 @click.pass_obj
 def identify_cmd(ctx, session_file, theory_path):
     """List which entailments the assessment respects; with a theory,
@@ -325,7 +326,7 @@ def identify_cmd(ctx, session_file, theory_path):
 
 
 @main.command()
-@click.argument("session_file", type=click.Path())
+@click.argument("session_file")
 @click.option("--choice", default=None, help="Strategy to test (default: session's).")
 @click.option("--model", "model_name", default=None)
 @click.option("--additive-only", is_flag=True, help="Allow only additive priors.")
@@ -358,9 +359,9 @@ def rationalize(ctx, session_file, choice, model_name, additive_only, weak):
 
 
 @main.command(name="choquet")
-@click.argument("session_file", type=click.Path())
+@click.argument("session_file")
 @click.option("--model", "model_name", default=None)
-@click.option("--act", "act_path", type=click.Path(), required=True,
+@click.option("--act", "act_path", metavar="PATH", required=True,
               help="JSON file mapping state labels to rationals.")
 @click.pass_obj
 def choquet_cmd(ctx, session_file, model_name, act_path):
@@ -373,7 +374,7 @@ def choquet_cmd(ctx, session_file, model_name, act_path):
 
 
 @main.command(name="mobius")
-@click.argument("session_file", type=click.Path())
+@click.argument("session_file")
 @click.option("--model", "model_name", default=None)
 @click.option("--invert", is_flag=True,
               help="Rebuild the appraisal from the model's masses instead.")

@@ -26,11 +26,11 @@ built model, never assumed.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._exact import format_ratios
 from ._simplex import pivot
 from .assessment import Assessment, check_a, check_e, check_i, check_nt
 from .errors import InternalError
@@ -225,12 +225,16 @@ def build_interval_additive(assessment: Assessment) -> BuildOutcome:
     nested segments make truth monotone."""
     _require(check_nt(assessment), "NT", "interval construction")
     _require(check_i(assessment), "I", "interval construction")
-    cuts = sorted({ZERO, ONE} | set(assessment.values))
-    states = [f"({cuts[i]},{cuts[i + 1]}]" for i in range(len(cuts) - 1)]
+    # the cuts and masses as int numerators over the assessment's denominator
+    den = assessment.denominator
+    cuts = sorted({0, den, *assessment.numerators})
+    labels = format_ratios(cuts, den)
+    states = [f"({labels[i]},{labels[i + 1]}]" for i in range(len(cuts) - 1)]
     mass = [cuts[i + 1] - cuts[i] for i in range(len(states))]
     # the segment [0, pi] is the first k states, pi being the k-th cut
     position = {v: k for k, v in enumerate(cuts)}
-    truth = {f: (1 << position[assessment.value(f)]) - 1 for f in assessment.formulas}
+    cut = dict(zip(assessment.statements, assessment.numerators))
+    truth = {f: (1 << position[cut[f]]) - 1 for f in assessment.formulas}
     model = SubjectiveModel(
         assessment.language,
         states,
@@ -238,6 +242,7 @@ def build_interval_additive(assessment: Assessment) -> BuildOutcome:
         mass=mass,
         name="interval-additive",
         exact_lookup=True,
+        denominator=den,
     )
     cert = [_certify_represents(model, assessment)]
     flags = classify_truth(model, assessment.formulas)
@@ -313,22 +318,18 @@ def build_belief_lift(
 
 def _solve_valuation_masses(assessment: Assessment):
     """Row-reduce the system  sum of masses over sat(phi) = pi(phi)  with
-    the fraction-free ``pivot``, the values scaled to ints by the lcm of
-    their denominators.
+    the fraction-free ``pivot``, on the assessment's int numerators over
+    its denominator.
 
     Returns (status, data): status is "unique" (data: mass vector),
     "inconsistent" (data: None) or "underdetermined" (data: (pinned
     column values, free column set))."""
-    lang = assessment.language
-    nv = lang.n_valuations
-    values = [assessment.value(f) for f in assessment.formulas]
-    scale = math.lcm(*(v.denominator for v in values))
-    mat = []
-    for f, v in zip(assessment.formulas, values):
-        bits = lang.sat(f)
-        row = [(bits >> i) & 1 for i in range(nv)]
-        row.append(v.numerator * (scale // v.denominator))
-        mat.append(row)
+    nv = assessment.language.n_valuations
+    scale = assessment.denominator
+    mat = [
+        [(bits >> i) & 1 for i in range(nv)] + [v]
+        for bits, v in zip(assessment.sats, assessment.numerators)
+    ]
     d = 1
     pivots = []
     r = 0

@@ -20,19 +20,19 @@ with an optional leading ``-``, are read with ``int`` directly: the same
 value, without ``Fraction``'s regular expression.  ``rational_pair``
 reads a rational as an int numerator and denominator in lowest terms; a
 model file's appraisal values and masses are read that way and put over
-one common denominator, so loading a model builds no ``Fraction`` per
-value.
+one common denominator by ``_exact``, so loading a model builds no
+``Fraction`` per value, and ``format_ratios`` writes them back.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from ._exact import format_ratios, ratios_over_one_denominator
 from .assessment import Assessment
 from .games import Strategy
 from .logic import FALSE, TRUE, Language, Theory, unparse
@@ -71,16 +71,6 @@ def rational_pair(value) -> tuple[int, int]:
 
 def parse_rational(value) -> Fraction:
     return Fraction(*rational_pair(value))
-
-
-def format_ratios(nums, den: int) -> list[str]:
-    """``str(Fraction(num, den))`` of each numerator over a positive
-    ``den``, with one gcd per distinct numerator."""
-    text = {}
-    for num in set(nums):
-        g = math.gcd(num, den)
-        text[num] = str(num // g) if g == den else f"{num // g}/{den // g}"
-    return list(map(text.__getitem__, nums))
 
 
 def _read_json(path: Path) -> dict:
@@ -211,8 +201,7 @@ def load_model(path: Path, language: Language, name: str | None = None) -> Subje
     exact_lookup = data.get("exact_lookup", False)
     if not isinstance(exact_lookup, bool):
         raise FileFormatError(f"{path}: key 'exact_lookup' must be a bool, got {exact_lookup!r}")
-    den = math.lcm(*dens)
-    nums = list(map(operator.mul, nums, map(den.__floordiv__, dens)))
+    den, nums = ratios_over_one_denominator(nums, dens)
     if mass is not None:
         mass = [nums[mass[s]] if s in mass else 0 for s in states]
     return SubjectiveModel(

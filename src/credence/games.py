@@ -17,23 +17,20 @@ k + 1 variables, and no cap on k is needed.  Every witness it produces
 is re-verified by direct Choquet comparison, never trusted from the LP
 alone.
 
-The decision runs in ints.  ``rationalizable`` puts every payoff over
-the pool's one denominator, the lcm of its payoff denominators, so the
-state vectors, the layer levels and weights, the affine forms and every
-LP row are int numerators over it, and ``_simplex`` takes those rows as
-they are.  Each LP is the one posed in payoff units times that
-denominator, so its pivots, vertices and duals are unchanged.  A
-``Fraction`` is built only for a reported value: the margin epsilon, a
-mixture, a prior or a Choquet value.
+The decision runs in ints over the pool's one denominator: state
+vectors, layer levels and weights, affine forms and LP rows are all int
+numerators over it, each LP being the one in payoff units times that
+denominator, with the same pivots, vertices and duals.  A ``Fraction``
+is built only for a reported value.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _simplex
+from ._exact import over_one_denominator
 from .assessment import Assessment
 from .errors import InternalError
 from .logic import Formula, unparse
@@ -62,9 +59,6 @@ class Strategy:
             if v > 0:
                 self.payoffs[f] = self.payoffs.get(f, ZERO) + v
         self.name = name
-
-    def support(self) -> list[Formula]:
-        return sorted(self.payoffs, key=unparse)
 
     def __eq__(self, other):
         return isinstance(other, Strategy) and self.payoffs == other.payoffs
@@ -96,30 +90,28 @@ def _require_sound(model: SubjectiveModel, what: str):
         )
 
 
-def _denominator(pool) -> int:
-    """The lcm of the pool's payoff denominators: every payoff is an int
-    over it."""
-    return math.lcm(*(v.denominator for s in pool for v in s.payoffs.values()))
-
-
-def _state_numerators(model: SubjectiveModel, strategy: Strategy, denominator: int) -> list[int]:
-    """``t_circ`` as int numerators over ``denominator``, a common multiple
-    of the strategy's payoff denominators."""
+def _state_numerators(model: SubjectiveModel, pool) -> tuple[int, list[list[int]]]:
+    """``t_circ`` of each pool member as int numerators over one
+    denominator, the lcm of the pool's payoff denominators."""
     _require_sound(model, "strategy evaluation")
-    out = [0] * len(model.states)
-    for f, v in strategy.payoffs.items():
-        v = v.numerator * (denominator // v.denominator)
-        for i in bits(model.truth_of(f)):
-            out[i] += v
-    return out
+    den, nums = over_one_denominator(v for s in pool for v in s.payoffs.values())
+    nums = iter(nums)
+    vectors = []
+    for s in pool:
+        out = [0] * len(model.states)
+        for f, v in zip(s.payoffs, nums):
+            for i in bits(model.truth_of(f)):
+                out[i] += v
+        vectors.append(out)
+    return den, vectors
 
 
 def t_circ(model: SubjectiveModel, strategy: Strategy) -> list[Fraction]:
     """State payoff vector of a strategy under a sound valuation, in state
     order: at each state, the sum of payoffs of the statements true
     there.  Linear in the strategy."""
-    d = _denominator([strategy])
-    return [Fraction(v, d) for v in _state_numerators(model, strategy, d)]
+    d, (x,) = _state_numerators(model, [strategy])
+    return [Fraction(v, d) for v in x]
 
 
 def layer_decompose(payoff, model: SubjectiveModel) -> list[tuple[Fraction, Formula]]:
@@ -557,8 +549,7 @@ def rationalizable(
     mode = "weak" if weak else "strict"
 
     # every state payoff as an int numerator over the pool's denominator
-    denominator = _denominator(pool)
-    base_vectors = [_state_numerators(model, s, denominator) for s in pool]
+    denominator, base_vectors = _state_numerators(model, pool)
 
     if additive_only:
         # keyed by label, so that the dominance LP orders its states by label

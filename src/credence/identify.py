@@ -59,19 +59,20 @@ def understood_implications(assessment: Assessment) -> list[ImplicationVerdict]:
         raise IdentifyError(
             "identification requires a normalized assessment (axiom NT)", nt
         )
-    texts, values, sats = assessment.texts, assessment.values, assessment.sats
+    texts, num, sats = assessment.texts, assessment.numerators, assessment.sats
+    den = assessment.denominator
     return [
         ImplicationVerdict(
             antecedent=texts[i],
             consequent=texts[j],
             logically_valid=True,
             understood=margin >= 0,
-            margin=margin,
+            margin=Fraction(margin, den),
         )
         for i, si in enumerate(sats)
         for j, sj in enumerate(sats)
         if si & ~sj == 0
-        for margin in (values[j] - values[i],)
+        for margin in (num[j] - num[i],)
     ]
 
 
@@ -207,11 +208,13 @@ def subtheory_via_certainty(assessment: Assessment, theory: Theory) -> Subtheory
             ie_report,
         )
     lang = assessment.language
-    # certain theory members; a tautology adds nothing to the closure
+    # certain theory members (pi = 1, their numerator the denominator); a
+    # tautology adds nothing to the closure
+    one = assessment.denominator
     picked = [
         i
-        for i, (bits, v) in enumerate(zip(assessment.sats, assessment.values))
-        if v == 1 and theory.valuations & ~bits == 0 and bits != lang.full_mask
+        for i, (bits, v) in enumerate(zip(assessment.sats, assessment.numerators))
+        if v == one and theory.valuations & ~bits == 0 and bits != lang.full_mask
     ]
     texts = [assessment.texts[i] for i in picked]
     sub = Theory(lang, [assessment.statements[i] for i in picked], texts)

@@ -2,33 +2,30 @@
 sending statements to events, and a likelihood appraisal on a field of
 events.
 
-The core is indexed.  A state is its bit position in ``states`` and an
-event is an int mask over those positions: ``truth`` maps formulas to
-masks and ``lam_numerators`` is keyed by mask.  The explicit appraisal
-values and the optional state masses are int numerators over the
-model's one ``denominator``, so checking the appraisal against the
-masses, grading it, its Mobius transform and a Choquet sum all run in
-ints; ``lambda_of`` builds a ``Fraction`` only when a value is looked
-up.  State labels serve only to read and write models and to render
-reports (``labels``, ``label`` and ``event_key``, which orders events by
-size, then by label text).
+The core is indexed.  A state is its bit position in ``states``, an
+event an int mask over those positions, and the appraisal values and
+optional state masses are int numerators over the model's one
+``denominator`` (the format of ``_exact``), so grading, Mobius and
+Choquet run in ints; ``lambda_of`` builds a ``Fraction`` on lookup.
+State labels serve only I/O and reports (``labels``, ``label`` and
+``event_key``, which orders events by size, then by label text).
 
 The module grades truth valuations (exact / monotone / symmetric /
 and-distributive / sound) and likelihood appraisals (symmetric /
-monotone / totally monotone / additive), computes Mobius mass
-decompositions, integrates payoff vectors by the finite Choquet sum,
-and tests whether a model reproduces an assessment.
+monotone / totally monotone / additive), computes Mobius masses,
+integrates payoffs by the finite Choquet sum, and tests whether a model
+reproduces an assessment.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from ._exact import over_one_denominator
 from .assessment import Assessment
 from .logic import FALSE, TRUE, Atom, Formula, Language, unparse
 
@@ -40,10 +37,6 @@ MAX_POWERSET_STATES = 20
 
 class ModelError(ValueError):
     pass
-
-
-def _rational(v) -> Fraction:
-    return v if type(v) is Fraction else Fraction(v)
 
 
 def bits(mask: int) -> list[int]:
@@ -122,15 +115,11 @@ class SubjectiveModel:
             if len(mass) != n:
                 raise ModelError(f"masses must give one value per state, got {len(mass)}")
         if denominator is None:
-            # rationals, put over the common denominator of all of them
-            mass = None if mass is None else [_rational(v) for v in mass]
-            lam = {ev: _rational(v) for ev, v in lam.items()}
-            denominator = math.lcm(
-                *(v.denominator for v in mass or ()), *(v.denominator for v in lam.values())
-            )
+            values = map(Fraction, [*(mass or ()), *lam.values()])
+            denominator, nums = over_one_denominator(values)
             if mass is not None:
-                mass = [v.numerator * (denominator // v.denominator) for v in mass]
-            lam = {ev: v.numerator * (denominator // v.denominator) for ev, v in lam.items()}
+                mass, nums = nums[:n], nums[n:]
+            lam = dict(zip(lam, nums))
         self.denominator = denominator
 
         self.mass_numerators: tuple[int, ...] | None = None
@@ -480,14 +469,6 @@ def _subset_fold(arr: list, combine=operator.add) -> list:
     return arr
 
 
-def _rational_subset_sums(values, combine) -> list[Fraction]:
-    """``_subset_fold`` of rationals with ``add`` or ``sub``, run in ints
-    over the values' common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    ints = _subset_fold([v.numerator * (den // v.denominator) for v in values], combine)
-    return [Fraction(v, den) for v in ints]
-
-
 def _check_powerset(n: int):
     if n > MAX_POWERSET_STATES:
         raise ModelError(f"powerset Mobius capped at {MAX_POWERSET_STATES} states, got {n}")
@@ -521,7 +502,8 @@ def inverse_mobius(masses, n: int) -> dict[int, Fraction]:
     for ev, v in masses.items():
         if 0 <= ev < len(values):  # a mass off the states lies below no event
             values[ev] += Fraction(v)
-    return dict(enumerate(_rational_subset_sums(values, operator.add)))
+    den, nums = over_one_denominator(values)
+    return {ev: Fraction(v, den) for ev, v in enumerate(_subset_fold(nums))}
 
 
 # -- Choquet integration ----------------------------------------------------
@@ -560,9 +542,8 @@ def choquet(model: SubjectiveModel, payoff) -> Fraction:
             "payoff must be nonnegative; shift it up and subtract the shift "
             "from the result (the shift adds exactly shift * lambda(omega))"
         )
-    # the payoff as int numerators over its values' common denominator
-    scale = math.lcm(*(v.denominator for v in x))
-    levels = upper_sets([v.numerator * (scale // v.denominator) for v in x])
+    scale, nums = over_one_denominator(x)
+    levels = upper_sets(nums)
     total = 0
     for i, (a, upper) in enumerate(levels):
         nxt = levels[i + 1][0] if i + 1 < len(levels) else 0

@@ -565,7 +565,8 @@ def check_ie_oracle(a: Assessment, n_max: int = 3) -> AxiomReport:
     alternating conjunction sum rebuilt in Fractions."""
     violations = []
     untestable = []
-    sats, values, texts = a.sats, a.values, a.texts
+    sats, texts = a.sats, a.texts
+    values = [a.value(f) for f in a.statements]
     full = a.language.full_mask
     for psi, sat_psi in enumerate(sats):
         ants = [i for i, si in enumerate(sats) if si & ~sat_psi == 0]
@@ -1834,7 +1835,9 @@ def build_canonical_sound_oracle(assessment: Assessment) -> BuildOutcome:
     atoms = model.field_atoms()
     if len(atoms) <= MAX_FIELD_ATOMS and lang.n_valuations <= 4096:
         state_bit = {s: 1 << i for i, s in enumerate(states)}
-        statements = list(zip(assessment.sats, assessment.values))
+        statements = [
+            (sat, assessment.value(f)) for f, sat in zip(assessment.statements, assessment.sats)
+        ]
         for ev in model.field_events():
             if ev in model.lam:
                 continue

@@ -471,6 +471,22 @@ class TestMalformedSessions:
         session = self.session(tmp_path, assessment="assessment\0.json")
         self.assert_input_error(invoke(runner, "check", session), ": embedded null byte")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "a\0b.json"],
+            ["check", FIXTURES / "voting" / "session.json", "s-i", "--theory", "t\0.json"],
+            ["identify", FIXTURES / "voting" / "session.json", "--theory", "t\0.json"],
+            ["build", "a\0b.json", "product"],
+            ["build", FIXTURES / "linda" / "session.json", "product", "--out", "m\0.json"],
+            ["choquet", FIXTURES / "strategies" / "session-maps.json", "--model", "capacity",
+             "--act", "x\0y"],
+        ],
+        ids=["session", "check-theory", "identify-theory", "build-session", "out", "act"],
+    )
+    def test_nul_byte_in_a_command_line_path(self, runner, args):
+        self.assert_input_error(invoke(runner, *args), ": embedded null byte")
+
     def test_file_not_utf8(self, runner, tmp_path):
         (tmp_path / "theory.json").write_bytes(b'{"generators": ["\xff"]}')
         res = invoke(runner, "check", self.session(tmp_path, theory="theory.json"))

@@ -18,7 +18,7 @@ from credence.games import (
     verify_integral_equality,
 )
 from credence.logic import TRUE, Language, unparse
-from credence.model import SubjectiveModel, choquet
+from credence.model import ModelError, SubjectiveModel, choquet
 from credence.construct import build_canonical_sound, build_interval_additive
 
 from helpers import (
@@ -366,6 +366,12 @@ class TestPointwiseUndominated:
         with pytest.raises(GamesError):
             pointwise_undominated({"a": F(0)}, [])
 
+    def test_weak_mode_without_a_mixture_kept_above_x(self):
+        # the one alternative pays less than x at a, so the weak LP is infeasible
+        res = pointwise_undominated({"a": 1, "b": 1}, [{"a": 0, "b": 2}], weak=True)
+        assert not res.dominated
+        assert res.epsilon is None and res.mixture is None and res.prior is None
+
     def test_weak_mode_catches_weak_dominance(self):
         x = {"a": F(1), "b": F(0)}
         alts = [x, {"a": F(1), "b": F(1)}]
@@ -470,6 +476,22 @@ class TestRationalizable:
         values = dict(res.choquet_values)
         assert values["s3"] >= values["s1"]
         assert values["s3"] >= values["s2"]
+
+    def test_model_appraisal_missing_an_upper_set_falls_back_to_the_prior(self):
+        # lambda is given on p's event only, so the model's own Choquet sum
+        # of q's payoff raises and the pulled-back prior is the witness
+        lang = Language(["p", "q"])
+        p, q = lang.parse("p"), lang.parse("q")
+        m = SubjectiveModel(
+            lang, ["v00", "v10", "v01", "v11"], {p: 0b1010, q: 0b1100}, lam={0b1010: F(1, 2)}
+        )
+        pool = [strat(lang, {"p": 1}), strat(lang, {"q": 1}), strat(lang, {"T": F(1, 3)})]
+        with pytest.raises(ModelError, match="not in the appraisal's domain"):
+            choquet(m, t_circ(m, pool[1]))
+        for s in pool:
+            res = rationalizable(s, pool, m)
+            assert res.rationalizable and res.verified
+            assert res.witness_source == "maximal-model prior"
 
     def test_dominated_strategies_stay_unrationalizable(self, hedging):
         m = hedging.models["objective"]

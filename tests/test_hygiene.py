@@ -7,8 +7,10 @@ literal or ``float(...)`` call (every value is an exact rational, and the
 integer fast paths rely on it).  The LP core's ``pivot`` and
 ``_run_simplex`` must also stay fraction-free: no true division and no
 ``Fraction``, so every pivot stays integer arithmetic over one
-denominator.  Every ``ValueError`` the package defines must have its
-exit code: an input error in ``cli.INPUT_ERRORS``, or the one verdict,
+denominator.  Only ``_exact`` takes an lcm: it owns the one exact-rational
+format, int numerators over one common denominator.  Every
+``ValueError`` the package defines must have its exit code: an input
+error in ``cli.INPUT_ERRORS``, or the one verdict,
 ``construct.BuildError``."""
 
 import ast
@@ -172,6 +174,47 @@ def test_fraction_uses_are_found(snippet, what):
 )
 def test_fraction_free_code_passes(snippet):
     assert fraction_uses(snippet) == []
+
+
+def lcm_uses(source: str) -> list[str]:
+    """Every ``math.lcm`` call and every import of ``lcm``, as
+    ``line: what``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "lcm":
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "lcm" for a in node.names):
+            found.append(f"{node.lineno}: lcm import")
+    return found
+
+
+def test_only_exact_takes_an_lcm():
+    offenders = {p.name: lcm_uses(p.read_text()) for p in MODULES if p.name != "_exact.py"}
+    assert {name: found for name, found in offenders.items() if found} == {}
+    assert lcm_uses((PACKAGE / "_exact.py").read_text())
+
+
+@pytest.mark.parametrize(
+    "snippet, what",
+    [
+        ("den = math.lcm(*dens)", "math.lcm"),
+        ("from math import gcd, lcm", "lcm import"),
+    ],
+)
+def test_lcm_uses_are_found(snippet, what):
+    assert [o.split(": ", 1)[1] for o in lcm_uses(snippet)] == [what]
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "den, nums = over_one_denominator(values)",
+        "g = math.gcd(num, den)",
+        '"""the lcm of the denominators"""',
+    ],
+)
+def test_code_without_an_lcm_passes(snippet):
+    assert lcm_uses(snippet) == []
 
 
 def defined_classes(base) -> list[type]:
