@@ -20,10 +20,15 @@ atoms: building it, then parsing and taking ``sat`` of a disjunction of
 
 The model I/O timings are ``files.load_model`` on seeded capacities of
 8 states (256 events) and 12 states (4,096 events), each valued on
-every event, and ``files.model_to_dict`` over 24 seeded canonical-sound
-models and the 24 product models of the same 3-atom assessments, each
-the best of five runs.  Each records a SHA-256 digest of the models'
-``credence.cli`` JSON texts, which must match between two commits.  A
+every event, and the rendering of models: ``files.model_to_dict``
+alone, and the whole report text ``credence.cli._json_text`` of it,
+each the best of five runs.  The models rendered are 24 seeded
+canonical-sound models (8 states, 256 events) and the 24 product models
+(up to 4,096 states) of the same 3-atom assessments, and the 24
+canonical-sound models of the 4-atom ``audit`` benchmark workload at
+seed 0 (16 states, 1,024 to 2,048 events).  Each records a SHA-256
+digest of the models' ``credence.cli`` JSON texts, which must match
+between two commits.  A
 12-state capacity whose values have seeded, unrelated denominators
 below 10^6 times ``load_model``, ``mobius`` and ``choquet`` where one
 common denominator is at its largest.
@@ -111,6 +116,7 @@ BUILT_CLASSES = 12  # statements assessed, of the 256 3-atom classes
 RENDER_ATOMS = (3, 4)  # the seed of each batch of sets is its atom count
 RENDER_SETS = 300
 RENDER_LARGE = ((10, 1000), (16, 5000))  # (atoms, valuations), seeded by atoms
+AUDIT_SEED = 0
 RATIONALIZE_SEED = 0
 # (additive_only, weak) of each mode
 RATIONALIZE_MODES = {
@@ -348,16 +354,22 @@ def bench_model_to_dict() -> dict:
         assessments.append(
             random_monotone_assessment(rng, lang, rng.sample(classes, BUILT_CLASSES))
         )
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = gen.generate("audit", AUDIT_SEED, tmp)
+        audit = [load_session(Path(tmp) / name).assessment for name in plan["sessions"]]
     out = {}
-    for name, build in (("canonical_sound", build_canonical_sound),
-                        ("product", build_product_model)):
-        models = [build(a).model for a in assessments]
+    for name, build, sources in (("canonical_sound", build_canonical_sound, assessments),
+                                 ("product", build_product_model, assessments),
+                                 ("canonical_sound_4_atoms", build_canonical_sound, audit)):
+        models = [build(a).model for a in sources]
         best_s, _ = best_of(lambda: [model_to_dict(m) for m in models])
+        render_s, _ = best_of(lambda: [_json_text(model_to_dict(m)) for m in models])
         out[name] = {
             "models": len(models),
-            "lambda_events": sum(len(model_to_dict(m)["lambda"]) for m in models),
+            "lambda_events": sum(len(m.lam_numerators) for m in models),
             "states": sum(len(m.states) for m in models),
             "best_s": best_s,
+            "render_best_s": render_s,
             "digest": digest(models),
         }
     return out

@@ -2,12 +2,30 @@
 over one positive common denominator, the lcm of theirs.  Assessments,
 models, the pool of a strategy game and the LP tableau all hold their
 values this way, so comparisons and sums run in ints, and a
-``Fraction`` is built only for a value that is reported."""
+``Fraction`` is built only for a value that is reported.
+
+``exact`` is the one door for a value given to the library: every
+constructor that takes rationals reads them through it, so a binary
+float, which ``Fraction`` would take as the dyadic rational it stores,
+is refused there with the constructor's own error."""
 
 from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
+
+
+def exact(value, error: type[Exception]) -> Fraction:
+    """``value`` as a ``Fraction``: an int, a ``Fraction``, a ``Decimal``
+    or a string as ``Fraction`` reads it.  A float raises ``error``:
+    0.1 is not 1/10 but a 56-bit dyadic rational near it."""
+    if isinstance(value, float):
+        raise error(
+            f"{value!r} is a binary float; give exact rationals "
+            "(ints, Fractions or strings such as '1/10')"
+        )
+    return Fraction(value)
 
 
 def over_one_denominator(values) -> tuple[int, list[int]]:

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._exact import over_one_denominator
+from ._exact import exact, over_one_denominator
 from .logic import FALSE, TRUE, Formula, Language, Theory, unparse
 
 ZERO = Fraction(0)
@@ -44,7 +44,7 @@ class Assessment:
         self.language = language
         values: dict[Formula, Fraction] = {}
         for f, v in pi.items() if isinstance(pi, dict) else pi:
-            v = Fraction(v)
+            v = exact(v, AssessmentError)
             if f in values:
                 raise AssessmentError(f"duplicate formula in universe: {unparse(f)}")
             if not ZERO <= v <= ONE:
@@ -114,7 +114,7 @@ class Bet:
             raise AssessmentError("a bet needs nonempty support")
         self.weights = {}
         for f, w in items:
-            w = Fraction(w)
+            w = exact(w, AssessmentError)
             if w <= 0:
                 raise AssessmentError("bet weights must be positive")
             self.weights[f] = self.weights.get(f, ZERO) + w
@@ -127,7 +127,7 @@ class Bet:
 
     @staticmethod
     def mix(b1: "Bet", b2: "Bet", alpha) -> "Bet":
-        alpha = Fraction(alpha)
+        alpha = exact(alpha, AssessmentError)
         if not ZERO <= alpha <= ONE:
             raise AssessmentError("mixture weight outside [0, 1]")
         out: dict[Formula, Fraction] = {}

@@ -66,7 +66,9 @@ def _json_text(payload) -> str:
 
 def _write_json(value, indent: str, write) -> None:
     """Pass ``value``'s JSON text to ``write`` in pieces, each line inside
-    it opened by ``indent``; an unsupported value raises TypeError."""
+    it opened by ``indent``; an unsupported value raises TypeError.  A
+    dict entry whose value is a string is one piece, and so is a whole
+    list of strings."""
     if isinstance(value, str):
         write(encode_basestring_ascii(value))
     elif isinstance(value, dict):
@@ -76,8 +78,12 @@ def _write_json(value, indent: str, write) -> None:
         inner = indent + "  "
         sep = "{" + inner
         for key in sorted(value):
-            write(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value[key], inner, write)
+            item = value[key]
+            if isinstance(item, str):  # most entries of a model's tables are
+                write(sep + encode_basestring_ascii(key) + ": " + encode_basestring_ascii(item))
+            else:
+                write(sep + encode_basestring_ascii(key) + ": ")
+                _write_json(item, inner, write)
             sep = "," + inner
         write(indent + "}")
     elif isinstance(value, (list, tuple)):
@@ -85,13 +91,17 @@ def _write_json(value, indent: str, write) -> None:
             write("[]")
             return
         inner = indent + "  "
+        for item in value:
+            if not isinstance(item, str):
+                break
+        else:
+            write("[" + inner + ("," + inner).join(map(encode_basestring_ascii, value))
+                  + indent + "]")
+            return
         sep = "[" + inner
         for item in value:
             write(sep)
-            if isinstance(item, str):  # most items are; this saves a call each
-                write(encode_basestring_ascii(item))
-            else:
-                _write_json(item, inner, write)
+            _write_json(item, inner, write)
             sep = "," + inner
         write(indent + "]")
     elif value is None:

@@ -226,7 +226,7 @@ def model_to_dict(model: SubjectiveModel) -> dict:
             if f not in (TRUE, FALSE)
         },
         "lambda": dict(zip(
-            map(model.label, model.lam_numerators),
+            model.label_events(model.lam_numerators),
             format_ratios(model.lam_numerators.values(), den),
         )),
     }

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _simplex
-from ._exact import over_one_denominator
+from ._exact import exact, over_one_denominator
 from .assessment import Assessment
 from .errors import InternalError
 from .logic import Formula, unparse
@@ -50,7 +50,7 @@ class Strategy:
     def __init__(self, payoffs, name: str | None = None):
         self.payoffs: dict[Formula, Fraction] = {}
         for f, v in (payoffs.items() if isinstance(payoffs, dict) else payoffs):
-            v = Fraction(v)
+            v = exact(v, GamesError)
             if v < 0:
                 raise GamesError(
                     f"strategy payoffs must be nonnegative (shift first); "
@@ -65,15 +65,6 @@ class Strategy:
 
     def __hash__(self):
         return hash(frozenset(self.payoffs.items()))
-
-
-def shift_nonnegative(payoffs) -> tuple[dict[Formula, Fraction], Fraction]:
-    """Shift raw payoffs up to be nonnegative; returns (shifted, shift).
-    Integrals of the shifted strategy are exactly shift higher."""
-    values = {f: Fraction(v) for f, v in payoffs.items()}
-    low = min(values.values(), default=ZERO)
-    shift = -low if low < 0 else ZERO
-    return {f: v + shift for f, v in values.items()}, shift
 
 
 def _require_sound(model: SubjectiveModel, what: str):
@@ -257,7 +248,7 @@ def strategy_events(model: SubjectiveModel, layerings) -> list[int]:
             ev = model.truth_of(f)
             if ev and ev != model.omega:
                 events.add(ev)
-    return sorted(events, key=model.event_key)
+    return model.report_order(events)[0]
 
 
 def transported_vector(
@@ -487,7 +478,7 @@ class RationalizabilityResult:
             "choquet_values": None
             if self.choquet_values is None
             else {n: str(v) for n, v in self.choquet_values},
-            "coordinates": [self.model.label(e) for e in self.coordinates],
+            "coordinates": self.model.label_events(self.coordinates),
             "verified": self.verified,
         }
 

@@ -93,11 +93,10 @@ class Formula:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        return _repr(self)
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+        return _rebuild, (_flat(self),)
 
     def __copy__(self):
         return self
@@ -173,21 +172,73 @@ def unparse(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _depth(f: Formula) -> int:
-    """The number of connectives on the longest path down ``f``, each
-    shared subformula measured once, without recursion."""
-    depth = {}
+def _children(f: Formula) -> tuple:
+    return () if isinstance(f, (Atom, Const)) else tuple(getattr(f, n) for n in f.__slots__)
+
+
+def _postorder(f: Formula) -> list[Formula]:
+    """The distinct subformulas of ``f``, each after its children, found
+    without recursion."""
+    seen = set()
+    out = []
     stack = [f]
     while stack:
         g = stack[-1]
-        kids = () if isinstance(g, (Atom, Const)) else [getattr(g, n) for n in g.__slots__]
-        todo = [k for k in kids if k not in depth]
+        if g in seen:
+            stack.pop()
+            continue
+        todo = [k for k in _children(g) if k not in seen]
         if todo:
             stack.extend(todo)
         else:
             stack.pop()
-            depth[g] = 1 + max((depth[k] for k in kids), default=-1)
+            seen.add(g)
+            out.append(g)
+    return out
+
+
+def _depth(f: Formula) -> int:
+    """The number of connectives on the longest path down ``f``, each
+    shared subformula measured once."""
+    depth = {}
+    for g in _postorder(f):
+        depth[g] = 1 + max((depth[k] for k in _children(g)), default=-1)
     return depth[f]
+
+
+def _repr(f: Formula) -> str:
+    """``Not(child=Atom(name='p'))`` and the like, one frame per level:
+    it calls itself, never ``repr``, on a subformula."""
+    fields = []
+    for name in f.__slots__:
+        v = getattr(f, name)
+        fields.append(f"{name}={_repr(v) if isinstance(v, Formula) else repr(v)}")
+    return f"{type(f).__name__}({', '.join(fields)})"
+
+
+def _flat(f: Formula) -> tuple:
+    """``f`` as its distinct subformulas, each after its children, each
+    its class and its fields, with a subformula field given as that
+    subformula's position; ``_rebuild`` inverts it.  Pickle stores the
+    flat form without recursing down ``f``."""
+    nodes = _postorder(f)
+    index = {g: i for i, g in enumerate(nodes)}
+    flat = []
+    for g in nodes:
+        if isinstance(g, (Atom, Const)):
+            flat.append((type(g), *(getattr(g, n) for n in g.__slots__)))
+        else:
+            flat.append((type(g), *(index[k] for k in _children(g))))
+    return tuple(flat)
+
+
+def _rebuild(flat: tuple) -> Formula:
+    built = []
+    for cls, *fields in flat:
+        if cls not in (Atom, Const):
+            fields = [built[i] for i in fields]
+        built.append(cls(*fields))
+    return built[-1]
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -359,9 +410,6 @@ class Language:
     def equivalent(self, f: Formula, g: Formula) -> bool:
         return self.sat(f) == self.sat(g)
 
-    def valuation_atoms(self, i: int) -> dict[str, bool]:
-        return {a: bool((i >> j) & 1) for j, a in enumerate(self.atoms)}
-
     def minterm(self, i: int) -> Formula:
         """The conjunction of literals pinning down valuation ``i``."""
         if not self.atoms:
@@ -507,14 +555,7 @@ class Theory:
         texts = tuple(texts)
         return cls(language, [language.parse(t) for t in texts], texts)
 
-    def contains(self, f: Formula) -> bool:
-        return self.valuations & ~self.language.sat(f) == 0
-
     def implies(self, f: Formula, g: Formula) -> bool:
         """Theory-relative entailment: ``g`` follows from ``f`` plus every
         statement of the theory."""
         return self.language.sat(f) & self.valuations & ~self.language.sat(g) == 0
-
-
-def tautological_theory(language: Language) -> Theory:
-    return Theory(language, ())

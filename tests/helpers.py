@@ -113,6 +113,40 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# -- library surface that only tests use ------------------------------------
+
+
+def valuation_atoms(lang: Language, i: int) -> dict[str, bool]:
+    """Valuation ``i`` as the truth value of each atom by name."""
+    return {a: bool((i >> j) & 1) for j, a in enumerate(lang.atoms)}
+
+
+def tautological_theory(language: Language) -> Theory:
+    """The theory with no generators: every valuation is left open."""
+    return Theory(language, ())
+
+
+def theory_contains(theory: Theory, f: Formula) -> bool:
+    """Whether ``f`` holds under every valuation the theory leaves open."""
+    return theory.valuations & ~theory.language.sat(f) == 0
+
+
+def shift_nonnegative(payoffs) -> tuple[dict[Formula, Fraction], Fraction]:
+    """Shift raw payoffs up to be nonnegative; returns (shifted, shift).
+    Integrals of the shifted strategy are exactly shift higher."""
+    values = {f: Fraction(v) for f, v in payoffs.items()}
+    low = min(values.values(), default=ZERO)
+    shift = -low if low < 0 else ZERO
+    return {f: v + shift for f, v in values.items()}, shift
+
+
+def label_oracle(model: SubjectiveModel, event: int) -> str:
+    """An event's label as ``SubjectiveModel.labels`` built it before
+    ``label_events``: a scan of every state in text order, joined."""
+    order = sorted(range(len(model.states)), key=model.states.__getitem__)
+    return "|".join([model.states[i] for i in order if event >> i & 1])
+
+
 def json_text_oracle(payload) -> str:
     """A report as the CLI wrote it before its own writer."""
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -141,7 +175,7 @@ def truth_table_implies(
     for bits in range(lang.n_valuations):
         if valuations is not None and not (valuations >> bits) & 1:
             continue
-        assignment = lang.valuation_atoms(bits)
+        assignment = valuation_atoms(lang, bits)
         if eval_formula(f, assignment) and not eval_formula(g, assignment):
             return False
     return True
@@ -244,7 +278,7 @@ def tree_sat(lang: Language, t: TreeFormula) -> int:
     """A tree's valuation bitset, one valuation at a time."""
     bits = 0
     for i in range(lang.n_valuations):
-        if _tree_eval(t, lang.valuation_atoms(i)):
+        if _tree_eval(t, valuation_atoms(lang, i)):
             bits |= 1 << i
     return bits
 

@@ -17,9 +17,9 @@ from credence.assessment import (
     check_nt,
     check_s_i,
 )
-from credence.logic import FALSE, TRUE, Language, Theory, tautological_theory
+from credence.logic import FALSE, TRUE, Language, Theory
 
-from helpers import full_closure_classes, random_monotone_assessment
+from helpers import full_closure_classes, random_monotone_assessment, tautological_theory
 
 F = Fraction
 PQ = Language(["p", "q"])
@@ -54,6 +54,13 @@ class TestAssessmentType:
         with pytest.raises(AssessmentError):
             linda_assessment.value(linda_assessment.language.parse("!f"))
 
+    def test_a_float_value_is_refused(self):
+        # Fraction(0.1) would be a 56-bit dyadic rational, not 1/10
+        lang = Language(["p"])
+        with pytest.raises(AssessmentError, match="0.1 is a binary float"):
+            Assessment(lang, {lang.parse("p"): 0.1})
+        assert Assessment(lang, {lang.parse("p"): "1/10"}).denominator == 10
+
 
 class TestBets:
     def test_primitive_bet_value(self):
@@ -73,6 +80,13 @@ class TestBets:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(AssessmentError):
             Bet({TRUE: F(1, 2)})
+
+    def test_a_float_weight_is_refused(self):
+        with pytest.raises(AssessmentError, match="binary float"):
+            Bet({TRUE: 0.5, FALSE: F(1, 2)})
+        b = Bet.primitive(TRUE)
+        with pytest.raises(AssessmentError, match="binary float"):
+            Bet.mix(b, b, 0.25)
 
     def test_support_outside_universe(self, linda_assessment):
         b = Bet({linda_assessment.language.parse("!t"): F(1)})

@@ -47,6 +47,7 @@ from credence.games import (
 )
 from credence.identify import IdentifyError, largest_subtheory, understood_implications
 from credence.logic import FALSE, TRUE, And, Atom, Language, Not, Or, Theory, unparse
+from credence import model as model_module
 from credence.model import (
     ModelError,
     SubjectiveModel,
@@ -87,6 +88,7 @@ from helpers import (
     full_closure_classes,
     inverse_mobius_oracle,
     json_text_oracle,
+    label_oracle,
     largest_subtheory_oracle,
     layerings,
     maximal_model,
@@ -99,6 +101,7 @@ from helpers import (
     solve_matrix_game_oracle,
     transported_vector_oracle,
     truth_table_implies,
+    valuation_atoms,
     valuation_masses_oracle,
     as_tree,
     tree_parse,
@@ -332,7 +335,7 @@ def sound_model(lang: Language, lam=None) -> SubjectiveModel:
     """States are the atom valuations and truth is classical."""
     states = [f"v{i}" for i in range(lang.n_valuations)]
     truth = {
-        Atom(a): frozenset(s for i, s in enumerate(states) if lang.valuation_atoms(i)[a])
+        Atom(a): frozenset(s for i, s in enumerate(states) if valuation_atoms(lang, i)[a])
         for a in lang.atoms
     }
     return from_labels(lang, states, truth, lam=lam)
@@ -880,6 +883,54 @@ def test_report_writer_matches_sorted_indented_json(value):
     assert _json_text(value) == json_text_oracle(value)
 
 
+# -- event labels against the state-by-state scan ------------------------------
+
+# 8 states to a byte of the label tables; with ``TABLE_MIN_EVENTS``
+# events, 32 states and fewer take the tables and 33 and more one pass
+LABEL_STATE_COUNTS = (1, 7, 8, 9, 16, 17, 32, 33, 1024)
+
+
+@st.composite
+def labelled_events(draw):
+    """A model over 1 to 1,024 states, named so that text order is index
+    order (up to 10 numbered states) or not, and events over it: the
+    empty and the full event, then random ones, either few or enough for
+    the byte tables."""
+    n = draw(st.sampled_from(LABEL_STATE_COUNTS) | st.integers(1, 1024))
+    naming = draw(st.sampled_from(["numbered", "bit-reversed", "shuffled"]))
+    if naming == "numbered":  # w10 before w2
+        states = [f"w{i}" for i in range(n)]
+    elif naming == "bit-reversed":  # as the product model names its states
+        width = max(1, (n - 1).bit_length())
+        states = ["w" + format(i, f"0{width}b")[::-1] for i in range(n)]
+    else:  # one state may be labelled by the empty string
+        states = [f"s{i}" for i in range(n)]
+        draw(st.randoms(use_true_random=False)).shuffle(states)
+        if draw(st.booleans()):
+            states[draw(st.integers(0, n - 1))] = ""
+    model = SubjectiveModel(Language([]), states)
+    count = draw(st.sampled_from([0, 3, model_module.TABLE_MIN_EVENTS, 100]))
+    rng = draw(st.randoms(use_true_random=False))
+    events = [0, model.omega] + [rng.getrandbits(n) for _ in range(count)]
+    return model, events
+
+
+@given(labelled_events())
+@settings(max_examples=150, deadline=None)
+def test_event_labels_match_the_state_by_state_scan(case):
+    model, events = case
+    want = [label_oracle(model, ev) for ev in events]
+    assert model.label_events(events) == want
+    # both regimes, whichever the counts pick
+    assert model._labels_by_bytes(events) == want
+    assert ["|".join(model._selected(ev)) for ev in events] == want
+    assert [model.label(ev) for ev in events[:4]] == want[:4]
+    assert ["|".join(model.labels(ev)) for ev in events[:4]] == want[:4]
+    label = dict(zip(events, want))
+    by_size_then_label = sorted(set(events), key=lambda ev: (ev.bit_count(), label[ev]))
+    assert model.report_order(set(events)) == (by_size_then_label, label)
+
+
 # -- hash-consed formulas against the tree they replaced ---------------------
 
 PQR = LANGUAGES[3]
@@ -899,6 +950,8 @@ def test_interned_parse_matches_the_tree_parse(text, data):
     f, tree = PQR.parse(text), tree_parse(PQR, text)
     assert as_tree(f) == tree
     assert unparse(f) == tree_unparse(tree)
+    # the frozen dataclasses' repr, class names without the prefix
+    assert repr(f) == repr(tree).replace("Tree", "")
     assert PQR.sat(f) == tree_sat(PQR, tree)
     # the other formula is drawn at random, or respells this one
     other = data.draw(FORMULA_TEXTS | st.just(text.replace(" ", "")) | st.just(unparse(f)))

@@ -10,7 +10,6 @@ from credence.games import (
     layer_decompose,
     pointwise_undominated,
     rationalizable,
-    shift_nonnegative,
     strategy_events,
     t_bullet,
     t_circ,
@@ -30,6 +29,7 @@ from helpers import (
     layerings,
     maximal_model,
     random_monotone_assessment,
+    shift_nonnegative,
     transported_vector_oracle,
     vector,
 )
@@ -105,6 +105,12 @@ class TestTCirc:
         s = strat(linda.language, {"f": "1"})
         with pytest.raises(GamesError):
             t_circ(linda.models["model1"], s)
+
+    def test_a_float_payoff_is_refused(self, capacity):
+        lang = capacity.language
+        with pytest.raises(GamesError, match="0.5 is a binary float"):
+            Strategy({lang.parse("p"): 0.5})
+        assert Strategy({lang.parse("p"): "1/2"}).payoffs == {lang.parse("p"): F(1, 2)}
 
     def test_negative_payoffs_rejected_with_shift_helper(self, capacity):
         lang = capacity.language

@@ -26,12 +26,17 @@ from credence.logic import (
     ParseError,
     Theory,
     UndeclaredAtomError,
-    tautological_theory,
     unparse,
 )
 from credence.identify import _theory_for_valuations
 
-from helpers import formula_depth, truth_table_implies
+from helpers import (
+    formula_depth,
+    tautological_theory,
+    theory_contains,
+    truth_table_implies,
+    valuation_atoms,
+)
 
 PQ = Language(["p", "q"])
 P = Language(["p"])
@@ -79,6 +84,33 @@ class TestNodes:
         with pytest.raises(FrozenInstanceError):
             TRUE.value = False
         assert f.left is Atom("p")
+
+    @pytest.mark.parametrize("shape", ["negations", "conjunctions"])
+    def test_repr_and_pickle_at_the_depth_bound(self, shape):
+        # repr took two frames per level and pickle recursed down the tree,
+        # so both failed below MAX_DEPTH
+        depth = logic.MAX_DEPTH
+        if shape == "negations":
+            f = PQ.parse("!" * depth + "p")
+            assert repr(f) == "Not(child=" * depth + "Atom(name='p')" + ")" * depth
+        else:
+            text = "p"
+            for _ in range(depth):
+                text = f"({text} & q)"
+            f = PQ.parse(text)
+            innermost = "And(left=Atom(name='p'), right=Atom(name='q'))"
+            assert repr(f).startswith("And(left=" * (depth - 1) + innermost)
+        assert logic._depth(f) == depth
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(f, protocol)) is f
+
+    def test_a_pickled_formula_is_rebuilt_in_a_new_table(self):
+        f = PQ.parse("((p <-> q) | !(p & T))")
+        data = pickle.dumps([f, f.left])
+        del f
+        gc.collect()
+        g, left = pickle.loads(data)
+        assert g is PQ.parse("((p <-> q) | !(p & T))") and left is g.left
 
     def test_dataclass_style_repr(self):
         assert repr(PQ.parse("(p | !q)")) == (
@@ -226,7 +258,7 @@ class TestSat:
 
         bits = PQ.sat(f)
         for i in range(PQ.n_valuations):
-            assert bool((bits >> i) & 1) == eval_formula(f, PQ.valuation_atoms(i))
+            assert bool((bits >> i) & 1) == eval_formula(f, valuation_atoms(PQ, i))
 
 
 class TestImplication:
@@ -298,9 +330,9 @@ class TestTheory:
 
     def test_contains_weakening(self):
         t = Theory(PQ, [Atom("p")])
-        assert t.contains(PQ.parse("(p | q)"))
-        assert not t.contains(Atom("q"))
-        assert t.contains(TRUE)
+        assert theory_contains(t, PQ.parse("(p | q)"))
+        assert not theory_contains(t, Atom("q"))
+        assert theory_contains(t, TRUE)
 
     def test_theory_implication(self):
         t = Theory(PQ, [PQ.parse("(!q | p)")])

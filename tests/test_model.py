@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from credence.files import model_to_dict
 from credence.logic import Language
 from credence.model import (
     MAX_POWERSET_STATES,
@@ -23,6 +24,7 @@ from helpers import (
     event_mask,
     explicit_lambda,
     from_labels,
+    label_oracle,
     mobius_oracle,
     random_capacity,
     totally_monotone_direct,
@@ -307,3 +309,71 @@ class TestTruthOf:
             assert oracle.truth_of(f) == frozenset(["b"])
         assert m.truth_of(lang.parse("q")) is None
         assert m.truth_of(lang.parse("!p")) is None
+
+
+class TestLabels:
+    def test_an_appraisal_table_renders_like_the_scan(self):
+        # 2,048 events over 16 states, named as canonical-sound names the
+        # 4-atom valuations: the byte tables label them
+        states = ["v" + format(i, "04b")[::-1] for i in range(16)]
+        rng = random.Random(16)
+        events = rng.sample(range(1, (1 << 16) - 1), 2046)
+        m = SubjectiveModel(Language([]), states, lam={ev: F(1, 2) for ev in events})
+        assert len(m.lam_numerators) == 2048
+        assert list(model_to_dict(m)["lambda"]) == [
+            label_oracle(m, ev) for ev in m.lam_numerators
+        ]
+
+    def test_truth_events_over_1024_states_render_like_the_scan(self):
+        # a product model's shape: one truth event per coordinate, each
+        # over half of 1,024 bit-reversed states, labelled by one pass each
+        lang = Language([f"a{j}" for j in range(10)])
+        states = ["w" + format(i, "010b")[::-1] for i in range(1024)]
+        truth = {
+            lang.parse(a): sum(1 << i for i in range(1024) if i >> j & 1)
+            for j, a in enumerate(lang.atoms)
+        }
+        m = SubjectiveModel(lang, states, truth, mass=[F(1, 1024)] * 1024)
+        out = model_to_dict(m)
+        assert out["t"] == {
+            a: label_oracle(m, truth[lang.parse(a)]).split("|") for a in lang.atoms
+        }
+        assert out["t"]["a0"][:3] == ["w1000000000", "w1000000001", "w1000000010"]
+
+    def test_numbered_states_label_in_text_order(self):
+        states = [f"w{i}" for i in range(12)]
+        m = SubjectiveModel(Language([]), states)
+        ev = 1 << 2 | 1 << 10 | 1 << 11
+        assert m.label(ev) == "w10|w11|w2"
+        assert m.labels(ev) == ["w10", "w11", "w2"]
+        assert m.label(0) == "" and m.labels(0) == []
+        assert m.label_events([m.omega]) == ["|".join(sorted(states))]
+
+
+class TestExactInputs:
+    def test_a_float_value_is_refused(self):
+        with pytest.raises(ModelError, match="0.5 is a binary float"):
+            SubjectiveModel(Language([]), ["a", "b"], lam={1: 0.5})
+        with pytest.raises(ModelError, match="binary float"):
+            SubjectiveModel(Language([]), ["a", "b"], mass=[F(1, 2), 0.5])
+        # exact spellings of the same values are taken
+        m = SubjectiveModel(Language([]), ["a", "b"], lam={1: "1/2", 2: F(1, 2)})
+        assert m.lambda_of(1) == m.lambda_of(2) == F(1, 2)
+
+    def test_inverse_mobius_refuses_a_float_mass(self):
+        with pytest.raises(ModelError, match="binary float"):
+            inverse_mobius({1: 0.25, 3: F(3, 4)}, 2)
+
+
+class TestEventRange:
+    def test_a_mass_model_refuses_an_event_off_its_states(self):
+        m = SubjectiveModel(Language([]), ["a", "b"], mass=[F(1, 4), F(3, 4)])
+        assert m.lambda_numerator(0b11) == m.denominator
+        assert m.lambda_of(0b10) == F(3, 4)
+        for event in (0b100, 0b111, -1):
+            with pytest.raises(ModelError, match="not a set of the model's states"):
+                m.lambda_of(event)
+
+    def test_an_appraisal_without_masses_gives_none_off_its_states(self):
+        m = SubjectiveModel(Language([]), ["a", "b"], lam={1: F(1, 2)})
+        assert m.lambda_of(0b100) is None
