@@ -20,7 +20,11 @@ atoms: building it, then parsing and taking ``sat`` of a disjunction of
 
 The model I/O timings are ``files.load_model`` on seeded capacities of
 8 states (256 events) and 12 states (4,096 events), each valued on
-every event, and the rendering of models: ``files.model_to_dict``
+every event; on the benchmark workloads' model files at seed 0 (the
+``rationalize`` capacity, 256 events, loaded ``WORKLOAD_LOADS`` times
+a run, and the 24 ``audit`` models, 16 to 64 events, each loaded once
+a run), each the best of five runs with a SHA-256 digest of the loaded
+models; and the rendering of models: ``files.model_to_dict``
 alone, and the whole report text ``credence.cli._json_text`` of it,
 each the best of five runs.  The models rendered are 24 seeded
 canonical-sound models (8 states, 256 events) and the 24 product models
@@ -109,6 +113,8 @@ SUBTHEORY_GAPS = 10  # disjoint residual gaps: 2^10 minimal transversals
 DNF_ATOMS = 16
 DNF_MINTERMS = 256
 CAPACITY_STATES = (8, 12)  # the seed of each capacity is its state count
+LOAD_WORKLOADS = ("rationalize", "audit")  # generated at seed 0
+WORKLOAD_LOADS = {"rationalize": 20, "audit": 1}  # loads of each model a run
 UNSHARED_STATES = 12
 UNSHARED_DEN_MAX = 10**6
 BUILT_MODELS = 24  # seeds 0-23
@@ -310,6 +316,33 @@ def bench_load_model(n: int) -> dict:
     }
 
 
+def bench_load_workload(workload: str) -> dict:
+    """``load_model`` on the model files of a benchmark workload at seed 0,
+    each with its sessions' language."""
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = gen.generate(workload, 0, tmp)
+        atoms = {}
+        for name in plan["sessions"]:
+            session = json.loads((Path(tmp) / name).read_text())
+            for rel in session["models"].values():
+                atoms[Path(tmp) / rel] = session["atoms"]
+        model_files = [(path, Language(names)) for path, names in atoms.items()]
+        loads = WORKLOAD_LOADS[workload]
+        best_s, models = best_of(
+            lambda: [load_model(path, lang) for path, lang in model_files for _ in range(loads)]
+        )
+    models = models[::loads]
+    return {
+        "workload": workload,
+        "models": len(models),
+        "lambda_events": sum(len(m.lam_numerators) for m in models),
+        "loads_per_model": loads,
+        "per_load_best_s": best_s / len(models) / loads,
+        "best_s": best_s,
+        "digest": digest(models),
+    }
+
+
 def bench_unshared_denominators() -> dict:
     """A capacity with lam(S) = (|S| + a/b) / (n + 1), b random below
     ``UNSHARED_DEN_MAX``: monotone, and no two values share much of a
@@ -422,6 +455,7 @@ def main(out: Path, before: Path | None):
         "render": [referenced(bench_render, n) for n in RENDER_ATOMS],
         "render_large": [referenced(bench_render_large, *size) for size in RENDER_LARGE],
         "load_model": [referenced(bench_load_model, n) for n in CAPACITY_STATES],
+        "load_workload": [referenced(bench_load_workload, w) for w in LOAD_WORKLOADS],
         "unshared_denominators": referenced(bench_unshared_denominators),
         "model_to_dict": referenced(bench_model_to_dict),
         "rationalize": referenced(bench_rationalize),

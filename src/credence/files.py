@@ -18,16 +18,17 @@ zero denominator, ``"inf"``, ``"nan"``, floats and anything else are a
 ``FileFormatError``.  Plain ``n`` and ``n/d`` strings of ASCII digits,
 with an optional leading ``-``, are read with ``int`` directly: the same
 value, without ``Fraction``'s regular expression.  ``rational_pair``
-reads a rational as an int numerator and denominator in lowest terms; a
-model file's appraisal values and masses are read that way and put over
-one common denominator by ``_exact``, so loading a model builds no
-``Fraction`` per value, and ``format_ratios`` writes them back.
+reads a rational as an int numerator and positive denominator, as
+written: ``"2/4"`` gives (2, 4).  A model file's appraisal values and
+masses are read that way, each distinct ``lambda`` value once, and
+``_exact`` reduces them all in one pass and puts them over one common
+denominator, so loading a model builds no ``Fraction`` per value, and
+``format_ratios`` writes them back.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -44,9 +45,10 @@ class FileFormatError(ValueError):
 
 
 def rational_pair(value) -> tuple[int, int]:
-    """A rational read as ``parse_rational`` reads it, as the numerator
-    and the positive denominator of its lowest terms: ``"2/4"`` gives
-    (1, 2)."""
+    """A rational read as ``parse_rational`` reads it, as an int
+    numerator and a positive int denominator: a plain ``n/d`` as
+    written, so ``"2/4"`` gives (2, 4), and any other form in lowest
+    terms."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value, 1
     if isinstance(value, str):
@@ -58,8 +60,7 @@ def rational_pair(value) -> tuple[int, int]:
                     return int(num), 1
                 num, den = int(num), int(den)
                 if den:
-                    g = math.gcd(num, den)
-                    return num // g, den // g
+                    return num, den
             q = Fraction(value)
         except (ValueError, ZeroDivisionError) as e:
             raise FileFormatError(f"bad rational {value!r}: {e}") from None
@@ -146,25 +147,67 @@ def _mask(labels, index: dict[str, int]) -> int | None:
     return mask
 
 
-def _read_lambda(table: dict, index: dict) -> tuple[list[int], list[int], list[int]]:
-    """The event masks of a model file's ``lambda`` keys, and the values'
-    numerators and denominators, in file order; the first bad key or
-    value in the file is the one reported."""
-    masks, nums, dens, named = [], [], [], {}
-    for k, v in table.items():
-        labels = k.split("|") if k else []
-        ev = _mask(labels, index)
-        if ev is None:
-            unknown = [l for l in labels if l not in index]
-            raise FileFormatError(f"unknown state labels in event {k!r}: {unknown}")
-        if ev in named:
-            raise FileFormatError(f"lambda keys {named[ev]!r} and {k!r} name the same event")
-        named[ev] = k
-        num, den = rational_pair(v)
+def _lambda_masks(keys: list[str], index: dict[str, int]) -> list[int]:
+    """The event masks of ``lambda`` keys in file order, up to the first
+    key that names an unknown state.  A key ``head|last`` whose ``head``
+    is a key already read takes that key's mask and the bit of ``last``;
+    any other key is split into its labels."""
+    bit = {s: 1 << i for s, i in index.items()}
+    masks, read = [], {}
+    for k in keys:
+        head, sep, last = k.rpartition("|")
+        try:
+            read[k] = ev = (read[head] if sep else 0) | bit[last]
+        except KeyError:  # the empty key (no state is labelled ""), or a new head
+            ev = _mask(k.split("|"), index) if k else 0
+            if ev is None:
+                break
         masks.append(ev)
-        nums.append(num)
-        dens.append(den)
-    return masks, nums, dens
+    return masks
+
+
+def _rational_pairs(values: list) -> list[tuple[int, int]]:
+    """``rational_pair`` of each value in order, each distinct string read
+    once; the first bad value in order is the one reported."""
+    try:
+        distinct = set(values)
+    except TypeError:  # a list or an object: no rational, reported in order
+        return list(map(rational_pair, values))
+    read = {}
+    for v in distinct:
+        if type(v) is str:  # 1 and True are one set member; each is read below
+            try:
+                read[v] = rational_pair(v)
+            except FileFormatError:
+                pass  # read again below, in file order
+    pairs = list(map(read.get, values))
+    if len(read) < len(distinct):  # ints, and bad values
+        pairs = [p or rational_pair(v) for p, v in zip(pairs, values)]
+    return pairs
+
+
+def _read_lambda(table: dict, index: dict) -> tuple[list[int], list[tuple[int, int]]]:
+    """The event masks of a model file's ``lambda`` keys, and the values
+    as ``rational_pair``s, in file order; the first bad key or value in
+    the file is the one reported."""
+    keys, values = list(table), list(table.values())
+    masks = _lambda_masks(keys, index)
+    bad = len(masks)  # the first bad key, or len(keys); the values before it go first
+    if len(set(masks)) < bad:  # two keys name one event: find the later one
+        named = {}
+        for bad, (k, ev) in enumerate(zip(keys, masks)):
+            if ev in named:
+                error = f"lambda keys {named[ev]!r} and {k!r} name the same event"
+                break
+            named[ev] = k
+    elif bad < len(keys):
+        k = keys[bad]
+        unknown = [l for l in k.split("|") if l not in index]
+        error = f"unknown state labels in event {k!r}: {unknown}"
+    pairs = _rational_pairs(values[:bad])
+    if bad < len(keys):
+        raise FileFormatError(error)
+    return masks, pairs
 
 
 def load_model(path: Path, language: Language, name: str | None = None) -> SubjectiveModel:
@@ -178,15 +221,13 @@ def load_model(path: Path, language: Language, name: str | None = None) -> Subje
     truth_labels = {
         language.parse(text): labels for text, labels in _expect(data, "t", path).items()
     }
-    masks, nums, dens = (
-        _read_lambda(_expect(data, "lambda", path), index) if "lambda" in data else ([], [], [])
+    masks, pairs = (
+        _read_lambda(_expect(data, "lambda", path), index) if "lambda" in data else ([], [])
     )
     mass = None
     if "mass" in data:
-        mass = {s: len(nums) + j for j, s in enumerate(_expect(data, "mass", path))}
-        for num, den in map(rational_pair, data["mass"].values()):
-            nums.append(num)
-            dens.append(den)
+        mass = {s: len(pairs) + j for j, s in enumerate(_expect(data, "mass", path))}
+        pairs += map(rational_pair, data["mass"].values())
     truth = {}
     for f, labels in truth_labels.items():
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
@@ -201,7 +242,7 @@ def load_model(path: Path, language: Language, name: str | None = None) -> Subje
     exact_lookup = data.get("exact_lookup", False)
     if not isinstance(exact_lookup, bool):
         raise FileFormatError(f"{path}: key 'exact_lookup' must be a bool, got {exact_lookup!r}")
-    den, nums = ratios_over_one_denominator(nums, dens)
+    den, nums = ratios_over_one_denominator(pairs)
     if mass is not None:
         mass = [nums[mass[s]] if s in mass else 0 for s in states]
     return SubjectiveModel(

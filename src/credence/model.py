@@ -70,14 +70,17 @@ def bits(mask: int) -> list[int]:
 
 
 def check_states(states) -> tuple[str, ...]:
-    """The state labels as a tuple, once they are known to be nonempty,
-    strings, distinct and free of the event separator '|'."""
+    """The state labels as a tuple, once they are known to be at least
+    one, each a nonempty string, distinct and free of the event separator
+    '|'; so the empty label ``""`` names only the empty event."""
     states = tuple(states)
     if not states:
         raise ModelError("a model needs at least one state")
     for s in states:
         if not isinstance(s, str):
             raise ModelError(f"state label {s!r} is not a string")
+        if not s:
+            raise ModelError(f"state label {s!r} is empty")
         if "|" in s:
             raise ModelError(f"state label {s!r} may not contain '|'")
     if len(set(states)) != len(states):
@@ -588,7 +591,7 @@ def mobius(model: SubjectiveModel) -> dict[int, Fraction]:
         values.append(v)
     den = model.denominator
     masses = _subset_fold(values, operator.sub)
-    return {ev: Fraction(m, den) for ev, m in enumerate(masses) if ev}
+    return {ev: Fraction(m, den) if m else ZERO for ev, m in enumerate(masses) if ev}
 
 
 def inverse_mobius(masses, n: int) -> dict[int, Fraction]:

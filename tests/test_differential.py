@@ -748,14 +748,25 @@ def spellings(v: Fraction) -> list:
     return out
 
 
+# labels that are text prefixes of one another, so a key's head may also
+# be the start of another label
+PREFIX_LABELS = ["w1", "w10", "w11", "w", "w0"]
+
+
 @st.composite
 def model_files(draw):
     """A model file's JSON on 1-4 states: a capacity, masses, or both;
-    every value in a random accepted spelling and every lambda key with
-    its labels in a random order.  Now and then a value, a key or the
-    exact-lookup flag is bad, so that both loaders must refuse alike."""
+    every value in a random accepted spelling.  The ``lambda`` keys are
+    either sorted, each label list and the keys themselves, so that each
+    key's prefix comes first as the package's writers write them, or
+    each has its labels in a random order and the keys come in a random
+    order; the table is random or holds all 2^n events.  Now and then a
+    value is bad, a key names an unknown state or an event named before
+    (by its labels reversed, or one label twice), or the exact-lookup
+    flag is bad, so that both loaders must refuse alike; a bad key goes
+    in at a random place, before or after a bad value."""
     n = draw(st.integers(1, 4))
-    states = draw(st.permutations(STATE_LABELS))[:n]
+    states = draw(st.permutations(draw(st.sampled_from([STATE_LABELS, PREFIX_LABELS]))))[:n]
     lang = draw(st.sampled_from(MODEL_LANGUAGES))
     atoms = draw(st.lists(st.sampled_from(lang.atoms), unique=True)) if lang.atoms else []
     data = {"states": states,
@@ -774,27 +785,43 @@ def model_files(draw):
         data["mass"] = {s: spell(v) for s, v in mass.items() if v or draw(st.booleans())}
     if kind != "mass":
         events = [c for r in range(n + 1) for c in itertools.combinations(states, r)]
+        if not draw(st.integers(0, 3)):
+            drawn = draw(st.permutations(events))
+        else:
+            drawn = draw(st.lists(st.sampled_from(events), unique=True, max_size=2**n))
+        ordered = draw(st.booleans())
         lam = {}
-        for ev in draw(st.lists(st.sampled_from(events), unique=True, max_size=2**n)):
+        for ev in drawn:
             if mass is not None and draw(st.integers(0, 9)):
                 v = sum((mass[s] for s in ev), F(0))
             elif len(ev) in (0, n) and draw(st.integers(0, 9)):
                 v = F(len(ev) // n)
             else:
                 v = draw(st.sampled_from(FILE_VALUES))
-            lam["|".join(draw(st.permutations(ev)))] = spell(v)
-        data["lambda"] = lam
+            lam["|".join(sorted(ev) if ordered else draw(st.permutations(ev)))] = spell(v)
+        data["lambda"] = dict(sorted(lam.items())) if ordered else lam
     exact = draw(st.sampled_from([None, None, None, True, False, "false", 1]))
     if exact is not None:
         data["exact_lookup"] = exact
-    bad = draw(st.sampled_from([None] * 6 + ["value", "unknown", "same event"]))
     section = data.get("lambda") if "lambda" in data else data["mass"]
-    if bad == "value" and section:
+    if section and not draw(st.integers(0, 5)):
         section[draw(st.sampled_from(sorted(section)))] = draw(st.sampled_from(BAD_VALUES))
-    elif bad == "unknown" and "lambda" in data:
-        data["lambda"][f"{states[0]}|zz"] = "1/2"
-    elif bad == "same event" and "lambda" in data:
-        data["lambda"][f"{states[-1]}|{states[0]}|{states[-1]}"] = "1/2"
+    bad = draw(st.sampled_from([None] * 4 + ["unknown", "same event", "reversed", "twice"]))
+    if bad is not None and "lambda" in data:
+        named = [k.split("|") for k in data["lambda"] if k]
+        if bad == "unknown":
+            key = f"{states[0]}|zz"
+        elif bad == "same event":
+            key = f"{states[-1]}|{states[0]}|{states[-1]}"
+        elif bad == "reversed" and any(len(labels) > 1 for labels in named):
+            key = "|".join(reversed(draw(st.sampled_from(
+                [labels for labels in named if len(labels) > 1]))))
+        else:
+            labels = draw(st.sampled_from(named)) if named else [states[0]]
+            key = "|".join(labels + labels[-1:])
+        items = list(data["lambda"].items())
+        items.insert(draw(st.integers(0, len(items))), (key, "1/2"))
+        data["lambda"] = dict(items)
     return lang, data
 
 
@@ -903,11 +930,9 @@ def labelled_events(draw):
     elif naming == "bit-reversed":  # as the product model names its states
         width = max(1, (n - 1).bit_length())
         states = ["w" + format(i, f"0{width}b")[::-1] for i in range(n)]
-    else:  # one state may be labelled by the empty string
+    else:
         states = [f"s{i}" for i in range(n)]
         draw(st.randoms(use_true_random=False)).shuffle(states)
-        if draw(st.booleans()):
-            states[draw(st.integers(0, n - 1))] = ""
     model = SubjectiveModel(Language([]), states)
     count = draw(st.sampled_from([0, 3, model_module.TABLE_MIN_EVENTS, 100]))
     rng = draw(st.randoms(use_true_random=False))

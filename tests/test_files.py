@@ -39,10 +39,10 @@ class TestRationals:
             parse_rational("one half")
 
     @pytest.mark.parametrize("value,pair", [
-        ("2/4", (1, 2)), ("-1000/2000", (-1, 2)), ("0/5", (0, 1)), ("6", (6, 1)),
+        ("2/4", (2, 4)), ("-1000/2000", (-1000, 2000)), ("0/5", (0, 5)), ("6", (6, 1)),
         (" 6/4 ", (3, 2)), ("0.50", (1, 2)), (-4, (-4, 1)),
     ])
-    def test_pair_in_lowest_terms(self, value, pair):
+    def test_plain_ratio_as_written_other_forms_in_lowest_terms(self, value, pair):
         assert rational_pair(value) == pair
 
     @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit")
@@ -119,6 +119,8 @@ class TestSchemas:
         ({"states": ["w|1"], "t": {}}, ModelError, "state label 'w|1' may not contain '|'"),
         ({"states": [{"x": 1}], "t": {}}, ModelError, "state label {'x': 1} is not a string"),
         ({"states": [1, 2], "t": {}}, ModelError, "state label 1 is not a string"),
+        ({"states": ["a", ""], "t": {}, "lambda": {"": "0", "|a": "1"}}, ModelError,
+         "state label '' is empty"),
         ({"states": ["w1", "w|1"], "t": {"p": 5}}, ModelError,
          "state label 'w|1' may not contain '|'"),
         ({"states": ["w1"], "t": {"p": 5}}, ModelError,
@@ -153,6 +155,42 @@ class TestSchemas:
         path.write_text(json.dumps(data))
         with pytest.raises(error) as e:
             load_model(path, Language(["p"]))
+        assert str(e.value) == message
+
+    BAD_X = "bad rational 'x': Invalid literal for Fraction: 'x'"
+    UNKNOWN_ZZ = "unknown state labels in event 'a|zz': ['zz']"
+    SAME_A = "lambda keys 'a' and 'a|a' name the same event"
+    LIST = "rationals must be strings like '3/4' or integers, got [1]"
+
+    @pytest.mark.parametrize("lam,message", [
+        # a bad value before a bad key, and after one
+        ({"a": "x", "a|zz": "1/2"}, BAD_X),
+        ({"a|zz": "1/2", "a": "x"}, UNKNOWN_ZZ),
+        ({"a": "1/4", "b": "x", "a|a": "1/2"}, BAD_X),
+        ({"a": "1/4", "a|a": "1/2", "b": "x"}, SAME_A),
+        # a key and its own value both bad: the key is read first
+        ({"a": "1/4", "a|zz": "x"}, UNKNOWN_ZZ),
+        ({"a": "1/4", "a|a": "x"}, SAME_A),
+        # a value read once for two keys is reported at the first
+        ({"a": "1/4", "b": "x", "a|b": "x"}, BAD_X),
+        # values that are no strings, and an unhashable one
+        ({"a": 1, "b": True}, "rationals must be strings like '3/4' or integers, got True"),
+        ({"a": True, "b": 1}, "rationals must be strings like '3/4' or integers, got True"),
+        ({"a": "x", "b": [1]}, BAD_X),
+        ({"a": [1], "b": "x"}, LIST),
+        ({"a": "1/2", "a|zz": [1]}, UNKNOWN_ZZ),
+        # the empty key names the empty event, and is no head
+        ({"": "0", "|a": "1/2"}, "unknown state labels in event '|a': ['']"),
+        ({"a": "0", "a|": "1/2"}, "unknown state labels in event 'a|': ['']"),
+        # a head not read before is split
+        ({"b|a": "1/2", "b|a|zz": "1"}, "unknown state labels in event 'b|a|zz': ['zz']"),
+        ({"b|a": "1/2", "a|b": "1/2"}, "lambda keys 'b|a' and 'a|b' name the same event"),
+    ])
+    def test_first_bad_key_or_value_in_file_order(self, tmp_path, lam, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"states": ["a", "b"], "t": {}, "lambda": lam}))
+        with pytest.raises(FileFormatError) as e:
+            load_model(path, Language([]))
         assert str(e.value) == message
 
     def test_undeclared_atom_in_formula(self, tmp_path):

@@ -164,6 +164,14 @@ class TestMobius:
         assert masses == oracle
         assert masses[frozenset(states)] == 1
 
+    def test_zero_masses_share_one_fraction(self):
+        states = ["a", "b", "c"]
+        lam = {ev: F(1) if ev == frozenset(states) else F(0) for ev in powerset(states)}
+        masses = mobius(model_from_lambda(states, lam))
+        zeros = [v for v in masses.values() if not v]
+        assert len(zeros) == 6 and all(v is zeros[0] for v in zeros)
+        assert zeros[0] == 0 and zeros[0].denominator == 1
+
     def test_matches_oracle_and_inverts_exhaustively(self):
         states = ["a", "b"]
         grid = [F(0), F(1, 3), F(1)]
@@ -348,6 +356,15 @@ class TestLabels:
         assert m.labels(ev) == ["w10", "w11", "w2"]
         assert m.label(0) == "" and m.labels(0) == []
         assert m.label_events([m.omega]) == ["|".join(sorted(states))]
+
+
+class TestStateLabels:
+    def test_an_empty_state_label_is_refused(self):
+        # it would share its label "" with the empty event
+        with pytest.raises(ModelError, match="^state label '' is empty$"):
+            SubjectiveModel(Language([]), ["", "a"], lam={1: F(1, 2)})
+        with pytest.raises(ModelError, match="^state label '' is empty$"):
+            SubjectiveModel(Language([]), ["a", ""])
 
 
 class TestExactInputs:
