@@ -20,8 +20,10 @@ Models are built on the indexed core of ``model``: states are bit
 positions and events int masks.  The product measure is built by
 pattern doubling, one coordinate at a time in int numerators over one
 denominator, and the canonical inner extension is a subset-max
-transform over the field's blocks.  Every certificate is checked on the
-built model, never assumed.
+transform over the field's blocks, complete before the model is built.
+The product's states, the canonical field and the belief lift's
+powerset are bounded by ``logic.check_table``.  Every certificate is
+checked on the built model, never assumed.
 """
 
 from __future__ import annotations
@@ -34,15 +36,15 @@ from ._exact import format_ratios
 from ._simplex import pivot
 from .assessment import Assessment, check_a, check_e, check_i, check_nt
 from .errors import InternalError
-from .logic import FALSE, TRUE, unparse
+from .logic import FALSE, MAX_ATOMS, TRUE, check_table, unparse
 from .model import (
-    MAX_FIELD_ATOMS,
     ModelError,
     SubjectiveModel,
     _bit_slices,
     _subset_fold,
     _unions,
     classify_truth,
+    field_atoms,
     mobius,
     represents,
 )
@@ -50,9 +52,9 @@ from .model import (
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-MAX_PRODUCT_COORDS = 16
+# the row reduction's bound, until ROADMAP item 3 decides additive-sound
+# existence by one LP and deletes it
 MAX_SOLVER_ATOMS = 10
-MAX_LIFT_STATES = 12
 
 
 class BuildError(ValueError):
@@ -125,12 +127,8 @@ def build_product_model(assessment: Assessment) -> BuildOutcome:
     measure matching each statement's value as its marginal."""
     _require(check_nt(assessment), "NT", "product construction")
     coords = [f for f in assessment.formulas if f not in (TRUE, FALSE)]
-    if len(coords) > MAX_PRODUCT_COORDS:
-        raise BuildError(
-            f"product construction capped at {MAX_PRODUCT_COORDS} statements, "
-            f"got {len(coords)}"
-        )
     m = len(coords)
+    check_table("product state space", m, "coordinates", BuildError)
     states = ["w" + format(i, f"0{m}b")[::-1] if m else "w" for i in range(1 << m)]
     # state i sets coordinate j exactly when bit j of i is set: adding
     # coordinate j doubles the states, the new upper half making it true
@@ -174,30 +172,23 @@ def build_canonical_sound(assessment: Assessment) -> BuildOutcome:
     lam[0] = 0
     lam[lang.full_mask] = den
 
-    model = SubjectiveModel(
-        assessment.language, states, truth, lam=lam, name="canonical-sound", denominator=den
-    )
     notes = []
-    blocks = model.field_atoms()
-    small = len(blocks) <= MAX_FIELD_ATOMS
+    blocks = field_atoms(lang.full_mask, truth.values())
+    # the field is materialized where ``field_events`` would build it
+    small = len(blocks) <= MAX_ATOMS
     if small:
-        # the field's events as bitmasks over its blocks
+        # the field's events as bitmasks over its blocks; the inner
+        # extension gives each the largest value of a named event inside,
+        # and a named event keeps its own value
         events = _unions(blocks)
-        index = {ev: s for s, ev in enumerate(events)}
-        known = {index[ev]: v for ev, v in model.lam_numerators.items()}
-        # inner extension: the largest value of a statement whose event lies inside
-        inner = [0] * len(events)
-        for sat, v in zip(assessment.sats, assessment.numerators):
-            inner[index[sat]] = max(inner[index[sat]], v)
-        _subset_fold(inner, max)
-        for s, v in enumerate(inner):
-            if s not in known:
-                known[s] = v
-                model.lam_numerators[events[s]] = v
+        inner = _subset_fold([lam.get(ev, 0) for ev in events], max)
+        values = list(map(lam.get, events, inner))
+        lam = dict(zip(events, values))
         notes.append("appraisal inner-extended to the generated field")
     else:
         notes.append("generated field too large to materialize; appraisal kept on named events")
 
+    model = SubjectiveModel(lang, states, truth, lam=lam, name="canonical-sound", denominator=den)
     cert = [_certify_represents(model, assessment)]
     flags = classify_truth(model, assessment.formulas)
     cert.append(
@@ -205,13 +196,10 @@ def build_canonical_sound(assessment: Assessment) -> BuildOutcome:
     )
     i_report = check_i(assessment)
     if i_report.passed and small:
-        # one block more never lowers the value; an event without one
-        # reads lowest as the smaller and highest as the larger of a pair
-        below = [known.get(s, -1) for s in range(len(events))]
-        above = [known.get(s, den + 1) for s in range(len(events))]
+        # one block more never lowers the value
         mono = all(
-            all(map(operator.le, below[low], above[high]))
-            for high, low in _bit_slices(len(events))
+            all(map(operator.le, values[low], values[high]))
+            for high, low in _bit_slices(len(values))
         )
         cert.append(CertEntry("lambda monotone on field", mono, "follows from axiom I"))
     elif not i_report.passed:
@@ -259,9 +247,7 @@ def build_belief_lift(
     statement is true at a state-event exactly when that event sits inside
     its old truth set.  Zero-mass events are omitted; they would never
     contribute to any likelihood."""
-    n = len(model.states)
-    if n > MAX_LIFT_STATES:
-        raise BuildError(f"belief lift capped at {MAX_LIFT_STATES} states, got {n}")
+    check_table("belief lift's powerset", len(model.states), "states", BuildError)
     try:
         masses = mobius(model)
     except ModelError as e:
@@ -277,18 +263,20 @@ def build_belief_lift(
         (ev.bit_count(), "+".join(model.labels(ev)), ev) for ev, m in masses.items() if m > 0
     )
     states = [label for _, label, _ in focal]
+    first = {}
+    for _, label, ev in focal:
+        if first.setdefault(label, ev) != ev:
+            raise BuildError(
+                f"focal events {model.label(first[label])} and {model.label(ev)} "
+                f"would both become the state {label}"
+            )
     mass = [masses[ev] for _, _, ev in focal]
     truth = {}
     for f in model.truth_domain():
         base = model.truth[f]
         truth[f] = sum(1 << j for j, (_, _, ev) in enumerate(focal) if not ev & ~base)
     lifted = SubjectiveModel(
-        model.language,
-        states,
-        truth,
-        mass=mass,
-        name="belief-lift",
-        exact_lookup=True,
+        model.language, states, truth, mass=mass, name="belief-lift", exact_lookup=True
     )
     lifted.grounded = False  # the lift rule, not the valuation rule, extends t
 

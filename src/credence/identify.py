@@ -23,6 +23,8 @@ from fractions import Fraction
 from .assessment import Assessment, AxiomReport, check_i, check_ie, check_nt, check_s_i
 from .logic import Language, Theory, unparse
 
+# Berge multiplication's bound on its partial transversals, until ROADMAP
+# item 5 enumerates the minimal transversals by MMCS and deletes it
 MAX_TRANSVERSALS = 1024
 
 

@@ -40,6 +40,17 @@ class LogicError(ValueError):
     pass
 
 
+def check_table(table: str, k: int, unit: str, error: type[ValueError] = LogicError) -> None:
+    """Refuse a table indexed by ``k`` bits, before it is allocated, when
+    it is wider than the widest language's valuation table; the refusal
+    is the caller's ``error``."""
+    if k > MAX_ATOMS:
+        raise error(
+            f"{table} over {k} {unit} would have 2^{k} entries; "
+            f"tables are built up to 2^{MAX_ATOMS}"
+        )
+
+
 class ParseError(LogicError):
     """Malformed formula text; ``position`` is the offending offset."""
 
@@ -289,8 +300,7 @@ class Language:
 
     def __init__(self, atoms):
         atoms = tuple(atoms)
-        if len(atoms) > MAX_ATOMS:
-            raise LogicError(f"at most {MAX_ATOMS} atoms supported, got {len(atoms)}")
+        check_table("valuation table", len(atoms), "atoms")
         for a in atoms:
             if a in ("T", "F"):
                 raise LogicError(f"atom name {a!r} collides with a constant")

@@ -21,7 +21,8 @@ The module grades truth valuations (exact / monotone / symmetric /
 and-distributive / sound) and likelihood appraisals (symmetric /
 monotone / totally monotone / additive), computes Mobius masses,
 integrates payoffs by the finite Choquet sum, and tests whether a model
-reproduces an assessment.
+reproduces an assessment.  The generated field and a capacity on the
+powerset are tables indexed by bits, bounded by ``logic.check_table``.
 """
 
 from __future__ import annotations
@@ -34,12 +35,10 @@ from functools import cached_property, partial, reduce
 
 from ._exact import exact, over_one_denominator
 from .assessment import Assessment
-from .logic import FALSE, TRUE, Atom, Formula, Language, unparse
+from .logic import FALSE, TRUE, Atom, Formula, Language, check_table, unparse
 
 ZERO = Fraction(0)
 
-MAX_FIELD_ATOMS = 12
-MAX_POWERSET_STATES = 20
 # ``label_events`` builds byte tables, two of 256 entries per byte of
 # states, once there are at least 128 events and 4 for each state; below
 # that, one pass over each event's bits, a step per state, costs less.
@@ -341,24 +340,26 @@ class SubjectiveModel:
         return None if v is None else Fraction(v, self.denominator)
 
     def field_atoms(self) -> list[int]:
-        """Blocks of the coarsest partition from which every explicit
-        truth event is built, in order of their first state; the
-        generated field is their union closure."""
-        blocks = [self.omega]
-        for ev in set(self.truth.values()):
-            blocks = [part for b in blocks for part in (b & ev, b & ~ev) if part]
-        return sorted(blocks, key=lambda b: b & -b)
+        """The blocks of the explicit truth events; the generated field is
+        their union closure."""
+        return field_atoms(self.omega, self.truth.values())
 
     def field_events(self) -> list[int]:
         """Every event of the generated field: entry S is the union of the
         field atoms that bitmask S picks."""
         atoms = self.field_atoms()
-        if len(atoms) > MAX_FIELD_ATOMS:
-            raise ModelError(
-                f"generated field has {len(atoms)} atoms; "
-                f"enumeration is capped at {MAX_FIELD_ATOMS}"
-            )
+        check_table("generated field", len(atoms), "blocks", ModelError)
         return _unions(atoms)
+
+
+def field_atoms(omega: int, events) -> list[int]:
+    """The blocks of the coarsest partition of the states in ``omega``
+    from which every one of ``events`` is built, in order of their first
+    state."""
+    blocks = [omega]
+    for ev in set(events):
+        blocks = [part for b in blocks for part in (b & ev, b & ~ev) if part]
+    return sorted(blocks, key=lambda b: b & -b)
 
 
 # -- truth classification ------------------------------------------------
@@ -569,18 +570,13 @@ def _subset_fold(arr: list, combine=operator.add) -> list:
     return arr
 
 
-def _check_powerset(n: int):
-    if n > MAX_POWERSET_STATES:
-        raise ModelError(f"powerset Mobius capped at {MAX_POWERSET_STATES} states, got {n}")
-
-
 def mobius(model: SubjectiveModel) -> dict[int, Fraction]:
     """Mobius masses of an appraisal that is total on the full powerset,
     keyed by nonempty event.  Inverse of :func:`inverse_mobius`; masses
     sum to 1 and are all nonnegative exactly when the appraisal is
     totally monotone."""
     n = len(model.states)
-    _check_powerset(n)
+    check_table("powerset capacity", n, "states", ModelError)
     values = []
     for ev in range(1 << n):
         v = model.lambda_numerator(ev)
@@ -597,7 +593,7 @@ def mobius(model: SubjectiveModel) -> dict[int, Fraction]:
 def inverse_mobius(masses, n: int) -> dict[int, Fraction]:
     """Rebuild the appraisal on the powerset of ``n`` states from Mobius
     masses keyed by event: each event sums the masses of its subsets."""
-    _check_powerset(n)
+    check_table("powerset capacity", n, "states", ModelError)
     values = [ZERO] * (1 << n)
     for ev, v in masses.items():
         if 0 <= ev < len(values):  # a mass off the states lies below no event

@@ -58,8 +58,6 @@ from credence.assessment import (
     check_s_i,
 )
 from credence.construct import (
-    MAX_LIFT_STATES,
-    MAX_PRODUCT_COORDS,
     MAX_SOLVER_ATOMS,
     BuildError,
     BuildOutcome,
@@ -83,6 +81,7 @@ from credence.games import (
 from credence.identify import IdentifyError, SubtheoryResult, _theory_for_valuations
 from credence.logic import (
     FALSE,
+    MAX_ATOMS,
     TRUE,
     And,
     Atom,
@@ -95,11 +94,10 @@ from credence.logic import (
     Theory,
     UndeclaredAtomError,
     _tokenize,
+    check_table,
     unparse,
 )
 from credence.model import (
-    MAX_FIELD_ATOMS,
-    MAX_POWERSET_STATES,
     LambdaFlags,
     ModelError,
     RepresentationReport,
@@ -1496,11 +1494,7 @@ class LabelModel:
 
     def field_events(self) -> list[frozenset]:
         atoms = self.field_atoms()
-        if len(atoms) > MAX_FIELD_ATOMS:
-            raise ModelError(
-                f"generated field has {len(atoms)} atoms; "
-                f"enumeration is capped at {MAX_FIELD_ATOMS}"
-            )
+        check_table("generated field", len(atoms), "blocks", ModelError)
         return sorted(_label_unions(atoms), key=lambda e: (len(e), event_label(e)))
 
 
@@ -1614,8 +1608,7 @@ def classify_lambda_oracle(model: LabelModel) -> LambdaFlags:
 
 
 def mobius_model_oracle(model: LabelModel) -> dict[frozenset, Fraction]:
-    if len(model.states) > MAX_POWERSET_STATES:
-        raise ModelError(f"powerset Mobius capped at {MAX_POWERSET_STATES} states")
+    check_table("powerset capacity", len(model.states), "states", ModelError)
     events = _label_unions(frozenset([s]) for s in model.states)
     arr = []
     for ev in events:
@@ -1827,11 +1820,7 @@ def _certify_represents_oracle(model, assessment) -> CertEntry:
 def build_product_oracle(assessment: Assessment) -> BuildOutcome:
     _require(check_nt(assessment), "NT", "product construction")
     coords = [f for f in assessment.formulas if f not in (TRUE, FALSE)]
-    if len(coords) > MAX_PRODUCT_COORDS:
-        raise BuildError(
-            f"product construction capped at {MAX_PRODUCT_COORDS} statements, "
-            f"got {len(coords)}"
-        )
+    check_table("product state space", len(coords), "coordinates", BuildError)
     m = len(coords)
     states = ["w" + format(i, f"0{m}b")[::-1] if m else "w" for i in range(1 << m)]
     mass = {}
@@ -1857,7 +1846,6 @@ def build_product_oracle(assessment: Assessment) -> BuildOutcome:
 def build_canonical_sound_oracle(assessment: Assessment) -> BuildOutcome:
     _require(check_nt(assessment), "NT", "canonical sound construction")
     _require(check_e(assessment), "E", "canonical sound construction")
-    lang = assessment.language
     states, truth = _label_valuation_states(assessment)
     lam = {}
     for f in assessment.formulas:
@@ -1867,7 +1855,7 @@ def build_canonical_sound_oracle(assessment: Assessment) -> BuildOutcome:
     model = LabelModel(assessment.language, states, truth, lam=lam, name="canonical-sound")
     notes = []
     atoms = model.field_atoms()
-    if len(atoms) <= MAX_FIELD_ATOMS and lang.n_valuations <= 4096:
+    if len(atoms) <= MAX_ATOMS:
         state_bit = {s: 1 << i for i, s in enumerate(states)}
         statements = [
             (sat, assessment.value(f)) for f, sat in zip(assessment.statements, assessment.sats)
@@ -1886,7 +1874,7 @@ def build_canonical_sound_oracle(assessment: Assessment) -> BuildOutcome:
     flags = classify_truth_oracle(model, assessment.formulas)
     cert.append(CertEntry("t sound", flags.sound, "classical valuation over atom assignments"))
     i_report = check_i(assessment)
-    if i_report.passed and len(atoms) <= MAX_FIELD_ATOMS:
+    if i_report.passed and len(atoms) <= MAX_ATOMS:
         mono = all(
             model.lam[ev] <= model.lam[ev | b]
             for ev in model.lam
@@ -1921,8 +1909,7 @@ def build_interval_additive_oracle(assessment: Assessment) -> BuildOutcome:
 
 
 def build_belief_lift_oracle(model: LabelModel, assessment: Assessment | None = None):
-    if len(model.states) > MAX_LIFT_STATES:
-        raise BuildError(f"belief lift capped at {MAX_LIFT_STATES} states")
+    check_table("belief lift's powerset", len(model.states), "states", BuildError)
     try:
         masses = mobius_model_oracle(model)
     except ModelError as e:
@@ -1938,6 +1925,13 @@ def build_belief_lift_oracle(model: LabelModel, assessment: Assessment | None = 
         (ev for ev, m in masses.items() if m > 0), key=lambda ev: (len(ev), label(ev))
     )
     states = [label(ev) for ev in subsets]
+    for j, name in enumerate(states):
+        i = states.index(name)
+        if i < j:
+            raise BuildError(
+                f"focal events {event_label(subsets[i])} and {event_label(subsets[j])} "
+                f"would both become the state {name}"
+            )
     mass = {label(ev): masses[ev] for ev in subsets}
     truth = {}
     for f in model.truth_domain():

@@ -99,6 +99,20 @@ class TestBuild:
         assert res.exit_code == 0
         assert "likelihoods preserved" in res.output
 
+    def test_belief_lift_with_colliding_state_labels_exits_1(self, runner, tmp_path):
+        # mass 1/2 on {a, b} and 1/2 on {a+b}: a valid belief function
+        # whose focal events would both be labelled a+b
+        lam = {"": "0", "a": "0", "b": "0", "a|b": "1/2", "a+b": "1/2", "a|a+b": "1/2",
+               "b|a+b": "1/2", "a|b|a+b": "1"}
+        (tmp_path / "model.json").write_text(
+            json.dumps({"states": ["a", "b", "a+b"], "t": {}, "lambda": lam})
+        )
+        session = tmp_path / "session.json"
+        session.write_text(json.dumps({"atoms": ["p"], "models": {"m": "model.json"}}))
+        res = invoke(runner, "build", session, "belief-lift")
+        assert res.exit_code == 1
+        assert "focal events a+b and a|b would both become the state a+b" in res.output
+
     def test_built_model_reloads(self, runner, tmp_path):
         out = tmp_path / "interval.json"
         res = invoke(
@@ -492,6 +506,12 @@ class TestMalformedSessions:
         res = invoke(runner, "check", self.session(tmp_path, theory="theory.json"))
         self.assert_input_error(res, "theory.json: 'utf-8' codec can't decode byte 0xff")
 
+    def test_file_not_json(self, runner, tmp_path):
+        (tmp_path / "theory.json").write_text('{"generators": ["p"]')
+        res = invoke(runner, "check", self.session(tmp_path, theory="theory.json"))
+        self.assert_input_error(res, "theory.json: Expecting ',' delimiter")
+        assert "error: invalid JSON in " in res.output
+
     def test_json_nested_too_deep(self, runner, tmp_path):
         (tmp_path / "theory.json").write_text("[" * 100_000)
         res = invoke(runner, "check", self.session(tmp_path, theory="theory.json"))
@@ -523,6 +543,26 @@ class TestMalformedSessions:
         (tmp_path / "strategies.json").write_text(json.dumps({"s": {"payoffs": {"p": "1"}}}))
         session = self.session(tmp_path, **keys)
         res = invoke(runner, "rationalize", session, *(["--choice", choice] if choice else []))
+        self.assert_input_error(res, f"error: {message}")
+
+
+    @pytest.mark.parametrize("keys, which, message", [
+        ({}, [], "session declares no assessment"),
+        ({"assessment": "assessment.json"}, ["s-i"], "the s-i check needs a theory file"),
+    ])
+    def test_check_without_what_it_grades(self, runner, tmp_path, keys, which, message):
+        (tmp_path / "assessment.json").write_text(json.dumps({"atoms": ["p"], "pi": {}}))
+        res = invoke(runner, "check", self.session(tmp_path, **keys), *which)
+        self.assert_input_error(res, f"error: {message}")
+
+    @pytest.mark.parametrize("model, message", [
+        (None, "several models in session; pick one of: m, n"),
+        ("o", "no model named 'o' in session"),
+    ])
+    def test_model_not_chosen(self, runner, tmp_path, model, message):
+        (tmp_path / "model.json").write_text(json.dumps({"states": ["a"], "t": {}}))
+        session = self.session(tmp_path, models={"m": "model.json", "n": "model.json"})
+        res = invoke(runner, "mobius", session, *(["--model", model] if model else []))
         self.assert_input_error(res, f"error: {message}")
 
 

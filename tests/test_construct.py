@@ -6,8 +6,6 @@ import pytest
 
 from credence.assessment import Assessment, check_e, check_i, check_nt
 from credence.construct import (
-    MAX_LIFT_STATES,
-    MAX_PRODUCT_COORDS,
     MAX_SOLVER_ATOMS,
     BuildError,
     build_additive_sound,
@@ -16,12 +14,12 @@ from credence.construct import (
     build_interval_additive,
     build_product_model,
 )
-from credence.logic import FALSE, TRUE, Language
+from credence.logic import FALSE, MAX_ATOMS, TRUE, Language
 from credence.model import (
-    MAX_FIELD_ATOMS,
     SubjectiveModel,
     classify_lambda,
     classify_truth,
+    inverse_mobius,
     represents,
 )
 
@@ -77,12 +75,13 @@ class TestProduct:
             build_product_model(a)
         assert e.value.axiom == "NT"
 
-    def test_cap_names_the_statement_count(self):
-        n = MAX_PRODUCT_COORDS + 1
+    def test_table_bound_names_the_coordinates(self):
+        n = MAX_ATOMS + 1
         lang = Language(["p", "q", "r"])
         a = Assessment(lang, {f: F(1, 2) for _, f in full_closure_classes(lang)[1:n + 1]})
-        with pytest.raises(BuildError, match=f"capped at {MAX_PRODUCT_COORDS} statements, got {n}"):
+        with pytest.raises(BuildError) as e:
             build_product_model(a)
+        assert f"product state space over {n} coordinates would have 2^{n} entries" in str(e.value)
 
 
 class TestCanonicalSound:
@@ -119,15 +118,27 @@ class TestCanonicalSound:
             build_canonical_sound(a)
         assert e.value.axiom == "E"
 
-    def test_field_above_the_cap_is_not_materialized(self):
+    def test_field_above_the_table_bound_is_not_materialized(self):
         # one block per assessed minterm, and one for the rest
-        lang = Language(["p", "q", "r", "s"])
-        a = Assessment(lang, {lang.minterm(i): F(1, 16) for i in range(MAX_FIELD_ATOMS)})
+        lang = Language(["p", "q", "r", "s", "t"])
+        a = Assessment(lang, {lang.minterm(i): F(1, 32) for i in range(MAX_ATOMS)})
         out = build_canonical_sound(a)
-        assert len(out.model.field_atoms()) == MAX_FIELD_ATOMS + 1
+        assert len(out.model.field_atoms()) == MAX_ATOMS + 1
         assert "generated field too large to materialize" in out.notes[0]
         assert set(out.model.lam_numerators) == {a.language.sat(f) for f in a.formulas}
         assert "lambda monotone on field" not in {c.name for c in out.certificate}
+
+    def test_field_at_the_table_bound_is_inner_extended(self):
+        # fifteen assessed minterms and the rest: 16 blocks, 2^16 field events
+        lang = Language(["p", "q", "r", "s"])
+        a = Assessment(lang, {lang.minterm(i): F(1, 16) for i in range(MAX_ATOMS - 1)})
+        out = build_canonical_sound(a)
+        assert out.notes == ["appraisal inner-extended to the generated field"]
+        assert len(out.model.lam_numerators) == 1 << MAX_ATOMS
+        # the rest is no named event: its inner extension is 0
+        assert out.model.lambda_of(lang.sat(lang.minterm(MAX_ATOMS - 1))) == 0
+        assert out.model.lambda_of(lang.sat(lang.parse("(p | q)"))) == F(1, 16)
+        assert {c.name: c.ok for c in out.certificate}["lambda monotone on field"] is True
 
     def test_many_atoms_with_few_blocks_are_inner_extended(self):
         # 8192 valuations, but three statements cut them into at most 8 blocks
@@ -216,11 +227,28 @@ class TestBeliefLift:
         flags = classify_truth(out.model, transport_maps.models["capacity"].truth_domain())
         assert flags.exact and flags.and_distributive
 
-    def test_cap_names_the_state_count(self):
-        n = MAX_LIFT_STATES + 1
+    def test_table_bound_names_the_state_count(self):
+        # refused before the Mobius transform, which would raise a ModelError
+        n = MAX_ATOMS + 1
         m = SubjectiveModel(Language([]), [f"s{i}" for i in range(n)], {})
-        with pytest.raises(BuildError, match=f"capped at {MAX_LIFT_STATES} states, got {n}"):
+        with pytest.raises(BuildError) as e:
             build_belief_lift(m)
+        assert f"belief lift's powerset over {n} states would have 2^{n} entries" in str(e.value)
+
+    def test_lift_at_the_table_bound(self):
+        n = MAX_ATOMS
+        m = SubjectiveModel(Language([]), [f"s{i}" for i in range(n)], {}, mass=[F(1, n)] * n)
+        out = build_belief_lift(m)
+        assert out.ok
+        assert dict(zip(out.model.states, out.model.mass)) == dict(zip(m.states, m.mass))
+
+    def test_colliding_state_labels_are_refused(self):
+        # mass 1/2 on {a, b} and 1/2 on {a+b}: both focal events are labelled a+b
+        lam = inverse_mobius({0b011: F(1, 2), 0b100: F(1, 2)}, 3)
+        m = SubjectiveModel(Language([]), ["a", "b", "a+b"], {}, lam=lam)
+        with pytest.raises(BuildError) as e:
+            build_belief_lift(m)
+        assert str(e.value) == "focal events a+b and a|b would both become the state a+b"
 
 
 class TestAdditiveSound:

@@ -11,7 +11,12 @@ denominator.  Only ``_exact`` takes an lcm: it owns the one exact-rational
 format, int numerators over one common denominator.  Every
 ``ValueError`` the package defines must have its exit code: an input
 error in ``cli.INPUT_ERRORS``, or the one verdict,
-``construct.BuildError``."""
+``construct.BuildError``.  A table indexed by k bits is bounded by one
+rule, ``logic.check_table``: k at most ``logic.MAX_ATOMS``, the width of
+the widest language's valuation table.  So the only module-level
+``MAX_*`` names are ``logic.MAX_ATOMS``, ``logic.MAX_DEPTH`` (the
+recursion bound) and two caps that wait for an algorithm to replace
+them, ``construct.MAX_SOLVER_ATOMS`` and ``identify.MAX_TRANSVERSALS``."""
 
 import ast
 import importlib
@@ -23,6 +28,12 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "credence"
 BIG_M = 10**6
 BLANKET = {"Exception", "BaseException"}
 FRACTION_FREE = ("pivot", "_run_simplex")
+CAPS = [
+    "construct.MAX_SOLVER_ATOMS",
+    "identify.MAX_TRANSVERSALS",
+    "logic.MAX_ATOMS",
+    "logic.MAX_DEPTH",
+]
 
 
 def _number(node) -> bool:
@@ -243,3 +254,40 @@ def test_every_value_error_has_an_exit_code():
     ]
     assert uncovered == []
     assert not issubclass(InternalError, cli.INPUT_ERRORS)
+
+
+def caps(source: str, module: str) -> list[str]:
+    """Every name ``MAX_*`` bound at the module level of the source, as
+    ``module.NAME``."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        found += [
+            f"{module}.{t.id}" for t in targets
+            if isinstance(t, ast.Name) and t.id.startswith("MAX_")
+        ]
+    return found
+
+
+def test_caps_follow_one_rule():
+    found = sorted(cap for path in MODULES for cap in caps(path.read_text(), path.stem))
+    assert found == CAPS
+
+
+@pytest.mark.parametrize(
+    "snippet, found",
+    [
+        ("MAX_FIELD_ATOMS = 12", ["m.MAX_FIELD_ATOMS"]),
+        ("MAX_LIFT: int = 12", ["m.MAX_LIFT"]),
+        ("MAX_A = MAX_B = 3", ["m.MAX_A", "m.MAX_B"]),
+        ("def f():\n    MAX_LOCAL = 3", []),
+        ("n = MAX_ATOMS + 1", []),
+    ],
+)
+def test_caps_are_found(snippet, found):
+    assert caps(snippet, "m") == found

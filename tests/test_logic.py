@@ -174,6 +174,11 @@ class TestParse:
         with pytest.raises(ParseError):
             PQ.parse("p + q")
 
+    def test_unclosed_parenthesis(self):
+        with pytest.raises(ParseError) as e:
+            PQ.parse("(p & q q)")
+        assert str(e.value) == "expected ')' (at position 7)"
+
     def test_formulas_at_the_depth_bound_are_evaluated_and_rendered(self):
         deep = "!" * logic.MAX_DEPTH + "p"
         flip = PQ.full_mask if logic.MAX_DEPTH % 2 else 0
@@ -222,6 +227,17 @@ class TestParse:
     def test_atom_named_like_constant_rejected(self):
         with pytest.raises(Exception):
             Language(["T"])
+
+    @pytest.mark.parametrize("atoms, message", [
+        ([f"a{j}" for j in range(logic.MAX_ATOMS + 1)],
+         f"valuation table over {logic.MAX_ATOMS + 1} atoms would have "
+         f"2^{logic.MAX_ATOMS + 1} entries"),
+        (["p", "q", "p"], "duplicate atom names"),
+    ])
+    def test_language_refusals(self, atoms, message):
+        with pytest.raises(logic.LogicError) as e:
+            Language(atoms)
+        assert message in str(e.value)
 
     @given(formulas())
     @settings(max_examples=200)

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from credence.files import model_to_dict
-from credence.logic import Language
+from credence.logic import MAX_ATOMS, Atom, Language
 from credence.model import (
-    MAX_POWERSET_STATES,
     ModelError,
     SubjectiveModel,
     choquet,
@@ -203,13 +202,23 @@ class TestMobius:
                 assert by_labels(m, inverse_mobius(masses, n)) == lam
                 assert sum(masses.values()) == 1
 
-    def test_cap_names_the_state_count(self):
-        n = MAX_POWERSET_STATES + 1
+    def test_table_bound_names_the_state_count(self):
+        n = MAX_ATOMS + 1
         m = SubjectiveModel(Language([]), [f"s{i}" for i in range(n)], {})
-        with pytest.raises(ModelError, match=f"capped at {MAX_POWERSET_STATES} states, got {n}"):
-            mobius(m)
-        with pytest.raises(ModelError, match=f"capped at {MAX_POWERSET_STATES} states, got {n}"):
-            inverse_mobius({1: F(1)}, n)
+        message = f"powerset capacity over {n} states would have 2^{n} entries"
+        for refused in (lambda: mobius(m), lambda: inverse_mobius({1: F(1)}, n)):
+            with pytest.raises(ModelError) as e:
+                refused()
+            assert message in str(e.value)
+
+    def test_transforms_at_the_table_bound(self):
+        n = MAX_ATOMS
+        m = SubjectiveModel(Language([]), [f"s{i}" for i in range(n)], {}, mass=[F(1, n)] * n)
+        masses = mobius(m)
+        assert {ev for ev, v in masses.items() if v} == {1 << i for i in range(n)}
+        lam = inverse_mobius(masses, n)
+        assert len(lam) == 1 << n
+        assert all(lam[ev] == m.lambda_of(ev) for ev in (0, 1, 0b1011, (1 << n) - 1))
 
 
 class TestChoquet:
@@ -380,6 +389,36 @@ class TestExactInputs:
     def test_inverse_mobius_refuses_a_float_mass(self):
         with pytest.raises(ModelError, match="binary float"):
             inverse_mobius({1: 0.25, 3: F(3, 4)}, 2)
+
+
+def counting_model(n: int) -> SubjectiveModel:
+    """``n`` equally likely states, state i making atom j true exactly
+    when bit j of i is set: each state is a block of the field."""
+    lang = Language([f"x{j}" for j in range(n.bit_length())])
+    truth = {
+        Atom(a): sum(1 << i for i in range(n) if i >> j & 1) for j, a in enumerate(lang.atoms)
+    }
+    return SubjectiveModel(lang, [f"s{i}" for i in range(n)], truth, mass=[F(1, n)] * n)
+
+
+class TestFieldBound:
+    def test_field_at_the_table_bound_is_graded(self):
+        m = counting_model(MAX_ATOMS)
+        assert len(m.field_atoms()) == MAX_ATOMS
+        assert m.field_events()[-1] == m.omega
+        assert len(m.field_events()) == 1 << MAX_ATOMS
+        flags = classify_lambda(m)
+        assert flags.additive and flags.totally_monotone
+
+    def test_field_above_the_table_bound_is_refused(self):
+        n = MAX_ATOMS + 1
+        m = counting_model(n)
+        assert len(m.field_atoms()) == n
+        message = f"generated field over {n} blocks would have 2^{n} entries"
+        for refused in (m.field_events, lambda: classify_lambda(m)):
+            with pytest.raises(ModelError) as e:
+                refused()
+            assert message in str(e.value)
 
 
 class TestEventRange:
