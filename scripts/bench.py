@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the axiom IE checker, the CLI's JSON report writer, the
-formula-heavy cliffs, model file I/O and the rationalizability decision
-in-process, and write the figures to a JSON file.
+formula-heavy cliffs, model file I/O, formula parsing and the
+rationalizability decision in-process, and write the figures to a JSON
+file.
 
 The IE checker and the writer run on seeded 3-atom universes of 64 and
 128 of the 256 equivalence classes with random values.
@@ -44,6 +45,15 @@ texts; and on one seeded set of 1,000 valuations over 10 atoms and one
 of 5,000 over 16, rendering and taking ``sat`` on a new ``Language``,
 with the formula's depth and text length.  A renderer that fails there
 (a ``RecursionError``) is recorded by name instead of its figures.
+
+Formula parsing is timed on every formula text of the ``grade``,
+``audit`` and ``rationalize`` benchmark workloads' sessions at seed 0:
+assessment keys, theory generators, model ``t`` keys and strategy
+payoff keys, each text as often as its sessions hold it.  Each run
+parses them all with ``Language.parse`` on a new ``Language`` per atom
+set; each workload records the best of five runs, the text counts and
+a SHA-256 digest of every result's ``unparse``, which must match
+between two commits.
 
 The rationalizability decision ``games.rationalizable`` is timed on the
 128 pools of the ``rationalize`` benchmark workload at seed 0
@@ -123,6 +133,7 @@ RENDER_ATOMS = (3, 4)  # the seed of each batch of sets is its atom count
 RENDER_SETS = 300
 RENDER_LARGE = ((10, 1000), (16, 5000))  # (atoms, valuations), seeded by atoms
 AUDIT_SEED = 0
+PARSE_WORKLOADS = ("grade", "audit", "rationalize")  # generated at seed 0
 RATIONALIZE_SEED = 0
 # (additive_only, weak) of each mode
 RATIONALIZE_MODES = {
@@ -408,6 +419,50 @@ def bench_model_to_dict() -> dict:
     return out
 
 
+def workload_texts(workload: str) -> list[tuple[tuple[str, ...], list[str]]]:
+    """Each seed-0 session's atoms and the formula texts its files hold."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = gen.generate(workload, 0, tmp)
+
+        def read(rel: str) -> dict:
+            return json.loads((Path(tmp) / rel).read_text())
+
+        for name in plan["sessions"]:
+            session = read(name)
+            texts = []
+            if "assessment" in session:
+                texts += read(session["assessment"])["pi"]
+            if "theory" in session:
+                texts += read(session["theory"])["generators"]
+            for rel in session.get("models", {}).values():
+                texts += read(rel)["t"]
+            if "strategies" in session:
+                for strategy in read(session["strategies"]).values():
+                    texts += strategy["payoffs"]
+            out.append((tuple(session["atoms"]), texts))
+    return out
+
+
+def bench_parse(workload: str) -> dict:
+    sessions = workload_texts(workload)
+    atom_sets = {atoms for atoms, _ in sessions}
+
+    def run():
+        language = {atoms: Language(atoms) for atoms in atom_sets}
+        return [language[atoms].parse(text) for atoms, texts in sessions for text in texts]
+
+    best_s, formulas = best_of(run)
+    return {
+        "workload": workload,
+        "texts": len(formulas),
+        "distinct_texts": len({text for _, texts in sessions for text in texts}),
+        "best_s": best_s,
+        "per_text_best_us": best_s / len(formulas) * 1e6,
+        "digest": hashlib.sha256("\n".join(map(unparse, formulas)).encode()).hexdigest(),
+    }
+
+
 def bench_rationalize() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         plan = gen.generate("rationalize", RATIONALIZE_SEED, tmp)
@@ -458,6 +513,7 @@ def main(out: Path, before: Path | None):
         "load_workload": [referenced(bench_load_workload, w) for w in LOAD_WORKLOADS],
         "unshared_denominators": referenced(bench_unshared_denominators),
         "model_to_dict": referenced(bench_model_to_dict),
+        "parse": [referenced(bench_parse, w) for w in PARSE_WORKLOADS],
         "rationalize": referenced(bench_rationalize),
     }
     if before is not None:

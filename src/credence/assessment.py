@@ -55,9 +55,8 @@ class Assessment:
         values.setdefault(TRUE, ONE)
         values.setdefault(FALSE, ZERO)
         self.formulas = tuple(values)
-        text = {f: unparse(f) for f in values}
-        if texts:
-            text.update({f: t for f, t in texts.items() if f in values})
+        texts = texts or {}
+        text = {f: texts[f] if f in texts else unparse(f) for f in values}
         # The statement index: parallel tuples in text order, built once.
         self.statements = tuple(sorted(values, key=text.__getitem__))
         self.sats = tuple(language.sat(f) for f in self.statements)

@@ -278,7 +278,6 @@ def build_belief_lift(
     lifted = SubjectiveModel(
         model.language, states, truth, mass=mass, name="belief-lift", exact_lookup=True
     )
-    lifted.grounded = False  # the lift rule, not the valuation rule, extends t
 
     cert = []
     preserved = all(

@@ -12,6 +12,12 @@ at the scales this package targets (at most 16 atoms).  Valuation ``i``
 makes atom ``j`` true iff bit ``j`` of ``i`` is set; a formula's bitset
 has bit ``i`` set iff the formula holds under valuation ``i``.
 
+Formula text is split into tokens by one compiled pattern in one
+``re.findall``; a non-space character that starts no token is a
+one-character token that no grammar rule accepts.  ``Language.parse``
+descends over that list of strings, and scans the text again, for
+offsets, only when it raises a ``ParseError``.
+
 ``Language.formula_from_valuations`` renders a valuation set back into a
 formula, in two regimes: up to 4 atoms the smallest disjunction of at
 most 4 prime terms, found by exact search; above 4 atoms, or where no
@@ -34,6 +40,9 @@ MAX_ATOMS = 16
 MAX_DEPTH = sys.getrecursionlimit() // 2
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# a formula's tokens: an arrow, a one-character connective or parenthesis,
+# a name, or any other non-space character, which no grammar rule accepts
+_TOKEN = re.compile(rf"<->|->|[()!&|]|{_IDENT.pattern}|\S")
 
 
 class LogicError(ValueError):
@@ -252,35 +261,13 @@ def _rebuild(flat: tuple) -> Formula:
     return built[-1]
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()!&|":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            tokens.append(("iff", "<->", i))
-            i += 3
-            continue
-        if text.startswith("->", i):
-            tokens.append(("imp", "->", i))
-            i += 2
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(("ident", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
+# each binary connective's node builder; the arrows expand into !, & and |
+_CONNECTIVES = {
+    "&": And,
+    "|": Or,
+    "->": lambda a, b: Or(Not(a), b),
+    "<->": lambda a, b: And(Or(Not(a), b), Or(Not(b), a)),
+}
 
 
 def _atom_mask(j: int, n_valuations: int) -> int:
@@ -329,56 +316,54 @@ class Language:
         nesting more than ``MAX_DEPTH`` connectives deep once expanded is
         a ``ParseError``.
         """
-        tokens = _tokenize(text)
+        tokens = _TOKEN.findall(text)
+        tokens.append("")  # the end of input
         pos = 0
 
-        def peek():
-            return tokens[pos]
+        def fail(message: str, k: int, error: type[ParseError] = ParseError):
+            """The error at token ``k``, or at the text's first unexpected character."""
+            offsets = []
+            for m in _TOKEN.finditer(text):
+                tok = m.group()
+                if not (tok in _CONNECTIVES or tok in "()!" or _IDENT.match(tok)):
+                    return ParseError(f"unexpected character {tok!r}", m.start())
+                offsets.append(m.start())
+            offsets.append(len(text))
+            return error(message, offsets[k])
 
-        def advance():
+        def formula(level: int) -> Formula:
             nonlocal pos
             tok = tokens[pos]
             pos += 1
-            return tok
-
-        def formula(level: int) -> Formula:
-            kind, value, at = advance()
-            if level == MAX_DEPTH and kind in ("!", "("):
-                raise ParseError(f"formula nests more than {MAX_DEPTH} levels deep", at)
-            if kind == "ident":
-                if value == "T":
-                    return TRUE
-                if value == "F":
-                    return FALSE
-                if value not in self._index:
-                    raise UndeclaredAtomError(f"undeclared atom {value!r}", at)
-                return Atom(value)
-            if kind == "!":
-                return Not(formula(level + 1))
-            if kind == "(":
+            if tok in self._index:
+                return Atom(tok)
+            if tok == "(" or tok == "!":
+                if level == MAX_DEPTH:
+                    raise fail(f"formula nests more than {MAX_DEPTH} levels deep", pos - 1)
+                if tok == "!":
+                    return Not(formula(level + 1))
                 left = formula(level + 1)
-                op_kind, op_value, op_at = advance()
-                if op_kind not in ("&", "|", "imp", "iff"):
-                    raise ParseError(
-                        f"expected a connective, got {op_value or 'end of input'!r}", op_at
-                    )
+                build = _CONNECTIVES.get(tokens[pos])
+                if build is None:
+                    got = tokens[pos] or "end of input"
+                    raise fail(f"expected a connective, got {got!r}", pos)
+                pos += 1
                 right = formula(level + 1)
-                close_kind, _, close_at = advance()
-                if close_kind != ")":
-                    raise ParseError("expected ')'", close_at)
-                if op_kind == "&":
-                    return And(left, right)
-                if op_kind == "|":
-                    return Or(left, right)
-                if op_kind == "imp":
-                    return Or(Not(left), right)
-                return And(Or(Not(left), right), Or(Not(right), left))
-            raise ParseError(f"expected a formula, got {value or 'end of input'!r}", at)
+                if tokens[pos] != ")":
+                    raise fail("expected ')'", pos)
+                pos += 1
+                return build(left, right)
+            if tok == "T":
+                return TRUE
+            if tok == "F":
+                return FALSE
+            if _IDENT.match(tok):
+                raise fail(f"undeclared atom {tok!r}", pos - 1, UndeclaredAtomError)
+            raise fail(f"expected a formula, got {tok or 'end of input'!r}", pos - 1)
 
         result = formula(0)
-        kind, value, at = peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {value!r}", at)
+        if tokens[pos]:
+            raise fail(f"trailing input {tokens[pos]!r}", pos)
         # without "->" and "<->" the formula is as deep as the text, whose
         # nesting is checked above; expanding them adds at most two levels
         # per token, so only a text of more than MAX_DEPTH / 3 tokens with

@@ -103,8 +103,9 @@ class SubjectiveModel:
     pointwise evaluation, the model is *grounded*: its valuation extends
     soundly to every formula.  ``exact_lookup`` lets an exact
     (equivalence-respecting) valuation answer for any formula equivalent
-    to an explicitly valued one.  The explicit truth events are fixed
-    once the model is built.
+    to an explicitly valued one, and for no other; such a model is never
+    grounded.  The explicit truth events are fixed once the model is
+    built.
     """
 
     def __init__(
@@ -287,7 +288,7 @@ class SubjectiveModel:
         self.grounding_mismatches = sorted(
             unparse(f) for f, ev in self.truth.items() if self._derived(lang.sat(f)) != ev
         )
-        self.grounded = not self.grounding_mismatches
+        self.grounded = not self.grounding_mismatches and not self.exact_lookup
 
     def _derived(self, sat: int) -> int:
         ev = 0

@@ -30,6 +30,8 @@ The JSON report writer's oracle is the json module's sorted,
 two-space-indented encoding that the CLI used before it.  The formula
 oracle is the frozen-dataclass tree that formulas were before they were
 hash-consed, with a parse that builds it and its own unparse and sat.
+``parse_oracle`` is ``Language.parse`` as it ran before the token
+pattern, on a tokenizer that read the text one character at a time.
 The formula renderer's oracle is ``formula_from_valuations`` as it ran
 before the Shannon expansion: an exact search for a cover of at most 4
 prime terms, then a greedy prime cover, then a minterm disjunction.
@@ -42,6 +44,7 @@ import json
 import math
 import operator
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,6 +85,7 @@ from credence.identify import IdentifyError, SubtheoryResult, _theory_for_valuat
 from credence.logic import (
     FALSE,
     MAX_ATOMS,
+    MAX_DEPTH,
     TRUE,
     And,
     Atom,
@@ -93,7 +97,7 @@ from credence.logic import (
     ParseError,
     Theory,
     UndeclaredAtomError,
-    _tokenize,
+    _depth,
     check_table,
     unparse,
 )
@@ -218,6 +222,103 @@ def as_tree(f: Formula) -> TreeFormula:
     """The oracle tree with the same structure as a formula node."""
     fields = [getattr(f, n) for n in type(f).__slots__]
     return TREE_OF[type(f)](*(as_tree(x) if isinstance(x, Formula) else x for x in fields))
+
+
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "()!&|":
+            tokens.append((c, c, i))
+            i += 1
+            continue
+        if text.startswith("<->", i):
+            tokens.append(("iff", "<->", i))
+            i += 3
+            continue
+        if text.startswith("->", i):
+            tokens.append(("imp", "->", i))
+            i += 2
+            continue
+        m = _IDENT.match(text, i)
+        if m:
+            tokens.append(("ident", m.group(), i))
+            i = m.end()
+            continue
+        raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def parse_oracle(lang: Language, text: str) -> Formula:
+    """``Language.parse`` as it ran on ``(kind, value, offset)`` tokens read
+    one character at a time: the same grammar, sugar, depth bound, errors
+    and positions."""
+    tokens = _tokenize(text)
+    pos = 0
+
+    def peek():
+        return tokens[pos]
+
+    def advance():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def formula(level: int) -> Formula:
+        kind, value, at = advance()
+        if level == MAX_DEPTH and kind in ("!", "("):
+            raise ParseError(f"formula nests more than {MAX_DEPTH} levels deep", at)
+        if kind == "ident":
+            if value == "T":
+                return TRUE
+            if value == "F":
+                return FALSE
+            if value not in lang._index:
+                raise UndeclaredAtomError(f"undeclared atom {value!r}", at)
+            return Atom(value)
+        if kind == "!":
+            return Not(formula(level + 1))
+        if kind == "(":
+            left = formula(level + 1)
+            op_kind, op_value, op_at = advance()
+            if op_kind not in ("&", "|", "imp", "iff"):
+                raise ParseError(
+                    f"expected a connective, got {op_value or 'end of input'!r}", op_at
+                )
+            right = formula(level + 1)
+            close_kind, _, close_at = advance()
+            if close_kind != ")":
+                raise ParseError("expected ')'", close_at)
+            if op_kind == "&":
+                return And(left, right)
+            if op_kind == "|":
+                return Or(left, right)
+            if op_kind == "imp":
+                return Or(Not(left), right)
+            return And(Or(Not(left), right), Or(Not(right), left))
+        raise ParseError(f"expected a formula, got {value or 'end of input'!r}", at)
+
+    result = formula(0)
+    kind, value, at = peek()
+    if kind != "end":
+        raise ParseError(f"trailing input {value!r}", at)
+    # without "->" and "<->" the formula is as deep as the text, whose
+    # nesting is checked above; expanding them adds at most two levels
+    # per token, so only a text of more than MAX_DEPTH / 3 tokens with
+    # one of them can come out deeper
+    if 3 * len(tokens) > MAX_DEPTH and "->" in text and _depth(result) > MAX_DEPTH:
+        raise ParseError(f"formula nests more than {MAX_DEPTH} levels deep", 0)
+    return result
 
 
 def tree_parse(lang: Language, text: str) -> TreeFormula:
@@ -1456,7 +1557,7 @@ class LabelModel:
                 mismatches.append(unparse(f))
         self.state_valuation = vals
         self.grounding_mismatches = sorted(mismatches)
-        self.grounded = not mismatches
+        self.grounded = not mismatches and not self.exact_lookup
 
     def truth_of(self, f: Formula) -> frozenset | None:
         ev = self.truth.get(f)
@@ -1940,7 +2041,6 @@ def build_belief_lift_oracle(model: LabelModel, assessment: Assessment | None = 
     lifted = LabelModel(
         model.language, states, truth, mass=mass, name="belief-lift", exact_lookup=True
     )
-    lifted.grounded = False
     preserved = all(
         model.lambda_of(model.truth[f]) == lifted.lambda_of(lifted.truth[f])
         for f in model.truth_domain()

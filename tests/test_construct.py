@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from credence.construct import (
     build_interval_additive,
     build_product_model,
 )
+from credence.files import load_model, model_to_dict
 from credence.logic import FALSE, MAX_ATOMS, TRUE, Language
 from credence.model import (
     SubjectiveModel,
@@ -226,6 +228,19 @@ class TestBeliefLift:
         assert out.ok
         flags = classify_truth(out.model, transport_maps.models["capacity"].truth_domain())
         assert flags.exact and flags.and_distributive
+
+    def test_lift_reloads_answering_what_it_answered(self, transport_maps, tmp_path):
+        # the lift rule answers only for formulas equivalent to a listed
+        # one; the reloaded model is not grounded in its atoms' events either
+        lifted = build_belief_lift(transport_maps.models["capacity"]).model
+        path = tmp_path / "lifted.json"
+        path.write_text(json.dumps(model_to_dict(lifted)))
+        reloaded = load_model(path, lifted.language)
+        not_p = lifted.language.parse("!p")
+        assert lifted.truth_of(not_p) is None
+        assert reloaded.truth_of(not_p) is None
+        assert not lifted.grounded and not reloaded.grounded
+        assert model_to_dict(reloaded) == model_to_dict(lifted)
 
     def test_table_bound_names_the_state_count(self):
         # refused before the Mobius transform, which would raise a ModelError

@@ -10,8 +10,9 @@ and its builders against the frozenset model and builders they
 replaced, of model file loading against the ``Fraction`` loader it
 replaced, of the CLI's JSON report writer against the json module, and
 of hash-consed formulas against the frozen-dataclass trees they
-replaced, and of the formula renderer against the exact, greedy and
-minterm covers it replaced."""
+replaced, of the token-pattern parser against the parser on the
+character-by-character tokenizer it replaced, and of the formula
+renderer against the exact, greedy and minterm covers it replaced."""
 
 import itertools
 import json
@@ -46,7 +47,18 @@ from credence.games import (
     transported_vector,
 )
 from credence.identify import IdentifyError, largest_subtheory, understood_implications
-from credence.logic import FALSE, TRUE, And, Atom, Language, Not, Or, Theory, unparse
+from credence.logic import (
+    FALSE,
+    TRUE,
+    And,
+    Atom,
+    Language,
+    Not,
+    Or,
+    ParseError,
+    Theory,
+    unparse,
+)
 from credence import model as model_module
 from credence.model import (
     ModelError,
@@ -94,6 +106,7 @@ from helpers import (
     maximal_model,
     maximize_fraction_oracle,
     maximize_oracle,
+    parse_oracle,
     passes_s_i_oracle,
     random_capacity,
     random_fraction,
@@ -982,6 +995,48 @@ def test_interned_parse_matches_the_tree_parse(text, data):
     other = data.draw(FORMULA_TEXTS | st.just(text.replace(" ", "")) | st.just(unparse(f)))
     g, other_tree = PQR.parse(other), tree_parse(PQR, other)
     assert (f == g) == (f is g) == (tree == other_tree)
+
+
+# pieces of formula text, valid or not: the atoms, an undeclared atom,
+# the constants, the connectives, parentheses, halves of an arrow, two
+# characters no token starts with, ASCII spaces and an em space
+PARSE_PIECES = st.sampled_from(
+    ["p", "q", "r", "s", "T", "F", "!", "&", "|", "->", "<->", "(", ")",
+     "<", "-", "+", "\u00e9", " ", "  ", "\u2003"]
+)
+
+
+@st.composite
+def parse_texts(draw):
+    """Text drawn piece by piece, or a prefix or a one-character mutation
+    of a well-formed formula: one character replaced, deleted, or
+    inserted before it."""
+    kind = draw(st.sampled_from(["pieces", "prefix", "mutation"]))
+    if kind == "pieces":
+        return "".join(draw(st.lists(PARSE_PIECES, max_size=16)))
+    text = draw(FORMULA_TEXTS)
+    i = draw(st.integers(min_value=0, max_value=len(text)))
+    if kind == "prefix":
+        return text[:i]
+    c = draw(PARSE_PIECES)[0]
+    return draw(st.sampled_from(
+        [text[:i] + c + text[i + 1:], text[:i] + text[i + 1:], text[:i] + c + text[i:]]
+    ))
+
+
+def parse_outcome(parse, text: str):
+    """The formula ``parse`` reads from ``text``, or the class, message
+    and position of the error it raises."""
+    try:
+        return parse(PQR, text)
+    except ParseError as e:
+        return type(e), str(e), e.position
+
+
+@given(parse_texts())
+@settings(max_examples=1000, deadline=None)
+def test_parse_matches_the_character_scan(text):
+    assert parse_outcome(Language.parse, text) == parse_outcome(parse_oracle, text)
 
 
 @st.composite

@@ -179,6 +179,29 @@ class TestParse:
             PQ.parse("(p & q q)")
         assert str(e.value) == "expected ')' (at position 7)"
 
+    @pytest.mark.parametrize("text,error,message,position", [
+        # the whole text is scanned first, so a bad character anywhere
+        # is reported before an earlier syntax error
+        ("(p q) é", ParseError, "unexpected character 'é'", 6),
+        ("!" * (logic.MAX_DEPTH + 1) + "p é", ParseError, "unexpected character 'é'",
+         logic.MAX_DEPTH + 3),
+        ("(p <- q)", ParseError, "unexpected character '<'", 3),
+        ("(p q)", ParseError, "expected a connective, got 'q'", 3),
+        ("(p &", ParseError, "expected a formula, got 'end of input'", 4),
+        ("(p & q", ParseError, "expected ')'", 6),
+        ("p q", ParseError, "trailing input 'q'", 2),
+        ("(p -> )", ParseError, "expected a formula, got ')'", 6),
+        ("", ParseError, "expected a formula, got 'end of input'", 0),
+        ("Tp", UndeclaredAtomError, "undeclared atom 'Tp'", 0),
+        ("(p & r)", UndeclaredAtomError, "undeclared atom 'r'", 5),
+    ])
+    def test_every_parse_error_names_its_position(self, text, error, message, position):
+        with pytest.raises(ParseError) as e:
+            PQ.parse(text)
+        assert type(e.value) is error
+        assert str(e.value) == f"{message} (at position {position})"
+        assert e.value.position == position
+
     def test_formulas_at_the_depth_bound_are_evaluated_and_rendered(self):
         deep = "!" * logic.MAX_DEPTH + "p"
         flip = PQ.full_mask if logic.MAX_DEPTH % 2 else 0
