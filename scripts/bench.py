@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time the axiom IE checker, the CLI's JSON report writer, the
-formula-heavy cliffs, model file I/O, formula parsing and the
-rationalizability decision in-process, and write the figures to a JSON
-file.
+formula-heavy cliffs, model file I/O, formula parsing, the
+rationalizability decision and the additive-sound build in-process, and
+write the figures to a JSON file.
 
 The IE checker and the writer run on seeded 3-atom universes of 64 and
 128 of the 256 equivalence classes with random values.
@@ -66,6 +66,14 @@ verdict's ``credence.cli`` JSON text, which must match between two
 commits.  The general weak decisions, which no benchmark workload runs,
 are also given per k.
 
+The additive-sound build ``construct.build_additive_sound`` is timed on
+seeded universes of 20 assessed statements (22 rows with T and F) at
+11, 13 and 16 atoms, each statement a clause of two or three seeded
+literals valued by seeded weights on the valuations, so the system is
+consistent and its elimination, not an axiom, decides.  Each records the best of five
+builds, and the length and a SHA-256 digest of the outcome: the
+refusal's message, or the certificate's ``credence.cli`` JSON text.
+
 Times are raw wall seconds on the host that ran the script; its Python
 version and machine are recorded beside them, and so is, next to each
 figure, the median of reference loops (``perfbench/child.py``'s
@@ -102,7 +110,12 @@ from credence import (  # noqa: E402
     unparse,
 )
 from credence.cli import _json_text  # noqa: E402
-from credence.construct import build_canonical_sound, build_product_model  # noqa: E402
+from credence.construct import (  # noqa: E402
+    BuildError,
+    build_additive_sound,
+    build_canonical_sound,
+    build_product_model,
+)
 from credence.files import load_model, load_session, model_to_dict  # noqa: E402
 from credence.games import rationalizable  # noqa: E402
 from credence.model import choquet, mobius  # noqa: E402
@@ -142,6 +155,8 @@ RATIONALIZE_MODES = {
     "additive": (True, False),
     "additive-weak": (True, True),
 }
+ADDITIVE_ATOMS = (11, 13, 16)  # the seed of each universe is its atom count
+ADDITIVE_STATEMENTS = 20
 REFERENCES = 5  # reference loops timed before and again after each figure
 
 
@@ -499,6 +514,42 @@ def bench_rationalize() -> dict:
     return out
 
 
+def additive_universe(atoms: int) -> Assessment:
+    rng = random.Random(atoms)
+    lang = Language([f"a{j}" for j in range(atoms)])
+    weights = [rng.randint(1, 9) for _ in range(lang.n_valuations)]
+    pi = {}
+    while len(pi) < ADDITIVE_STATEMENTS:
+        literals = [rng.choice(["", "!"]) + x for x in rng.sample(lang.atoms, rng.randint(2, 3))]
+        text = literals[0]
+        for literal in literals[1:]:
+            text = f"({text} {rng.choice('&|')} {literal})"
+        f = lang.parse(text)
+        bits = lang.sat(f)
+        pi[f] = Fraction(sum(w for v, w in enumerate(weights) if bits >> v & 1), sum(weights))
+    return Assessment(lang, pi)
+
+
+def bench_additive_sound(atoms: int) -> dict:
+    a = additive_universe(atoms)
+
+    def build() -> str:
+        try:
+            return _json_text(build_additive_sound(a).to_dict())
+        except BuildError as e:
+            return f"refused: {e}"
+
+    best_s, text = best_of(build)
+    return {
+        "atoms": atoms,
+        "statements": len(a.statements),
+        "best_s": best_s,
+        "refused": text.startswith("refused: "),
+        "chars": len(text),
+        "digest": hashlib.sha256(text.encode()).hexdigest(),
+    }
+
+
 def main(out: Path, before: Path | None):
     results = {
         "python": platform.python_version(),
@@ -515,6 +566,7 @@ def main(out: Path, before: Path | None):
         "model_to_dict": referenced(bench_model_to_dict),
         "parse": [referenced(bench_parse, w) for w in PARSE_WORKLOADS],
         "rationalize": referenced(bench_rationalize),
+        "additive_sound": [referenced(bench_additive_sound, n) for n in ADDITIVE_ATOMS],
     }
     if before is not None:
         results = {"before": json.loads(before.read_text()), "after": results}

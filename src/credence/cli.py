@@ -236,10 +236,8 @@ def check(ctx, session_file, which, theory_path, n_max):
 @click.option("--out", metavar="PATH", default=None, help="Write the model JSON here.")
 @click.option("--model", "model_name", default=None,
               help="Source model for belief-lift.")
-@click.option("--complete-maxent", is_flag=True,
-              help="Fill under-determined valuations uniformly (additive-sound only).")
 @click.pass_obj
-def build(ctx, session_file, construction, out, model_name, complete_maxent):
+def build(ctx, session_file, construction, out, model_name):
     """Build a representing model and print its certificate."""
     lift = construction == "belief-lift"
     session = _session(ctx, session_file, assessment=not lift)
@@ -247,10 +245,6 @@ def build(ctx, session_file, construction, out, model_name, complete_maxent):
         if lift:
             outcome = construct.build_belief_lift(
                 session.model(model_name), session.assessment
-            )
-        elif construction == "additive-sound":
-            outcome = construct.build_additive_sound(
-                session.assessment, complete_maxent=complete_maxent
             )
         else:
             outcome = construct.BUILDERS[construction](session.assessment)
@@ -289,7 +283,15 @@ def identify_cmd(ctx, session_file, theory_path):
     identify the largest understood sub-theory."""
     session = _session(ctx, session_file, theory_path)
     theory = session.theory
-    verdicts = identify.understood_implications(session.assessment)
+    try:
+        verdicts = identify.understood_implications(session.assessment)
+    except identify.IdentifyError as e:
+        _emit(
+            ctx,
+            lambda: {"command": "identify", "refused": str(e)},
+            lambda: [f"identification: refused ({e})"],
+        )
+        sys.exit(FAIL)
     misunderstood = [v for v in verdicts if not v.understood]
     lines = [f"implications within the universe: {len(verdicts)}"]
     for v in misunderstood:

@@ -22,8 +22,10 @@ pattern doubling, one coordinate at a time in int numerators over one
 denominator, and the canonical inner extension is a subset-max
 transform over the field's blocks, complete before the model is built.
 The product's states, the canonical field and the belief lift's
-powerset are bounded by ``logic.check_table``.  Every certificate is
-checked on the built model, never assumed.
+powerset are bounded by ``logic.check_table``, and additive-sound's
+elimination table, statements by valuations, by the language's own
+valuation table.  Every certificate is checked on the built model,
+never assumed.
 """
 
 from __future__ import annotations
@@ -48,13 +50,6 @@ from .model import (
     mobius,
     represents,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-# the row reduction's bound, until ROADMAP item 3 decides additive-sound
-# existence by one LP and deletes it
-MAX_SOLVER_ATOMS = 10
 
 
 class BuildError(ValueError):
@@ -303,18 +298,20 @@ def build_belief_lift(
     return BuildOutcome(lifted, "belief-lift", cert, [])
 
 
-def _solve_valuation_masses(assessment: Assessment):
-    """Row-reduce the system  sum of masses over sat(phi) = pi(phi)  with
-    the fraction-free ``pivot``, on the assessment's int numerators over
-    its denominator.
-
-    Returns (status, data): status is "unique" (data: mass vector),
-    "inconsistent" (data: None) or "underdetermined" (data: (pinned
-    column values, free column set))."""
-    nv = assessment.language.n_valuations
-    scale = assessment.denominator
+def build_additive_sound(assessment: Assessment) -> BuildOutcome:
+    """Classical truth over the valuations plus an additive measure
+    reproducing the assessment.  The system  sum of masses over sat(phi)
+    = pi(phi)  is row-reduced with the fraction-free ``pivot``, on the
+    assessment's int numerators over its denominator; the build fails
+    loudly when the system is inconsistent or does not pin every
+    valuation's mass down."""
+    _require(check_nt(assessment), "NT", "additive sound construction")
+    _require(check_a(assessment), "A", "additive sound construction")
+    lang = assessment.language
+    nv = lang.n_valuations
+    # one row per statement: its valuation bits, then its numerator
     mat = [
-        [(bits >> i) & 1 for i in range(nv)] + [v]
+        [*map(int, format(bits, f"0{nv}b")[::-1]), v]
         for bits, v in zip(assessment.sats, assessment.numerators)
     ]
     d = 1
@@ -330,78 +327,26 @@ def _solve_valuation_masses(assessment: Assessment):
         r += 1
         if r == len(mat):
             break
-    for i in range(r, len(mat)):
-        if mat[i][-1] != 0:
-            return "inconsistent", None
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(nv) if c not in pivot_cols]
-    if not free_cols:
-        x = [ZERO] * nv
-        for row, col in pivots:
-            x[col] = Fraction(mat[row][-1], d * scale)
-        return "unique", x
-    pinned = {}
-    for row, col in pivots:
-        if all(mat[row][fc] == 0 for fc in free_cols):
-            pinned[col] = Fraction(mat[row][-1], d * scale)
-    return "underdetermined", (pinned, free_cols)
-
-
-def build_additive_sound(
-    assessment: Assessment, complete_maxent: bool = False
-) -> BuildOutcome:
-    """Classical truth over the valuations plus an additive measure
-    reproducing the assessment.  Fails loudly when the universe does not
-    pin every valuation's mass down; ``complete_maxent`` instead spreads
-    the unassigned mass uniformly over the unresolved valuations (clearly
-    non-canonical) and verifies the result."""
-    _require(check_nt(assessment), "NT", "additive sound construction")
-    _require(check_a(assessment), "A", "additive sound construction")
-    lang = assessment.language
-    if len(lang.atoms) > MAX_SOLVER_ATOMS:
-        raise BuildError(
-            f"additive sound construction capped at {MAX_SOLVER_ATOMS} atoms, "
-            f"got {len(lang.atoms)}"
-        )
-    nv = lang.n_valuations
-    status, data = _solve_valuation_masses(assessment)
-    notes = []
-    if status == "inconsistent":
+    if any(row[-1] for row in mat[r:]):
         raise BuildError(
             "no additive measure on the valuations reproduces the assessment "
             "(additivity fails at the representation level)",
             axiom="A",
         )
-    if status == "unique":
-        masses = data
-    else:
-        pinned, free_cols = data
-        unresolved = sorted(
-            unparse(lang.minterm(c)) for c in range(nv) if c not in pinned
-        )
-        if not complete_maxent:
-            raise BuildError(
-                "universe under-determined: no assessed combination pins down "
-                + ", ".join(unresolved)
-            )
-        residual = ONE - sum(pinned.values(), ZERO)
-        n_open = nv - len(pinned)
-        share = residual / n_open
-        masses = [pinned.get(c, share) for c in range(nv)]
-        for f in assessment.formulas:
-            bits = lang.sat(f)
-            got = sum(masses[i] for i in range(nv) if (bits >> i) & 1)
-            if got != assessment.value(f):
-                raise BuildError(
-                    "uniform completion of the unresolved valuations does not "
-                    f"reproduce pi({assessment.text(f)}); the universe is "
-                    "genuinely under-determined"
-                )
-        notes.append(
-            "non-canonical: unresolved valuations filled uniformly ("
-            + ", ".join(unresolved)
-            + ")"
-        )
+    states, truth = _valuation_states(assessment)
+    pivot_cols = {c for _, c in pivots}
+    free_cols = [c for c in range(nv) if c not in pivot_cols]
+    if free_cols:
+        # a pivot's mass is pinned when its row reaches no free column
+        pinned = {col for row, col in pivots if not any(mat[row][fc] for fc in free_cols)}
+        # label order is the text order of the valuations' minterms
+        unresolved = sorted((c for c in range(nv) if c not in pinned), key=states.__getitem__)
+        listed = ", ".join(unparse(lang.minterm(c)) for c in unresolved[:10])
+        if len(unresolved) > 10:
+            listed += f", ... and {len(unresolved) - 10} more"
+        raise BuildError("universe under-determined: no assessed combination pins down " + listed)
+    # every column is a pivot, column c in row c
+    masses = [Fraction(row[-1], d * assessment.denominator) for row in mat[:nv]]
     bad = [i for i, v in enumerate(masses) if v < 0]
     if bad:
         raise BuildError(
@@ -410,13 +355,12 @@ def build_additive_sound(
             axiom="A",
         )
 
-    states, truth = _valuation_states(assessment)
     model = SubjectiveModel(lang, states, truth, mass=masses, name="additive-sound")
     cert = [_certify_represents(model, assessment)]
     flags = classify_truth(model, assessment.formulas)
     cert.append(CertEntry("t sound", flags.sound, "classical valuation over atom assignments"))
     cert.append(CertEntry("lambda additive", True, "measure on the valuations"))
-    return BuildOutcome(model, "additive-sound", cert, notes)
+    return BuildOutcome(model, "additive-sound", cert, [])
 
 
 BUILDERS = {

@@ -61,7 +61,6 @@ from credence.assessment import (
     check_s_i,
 )
 from credence.construct import (
-    MAX_SOLVER_ATOMS,
     BuildError,
     BuildOutcome,
     CertEntry,
@@ -2064,46 +2063,26 @@ def build_belief_lift_oracle(model: LabelModel, assessment: Assessment | None = 
     return BuildOutcome(lifted, "belief-lift", cert, [])
 
 
-def build_additive_sound_oracle(assessment: Assessment, complete_maxent: bool = False):
+def build_additive_sound_oracle(assessment: Assessment):
     _require(check_nt(assessment), "NT", "additive sound construction")
     _require(check_a(assessment), "A", "additive sound construction")
     lang = assessment.language
-    if len(lang.atoms) > MAX_SOLVER_ATOMS:
-        raise BuildError(f"additive sound construction capped at {MAX_SOLVER_ATOMS} atoms")
     nv = lang.n_valuations
     status, data = valuation_masses_oracle(assessment)
-    notes = []
     if status == "inconsistent":
         raise BuildError(
             "no additive measure on the valuations reproduces the assessment "
             "(additivity fails at the representation level)",
             axiom="A",
         )
-    if status == "unique":
-        masses = data
-    else:
-        pinned, free_cols = data
+    if status == "underdetermined":
+        pinned, _ = data
         unresolved = sorted(unparse(lang.minterm(c)) for c in range(nv) if c not in pinned)
-        if not complete_maxent:
-            raise BuildError(
-                "universe under-determined: no assessed combination pins down "
-                + ", ".join(unresolved)
-            )
-        residual = ONE - sum(pinned.values(), ZERO)
-        share = residual / (nv - len(pinned))
-        masses = [pinned.get(c, share) for c in range(nv)]
-        for f in assessment.formulas:
-            bits = lang.sat(f)
-            got = sum(masses[i] for i in range(nv) if (bits >> i) & 1)
-            if got != assessment.value(f):
-                raise BuildError(
-                    "uniform completion of the unresolved valuations does not "
-                    f"reproduce pi({assessment.text(f)}); the universe is "
-                    "genuinely under-determined"
-                )
-        notes.append(
-            "non-canonical: unresolved valuations filled uniformly (" + ", ".join(unresolved) + ")"
-        )
+        listed = ", ".join(unresolved[:10])
+        if len(unresolved) > 10:
+            listed += f", ... and {len(unresolved) - 10} more"
+        raise BuildError("universe under-determined: no assessed combination pins down " + listed)
+    masses = data
     bad = [i for i, v in enumerate(masses) if v < 0]
     if bad:
         raise BuildError(
@@ -2118,4 +2097,4 @@ def build_additive_sound_oracle(assessment: Assessment, complete_maxent: bool = 
     flags = classify_truth_oracle(model, assessment.formulas)
     cert.append(CertEntry("t sound", flags.sound, "classical valuation over atom assignments"))
     cert.append(CertEntry("lambda additive", True, "measure on the valuations"))
-    return BuildOutcome(model, "additive-sound", cert, notes)
+    return BuildOutcome(model, "additive-sound", cert, [])

@@ -113,6 +113,14 @@ class TestBuild:
         assert res.exit_code == 1
         assert "focal events a+b and a|b would both become the state a+b" in res.output
 
+    def test_complete_maxent_is_no_option(self, runner):
+        res = invoke(
+            runner, "build", FIXTURES / "voting" / "session.json", "additive-sound",
+            "--complete-maxent",
+        )
+        assert res.exit_code == 2
+        assert "No such option '--complete-maxent'" in res.output
+
     def test_built_model_reloads(self, runner, tmp_path):
         out = tmp_path / "interval.json"
         res = invoke(
@@ -155,6 +163,33 @@ class TestIdentify:
         res = invoke(runner, "identify", tmp_path / "session.json")
         assert res.exit_code == 0
         assert "all understood" in res.output
+
+    def unnormalized_session(self, tmp_path):
+        (tmp_path / "assessment.json").write_text(
+            json.dumps({"atoms": ["p"], "pi": {"T": "1/2"}})
+        )
+        (tmp_path / "session.json").write_text(
+            json.dumps({"atoms": ["p"], "assessment": "assessment.json"})
+        )
+        return tmp_path / "session.json"
+
+    def test_unnormalized_assessment_is_refused_in_text(self, runner, tmp_path):
+        res = invoke(runner, "identify", self.unnormalized_session(tmp_path))
+        assert res.exit_code == 1
+        assert res.output == (
+            "identification: refused (identification requires a normalized "
+            "assessment (axiom NT))\n"
+        )
+
+    def test_unnormalized_assessment_is_refused_in_json(self, runner, tmp_path):
+        res = invoke(
+            runner, "--format", "json", "identify", self.unnormalized_session(tmp_path)
+        )
+        assert res.exit_code == 1
+        assert json.loads(res.output) == {
+            "command": "identify",
+            "refused": "identification requires a normalized assessment (axiom NT)",
+        }
 
     def test_theory_override_refusal_path(self, runner, tmp_path):
         # handing a theory to an assessment that breaks axiom I: the

@@ -1,13 +1,13 @@
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from credence.assessment import Assessment, check_e, check_i, check_nt
 from credence.construct import (
-    MAX_SOLVER_ATOMS,
     BuildError,
     build_additive_sound,
     build_belief_lift,
@@ -296,25 +296,44 @@ class TestAdditiveSound:
             build_additive_sound(a)
         assert "under-determined" in str(e.value)
 
-    def test_maxent_completion(self):
-        a = make(PQ, {"(p | q)": "3/4"})
-        out = build_additive_sound(a, complete_maxent=True)
-        assert represents(out.model, a).ok
-        assert out.notes and "non-canonical" in out.notes[0]
-        # the pinned valuation keeps its solved mass
-        assert out.model.mass[out.model.states.index("v00")] == F(1, 4)
+    @pytest.mark.parametrize("pinned, tail", [
+        (6, ", (((p & q) & r) & !s), (((p & q) & r) & s)"),
+        (5, ", (((p & q) & r) & !s), ... and 1 more"),
+    ])
+    def test_listing_is_cut_from_11_unresolved_valuations(self, pinned, tail):
+        # each assessed minterm pins its own valuation; 16 - pinned stay open
+        lang = Language(["p", "q", "r", "s"])
+        pi = {TRUE: F(1), **{lang.minterm(i): F(1, 16) for i in range(pinned)}}
+        with pytest.raises(BuildError) as e:
+            build_additive_sound(Assessment(lang, pi))
+        assert str(e.value).startswith(
+            "universe under-determined: no assessed combination pins down "
+            "(((!p & !q) & !r) & s), "
+        )
+        assert str(e.value).endswith(tail)
+        assert str(e.value).count(" & ") == 10 * 3
 
-    def test_maxent_failure_reported(self):
-        # marginals pin nothing down and the uniform fill breaks them
-        a = make(PQ, {"p": "1/3", "q": "1/3"})
-        with pytest.raises(BuildError):
-            build_additive_sound(a, complete_maxent=True)
+    def test_under_determined_listing_is_bounded_at_11_atoms(self):
+        lang = Language([f"a{i}" for i in range(11)])
+        a = Assessment(lang, {TRUE: F(1), FALSE: F(0)})
+        with pytest.raises(BuildError) as e:
+            build_additive_sound(a)
+        first = "(" * 10 + "!a0 & !a1) & !a2) & !a3) & !a4) & !a5) & !a6) & !a7) & !a8) & !a9) & !a10)"
+        assert str(e.value).startswith(
+            "universe under-determined: no assessed combination pins down " + first + ", "
+        )
+        assert str(e.value).endswith(", ... and 2038 more")
+        assert str(e.value).count(" & ") == 10 * 10
 
-    def test_cap_names_the_atom_count(self):
-        n = MAX_SOLVER_ATOMS + 1
-        lang = Language([f"a{i}" for i in range(n)])
-        with pytest.raises(BuildError, match=f"capped at {MAX_SOLVER_ATOMS} atoms, got {n}"):
-            build_additive_sound(Assessment(lang, {}))
+    def test_under_determined_refusal_is_fast_at_16_atoms(self):
+        lang = Language([f"a{i}" for i in range(16)])
+        a = Assessment(lang, {TRUE: F(1), FALSE: F(0)})
+        start = time.perf_counter()
+        with pytest.raises(BuildError) as e:
+            build_additive_sound(a)
+        assert time.perf_counter() - start < 1
+        assert str(e.value).endswith(", ... and 65526 more")
+        assert str(e.value).count(" & ") == 10 * 15
 
 
 class TestDualityRoundtrip:

@@ -44,7 +44,6 @@ def commands() -> list[list[str]]:
         out.append(["check", s])
         for c in ("product", "canonical-sound", "interval-additive", "additive-sound"):
             out.append(["build", s, c])
-        out.append(["build", s, "additive-sound", "--complete-maxent"])
         out.append(["identify", s])
     for s, m in MODELS:
         out.append(["build", s, "belief-lift", "--model", m])

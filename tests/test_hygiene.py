@@ -15,8 +15,8 @@ error in ``cli.INPUT_ERRORS``, or the one verdict,
 rule, ``logic.check_table``: k at most ``logic.MAX_ATOMS``, the width of
 the widest language's valuation table.  So the only module-level
 ``MAX_*`` names are ``logic.MAX_ATOMS``, ``logic.MAX_DEPTH`` (the
-recursion bound) and two caps that wait for an algorithm to replace
-them, ``construct.MAX_SOLVER_ATOMS`` and ``identify.MAX_TRANSVERSALS``."""
+recursion bound) and one cap that waits for an algorithm to replace
+it, ``identify.MAX_TRANSVERSALS``."""
 
 import ast
 import importlib
@@ -29,7 +29,6 @@ BIG_M = 10**6
 BLANKET = {"Exception", "BaseException"}
 FRACTION_FREE = ("pivot", "_run_simplex")
 CAPS = [
-    "construct.MAX_SOLVER_ATOMS",
     "identify.MAX_TRANSVERSALS",
     "logic.MAX_ATOMS",
     "logic.MAX_DEPTH",
