@@ -74,6 +74,22 @@ consistent and its elimination, not an axiom, decides.  Each records the best of
 builds, and the length and a SHA-256 digest of the outcome: the
 refusal's message, or the certificate's ``credence.cli`` JSON text.
 
+Start-up is timed in fresh interpreters, each on its own copy of the
+package sources, so no run reads another's bytecode cache unless the
+section means it to.  Each of ``STARTUP_RUNS`` rounds runs every case
+once per checkout: ``import`` times ``import credence.cli`` alone;
+``setup_grade``, ``setup_audit`` and ``setup_rationalize`` time that
+import plus ``files.load_session`` of every seed-0 session of the
+workload, as ``perfbench/child.py setup`` does; ``check_linda`` times a
+whole ``credence check fixtures/linda/session.json`` process from
+outside, interpreter start-up included, and checks its exit code 1.
+Each case runs on a copy whose ``__pycache__`` an untimed run of every
+case filled (``cached``) and on a copy that never gets one, with
+``PYTHONDONTWRITEBYTECODE`` set, so every run compiles the package
+(``compiled``).  With ``--against ROOT`` the checkout at ROOT is timed
+too, each round alternating which checkout runs first; each side
+records every sample with its median and quartiles.
+
 Times are raw wall seconds on the host that ran the script; its Python
 version and machine are recorded beside them, and so is, next to each
 figure, the median of reference loops (``perfbench/child.py``'s
@@ -83,23 +99,28 @@ commits, run the script in a checkout of each and hand the first run's
 file to the second as BEFORE.json: OUT.json then holds
 ``{"before": ..., "after": ...}``.
 
-Usage: python3 scripts/bench.py OUT.json [BEFORE.json]
+Usage: python3 scripts/bench.py OUT.json [BEFORE.json] [--against ROOT]
 """
 
+import argparse
 import hashlib
 import importlib.util
 import json
+import os
 import platform
 import random
+import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from credence import (  # noqa: E402
     Assessment,
@@ -158,6 +179,19 @@ RATIONALIZE_MODES = {
 ADDITIVE_ATOMS = (11, 13, 16)  # the seed of each universe is its atom count
 ADDITIVE_STATEMENTS = 20
 REFERENCES = 5  # reference loops timed before and again after each figure
+STARTUP_RUNS = 12  # rounds of fresh interpreters per checkout, case and cache state
+STARTUP_WORKLOADS = ("grade", "audit", "rationalize")  # generated at seed 0
+STARTUP_CHECK = ROOT / "fixtures" / "linda" / "session.json"
+# run in a fresh interpreter as ``python -c IMPORT_SESSIONS SRC SESSION...``
+IMPORT_SESSIONS = """\
+import sys, time
+sys.path.insert(0, sys.argv[1])
+start = time.perf_counter()
+import credence.cli
+for path in sys.argv[2:]:
+    credence.cli.files.load_session(path)
+print(repr(time.perf_counter() - start))
+"""
 
 
 def _perfbench(name: str):
@@ -550,7 +584,75 @@ def bench_additive_sound(atoms: int) -> dict:
     }
 
 
-def main(out: Path, before: Path | None):
+def _spread(samples: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "samples_s": samples}
+
+
+def _fresh_seconds(src: Path, case: str, sessions: list[str], compiled: bool) -> float:
+    """One fresh interpreter's seconds for ``case`` on the package at ``src``."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
+    if compiled:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    if case == "check_linda":
+        env["PYTHONPATH"] = str(src)
+        argv = ["-c", "from credence.cli import main; main()", "check", str(STARTUP_CHECK)]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, env=env)
+        seconds = time.perf_counter() - start
+        if proc.returncode != 1:
+            raise SystemExit(f"check on the linda fixture exited {proc.returncode}")
+        return seconds
+    proc = subprocess.run([sys.executable, "-c", IMPORT_SESSIONS, str(src), *sessions],
+                          capture_output=True, text=True, env=env, check=True)
+    return float(proc.stdout)
+
+
+def bench_startup(roots: list[Path]) -> dict:
+    """Start-up seconds of each case, for the checkout at each root in
+    turn, alternating which runs first from round to round."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cases = {"import": [], "check_linda": []}
+        for workload in STARTUP_WORKLOADS:
+            plan = gen.generate(workload, 0, tmp / workload)
+            cases[f"setup_{workload}"] = [str(tmp / workload / s) for s in plan["sessions"]]
+        copies = {}  # (side, compiled) -> a copy of that side's sources
+        for side, root in enumerate(roots):
+            for compiled in (False, True):
+                src = tmp / f"side{side}-{'compiled' if compiled else 'cached'}"
+                shutil.copytree(root / "src" / "credence", src / "credence",
+                                ignore=shutil.ignore_patterns("__pycache__"))
+                copies[side, compiled] = src
+            for case, sessions in cases.items():  # fill the cache
+                _fresh_seconds(copies[side, False], case, sessions, False)
+        samples = {}
+        for run in range(STARTUP_RUNS):
+            sides = range(len(roots)) if run % 2 == 0 else reversed(range(len(roots)))
+            for side in sides:
+                for case, sessions in cases.items():
+                    for compiled in (False, True):
+                        seconds = _fresh_seconds(copies[side, compiled], case, sessions, compiled)
+                        samples.setdefault((case, compiled, side), []).append(seconds)
+    names = ["this", "against"]
+    return {
+        "runs": STARTUP_RUNS,
+        "sessions": {case: len(sessions) for case, sessions in cases.items()},
+        "cases": {
+            case: {
+                "compiled" if compiled else "cached": {
+                    names[side]: _spread(samples[case, compiled, side])
+                    for side in range(len(roots))
+                }
+                for compiled in (False, True)
+            }
+            for case in cases
+        },
+    }
+
+
+def main(out: Path, before: Path | None, against: Path | None):
     results = {
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -567,6 +669,7 @@ def main(out: Path, before: Path | None):
         "parse": [referenced(bench_parse, w) for w in PARSE_WORKLOADS],
         "rationalize": referenced(bench_rationalize),
         "additive_sound": [referenced(bench_additive_sound, n) for n in ADDITIVE_ATOMS],
+        "startup": referenced(bench_startup, [ROOT] + ([against] if against else [])),
     }
     if before is not None:
         results = {"before": json.loads(before.read_text()), "after": results}
@@ -575,6 +678,10 @@ def main(out: Path, before: Path | None):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) not in (2, 3):
-        sys.exit(__doc__.split("Usage: ")[1])
-    main(Path(sys.argv[1]), Path(sys.argv[2]) if len(sys.argv) == 3 else None)
+    parser = argparse.ArgumentParser(usage=__doc__.split("Usage: ")[1])
+    parser.add_argument("out", type=Path)
+    parser.add_argument("before", type=Path, nargs="?")
+    parser.add_argument("--against", type=Path, metavar="ROOT",
+                        help="another checkout whose start-up is timed alternately with this one")
+    args = parser.parse_args()
+    main(args.out, args.before, args.against)

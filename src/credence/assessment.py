@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._exact import exact, over_one_denominator
+from .errors import InputError
 from .logic import FALSE, TRUE, Formula, Language, Theory, unparse
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class AssessmentError(ValueError):
+class AssessmentError(InputError):
     pass
 
 

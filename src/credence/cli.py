@@ -6,11 +6,14 @@ input files (assessment, theory, models, strategies).  Exit codes:
 not rationalizable, refused build or identification), 2 = input error,
 3 = an internal invariant failed (a bug, never the input's fault).
 Commands report only their verdicts; ``_Main.invoke`` maps every other
-error to its exit code in one table: an ``INPUT_ERRORS`` exception
-exits 2, an ``InternalError`` exits 3, and anything else is a bug and
-ends in a traceback.  Paths are taken as plain strings, so a path that
-cannot be opened is the file readers' input error.
+error to its exit code in one place: an ``errors.InputError`` (each
+module's input error subclasses it) exits 2, an ``InternalError`` exits
+3, and anything else is a bug and ends in a traceback.  Paths are taken
+as plain strings, so a path that cannot be opened is the file readers'
+input error.
 Reports are deterministic: statements in text order, rationals reduced.
+Each command imports the layers it runs when it runs, so a command
+loads only the modules it needs.
 """
 
 from __future__ import annotations
@@ -22,18 +25,10 @@ from pathlib import Path
 import click
 
 from . import assessment as axioms
-from . import construct, files, games, identify
-from .errors import InternalError
-from .logic import LogicError
-from .model import ModelError, choquet, inverse_mobius, mobius
+from . import files
+from .errors import InputError, InternalError
 
 PASS, FAIL, BAD_INPUT, INTERNAL = 0, 1, 2, 3
-
-# every error that says the input is wrong; each exits BAD_INPUT
-INPUT_ERRORS = (
-    files.FileFormatError, LogicError, ModelError, axioms.AssessmentError,
-    games.GamesError, identify.IdentifyError,
-)
 
 AXIOM_ORDER = ["nt", "e", "i", "ie", "a", "s-i"]
 AXIOM_TITLES = {
@@ -149,7 +144,7 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except INPUT_ERRORS as e:
+        except InputError as e:
             _fail_input(str(e))
         except InternalError as e:
             click.echo(f"error: {e}", err=True)
@@ -239,6 +234,8 @@ def check(ctx, session_file, which, theory_path, n_max):
 @click.pass_obj
 def build(ctx, session_file, construction, out, model_name):
     """Build a representing model and print its certificate."""
+    from . import construct
+
     lift = construction == "belief-lift"
     session = _session(ctx, session_file, assessment=not lift)
     try:
@@ -281,6 +278,8 @@ def build(ctx, session_file, construction, out, model_name):
 def identify_cmd(ctx, session_file, theory_path):
     """List which entailments the assessment respects; with a theory,
     identify the largest understood sub-theory."""
+    from . import identify
+
     session = _session(ctx, session_file, theory_path)
     theory = session.theory
     try:
@@ -346,6 +345,8 @@ def identify_cmd(ctx, session_file, theory_path):
 @click.pass_obj
 def rationalize(ctx, session_file, choice, model_name, additive_only, weak):
     """Decide whether the chosen strategy is rationalizable."""
+    from . import games
+
     session = _session(ctx, session_file, assessment=False)
     strategy = session.strategy(choice)
     result = games.rationalizable(
@@ -378,6 +379,8 @@ def rationalize(ctx, session_file, choice, model_name, additive_only, weak):
 @click.pass_obj
 def choquet_cmd(ctx, session_file, model_name, act_path):
     """Choquet integral of a state payoff vector under a model's appraisal."""
+    from .model import choquet
+
     model = _session(ctx, session_file, assessment=False).model(model_name)
     value = choquet(model, files.load_payoff_vector(Path(act_path), model))
     _emit(ctx, lambda: {"command": "choquet", "value": str(value)},
@@ -393,6 +396,8 @@ def choquet_cmd(ctx, session_file, model_name, act_path):
 @click.pass_obj
 def mobius_cmd(ctx, session_file, model_name, invert):
     """Mobius masses of a model's appraisal (or the appraisal from masses)."""
+    from .model import inverse_mobius, mobius
+
     model = _session(ctx, session_file, assessment=False).model(model_name)
     if invert:
         if model.mass is None:

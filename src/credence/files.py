@@ -32,15 +32,19 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ._exact import format_ratios, ratios_over_one_denominator
 from .assessment import Assessment
-from .games import Strategy
+from .errors import InputError
 from .logic import FALSE, TRUE, Language, Theory, unparse
-from .model import ModelError, SubjectiveModel, check_states
+
+if TYPE_CHECKING:  # loaded by the readers that build them
+    from .games import Strategy
+    from .model import SubjectiveModel
 
 
-class FileFormatError(ValueError):
+class FileFormatError(InputError):
     pass
 
 
@@ -215,6 +219,8 @@ def load_model(path: Path, language: Language, name: str | None = None) -> Subje
     joined by '|' (``lambda`` keys), and masses are keyed by label; the
     model holds them as bit masks, and appraisal values and masses as
     int numerators over the common denominator of them all."""
+    from .model import ModelError, SubjectiveModel, check_states
+
     data = _read_json(path)
     states = check_states(_expect(data, "states", path, list))
     index = {s: i for i, s in enumerate(states)}
@@ -279,6 +285,8 @@ def model_to_dict(model: SubjectiveModel) -> dict:
 
 
 def load_strategies(path: Path, language: Language) -> list[Strategy]:
+    from .games import Strategy
+
     data = _read_json(path)
     out = []
     for name in data:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import _simplex
 from ._exact import exact, over_one_denominator
 from .assessment import Assessment
-from .errors import InternalError
+from .errors import InputError, InternalError
 from .logic import Formula, unparse
 from .model import ModelError, SubjectiveModel, bits, choquet, represents, upper_sets
 
@@ -40,7 +40,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class GamesError(ValueError):
+class GamesError(InputError):
     pass
 
 

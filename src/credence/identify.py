@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .assessment import Assessment, AxiomReport, check_i, check_ie, check_nt, check_s_i
+from .errors import InputError
 from .logic import Language, Theory, unparse
 
 # Berge multiplication's bound on its partial transversals, until ROADMAP
@@ -28,7 +29,7 @@ from .logic import Language, Theory, unparse
 MAX_TRANSVERSALS = 1024
 
 
-class IdentifyError(ValueError):
+class IdentifyError(InputError):
     def __init__(self, message: str, report: AxiomReport | None = None):
         super().__init__(message)
         self.report = report

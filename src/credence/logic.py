@@ -33,6 +33,8 @@ import sys
 import weakref
 from dataclasses import FrozenInstanceError
 
+from .errors import InputError
+
 MAX_ATOMS = 16
 # ``parse``, ``sat`` and ``unparse`` recurse once per level of a formula,
 # so a parsed formula may be half the interpreter's recursion limit deep
@@ -45,7 +47,7 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(rf"<->|->|[()!&|]|{_IDENT.pattern}|\S")
 
 
-class LogicError(ValueError):
+class LogicError(InputError):
     pass
 
 

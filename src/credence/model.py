@@ -35,6 +35,7 @@ from functools import cached_property, partial, reduce
 
 from ._exact import exact, over_one_denominator
 from .assessment import Assessment
+from .errors import InputError
 from .logic import FALSE, TRUE, Atom, Formula, Language, check_table, unparse
 
 ZERO = Fraction(0)
@@ -53,7 +54,7 @@ TABLE_EVENTS_PER_STATE = 4
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-class ModelError(ValueError):
+class ModelError(InputError):
     pass
 
 

@@ -857,6 +857,37 @@ def random_and_closed_universe(rng: random.Random, lang: Language, n_base: int =
     return [(bits, lang.formula_from_valuations(bits)) for bits in sorted(closed)]
 
 
+def random_full_rank_assessment(rng: random.Random, lang: Language, den_max: int = 4):
+    """Statements whose valuation sets, with T's, span every valuation, so
+    an additive measure reproducing them is unique if it exists, each
+    valued freely in [0, 1].  The forced masses are often negative: on
+    ``p``, ``q`` and ``(p & q)`` valued 1/4, 1/4 and 1/2, both ``(p & !q)``
+    and ``(!p & q)`` are forced to -1/4."""
+    nv = lang.n_valuations
+    reduced = {}  # pivot column -> its row of the reduced basis
+
+    def independent(bits: int) -> bool:
+        row = [Fraction(bits >> v & 1) for v in range(nv)]
+        for col, basis_row in reduced.items():
+            if row[col]:
+                k = row[col]
+                row = [x - k * y for x, y in zip(row, basis_row)]
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is not None:
+            reduced[col] = [x / row[col] for x in row]
+        return col is not None
+
+    independent(lang.full_mask)
+    sets = []
+    while len(reduced) < nv:
+        bits = rng.randrange(1, lang.full_mask)  # neither F nor T
+        if independent(bits):
+            sets.append(bits)
+    return Assessment(
+        lang, {lang.formula_from_valuations(b): random_fraction(rng, den_max) for b in sets}
+    )
+
+
 def grid_dominance_oracle(x, alternatives, denominator: int = 12):
     """Search the mixture simplex at the given denominator for a strict
     pointwise dominator; can only confirm domination."""

@@ -17,6 +17,7 @@ from credence.assessment import (
     check_nt,
     check_s_i,
 )
+from credence.errors import InputError
 from credence.logic import FALSE, TRUE, Language, Theory
 
 from helpers import full_closure_classes, random_monotone_assessment, tautological_theory
@@ -87,6 +88,24 @@ class TestBets:
         b = Bet.primitive(TRUE)
         with pytest.raises(AssessmentError, match="binary float"):
             Bet.mix(b, b, 0.25)
+
+    @pytest.mark.parametrize("make_bet, message", [
+        (lambda: Bet({}), "a bet needs nonempty support"),
+        (lambda: Bet([]), "a bet needs nonempty support"),
+        (lambda: Bet({TRUE: F(0), FALSE: F(1)}), "bet weights must be positive"),
+        (lambda: Bet({TRUE: F(3, 2), FALSE: F(-1, 2)}), "bet weights must be positive"),
+        (lambda: Bet({TRUE: F(1, 3), FALSE: F(1, 3)}), "bet weights must sum to exactly 1"),
+        (lambda: Bet.mix(Bet.primitive(TRUE), Bet.primitive(FALSE), F(-1, 4)),
+         "mixture weight outside [0, 1]"),
+        (lambda: Bet.mix(Bet.primitive(TRUE), Bet.primitive(FALSE), F(5, 4)),
+         "mixture weight outside [0, 1]"),
+    ], ids=["empty dict", "empty list", "zero weight", "negative weight", "sum 2/3",
+            "mix below 0", "mix above 1"])
+    def test_refusals_are_input_errors(self, make_bet, message):
+        with pytest.raises(AssessmentError) as refused:
+            make_bet()
+        assert str(refused.value) == message
+        assert isinstance(refused.value, InputError)
 
     def test_support_outside_universe(self, linda_assessment):
         b = Bet({linda_assessment.language.parse("!t"): F(1)})

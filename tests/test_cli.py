@@ -334,6 +334,72 @@ class TestInternalErrors:
         assert res.exit_code == 3
         assert res.output == "error: internal: the game's LP came back unbounded, value None\n"
 
+    SELF_CHECKS = [
+        ("unsolved", [], "the dominance LP came back unbounded\n"),
+        ("negative worst margin", ["--weak"],
+         "the weak dominance LP broke its own constraint\n"),
+        ("shifted worst margin", [],
+         "the mixture's worst-case margin 4/27 is not the LP optimum 0\n"),
+        ("zero margin dual", [], "the margin row has no positive dual\n"),
+        ("marginal above 1", [], "the dual marginals give "),
+        ("rejected best response", ["--additive-only", "--choice", "s1"],
+         "additive witness failed verification\n"),
+    ]
+
+    @pytest.mark.parametrize("fault, flags, message", SELF_CHECKS,
+                             ids=[fault for fault, _, _ in SELF_CHECKS])
+    def test_failed_dominance_self_check_exits_3(self, runner, monkeypatch, fault, flags,
+                                                  message):
+        """Each self-check of the dominance LP and the additive witness,
+        made to fire by a broken LP or witness, is an internal error."""
+        from credence import _simplex, games
+
+        maximize, worst_margin = _simplex.maximize, games._worst_margin
+        best_response = games._best_response
+
+        def broken_maximize(*args):
+            res = maximize(*args)
+            scale, *duals = res.dual_numerators
+            if fault == "zero margin dual":
+                res.dual_numerators = [0, *duals]
+            else:
+                res.dual_numerators = [scale, *(scale + 1 for _ in duals)]
+            return res
+
+        if fault == "unsolved":
+            monkeypatch.setattr(
+                _simplex, "maximize", lambda *args: _simplex.LpResult("unbounded")
+            )
+        elif fault == "negative worst margin":
+            monkeypatch.setattr(games, "_worst_margin", lambda *args: -1)
+        elif fault == "shifted worst margin":
+            monkeypatch.setattr(games, "_worst_margin",
+                                lambda *args: worst_margin(*args) + 4)
+        elif fault == "rejected best response":
+            monkeypatch.setattr(games, "_best_response",
+                                lambda *args: (best_response(*args)[0], False))
+        else:
+            monkeypatch.setattr(_simplex, "maximize", broken_maximize)
+        res = invoke(
+            runner, "rationalize", FIXTURES / "strategies" / "session-rationalize.json", *flags
+        )
+        assert res.exit_code == 3
+        assert res.output.startswith(f"error: internal: {message}")
+        assert "Traceback" not in res.output
+
+    def test_unpreserved_belief_lift_exits_3(self, runner, monkeypatch):
+        # a Mobius transform with all mass on the whole space makes the
+        # lift the vacuous belief function, whose likelihoods differ
+        from credence import construct
+
+        monkeypatch.setattr(construct, "mobius", lambda model: {model.omega: Fraction(1)})
+        res = invoke(runner, "build", FIXTURES / "strategies" / "session-maps.json",
+                     "belief-lift", "--model", "capacity")
+        assert res.exit_code == 3
+        assert res.output == (
+            "error: internal: lift failed to preserve statement likelihoods\n"
+        )
+
     @pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, {1: "x"}],
                              ids=["fraction", "float", "int key"])
     def test_unwritable_report_exits_3(self, runner, monkeypatch, value):

@@ -109,6 +109,7 @@ from helpers import (
     passes_s_i_oracle,
     random_capacity,
     random_fraction,
+    random_full_rank_assessment,
     rationalizable_oracle,
     solve_matrix_game_oracle,
     transported_vector_oracle,
@@ -620,6 +621,35 @@ def sparse_valuation_systems(draw):
 @settings(max_examples=500, deadline=None)
 def test_valuation_solve_matches_the_fraction_row_reduction(a):
     assert built(build_additive_sound, a) == built(build_additive_sound_oracle, a)
+
+
+FORCED_NEGATIVE = "no additive measure reproduces the assessment: forced negative mass on "
+
+
+def test_full_rank_universes_match_the_oracle():
+    """Full-rank universes valued freely, on 1-3 atoms: the unique
+    solution is the build's model, or its forced negative masses are
+    refused as axiom A, in the oracle's words."""
+    refusals = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        a = random_full_rank_assessment(rng, VALUATION_LANGUAGES[rng.choice([1, 2, 3])])
+        got = built(build_additive_sound, a)
+        assert got == built(build_additive_sound_oracle, a), seed
+        if got[0] == "BuildError":
+            refusals.append(got)
+    negative = [r for r in refusals if r[1].startswith(FORCED_NEGATIVE)]
+    assert negative and all(axiom == "A" for _, _, axiom in negative)
+    assert len(refusals) < 300  # some universes are built
+
+
+def test_forced_negative_mass_is_refused_as_the_oracle_refuses():
+    lang = VALUATION_LANGUAGES[2]
+    a = Assessment(lang, {lang.parse("p"): F(1, 4), lang.parse("q"): F(1, 4),
+                          lang.parse("(p & q)"): F(1, 2)})
+    got = built(build_additive_sound, a)
+    assert got == built(build_additive_sound_oracle, a)
+    assert got == ("BuildError", FORCED_NEGATIVE + "(p & !q), (!p & q)", "A")
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -16,6 +16,7 @@ from credence.games import (
     transported_vector,
     verify_integral_equality,
 )
+from credence.errors import InputError
 from credence.logic import TRUE, Language, unparse
 from credence.model import ModelError, SubjectiveModel, choquet
 from credence.construct import build_canonical_sound, build_interval_additive
@@ -154,6 +155,17 @@ class TestLayerDecompose:
                     if capacity.truth_of(f) >> j & 1:
                         rebuilt[j] += a - nxt
             assert rebuilt == x
+
+    @pytest.mark.parametrize("payoff, message", [
+        ([F(1), F(2)], "payoff must value exactly the model's states"),
+        ([F(1), F(2), F(0), F(1)], "payoff must value exactly the model's states"),
+        ([F(1), F(-1, 2), F(0)], "payoff must be nonnegative"),
+    ], ids=["too few", "too many", "negative"])
+    def test_payoff_refusals_are_input_errors(self, capacity, payoff, message):
+        with pytest.raises(GamesError) as refused:
+            layer_decompose(payoff, capacity)
+        assert str(refused.value) == message
+        assert isinstance(refused.value, InputError)
 
     def test_unnameable_upper_set(self):
         lang = Language(["p"])

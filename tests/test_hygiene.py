@@ -10,8 +10,8 @@ integer fast paths rely on it).  The LP core's ``pivot`` and
 denominator.  Only ``_exact`` takes an lcm: it owns the one exact-rational
 format, int numerators over one common denominator.  Every
 ``ValueError`` the package defines must have its exit code: an input
-error in ``cli.INPUT_ERRORS``, or the one verdict,
-``construct.BuildError``.  A table indexed by k bits is bounded by one
+error, which subclasses ``errors.InputError`` (exit 2), or the one
+verdict, ``construct.BuildError``.  A table indexed by k bits is bounded by one
 rule, ``logic.check_table``: k at most ``logic.MAX_ATOMS``, the width of
 the widest language's valuation table.  So the only module-level
 ``MAX_*`` names are ``logic.MAX_ATOMS``, ``logic.MAX_DEPTH`` (the
@@ -242,17 +242,18 @@ def defined_classes(base) -> list[type]:
 
 
 def test_every_value_error_has_an_exit_code():
-    from credence import cli, construct
-    from credence.errors import InternalError
+    from credence import construct, files
+    from credence.errors import InputError, InternalError
 
     errors = defined_classes(ValueError)
-    assert construct.BuildError in errors and cli.INPUT_ERRORS[0] in errors
+    assert construct.BuildError in errors and files.FileFormatError in errors
     uncovered = [
         f"{e.__module__}.{e.__qualname__}" for e in errors
-        if not issubclass(e, cli.INPUT_ERRORS) and e is not construct.BuildError
+        if not issubclass(e, InputError) and e is not construct.BuildError
     ]
     assert uncovered == []
-    assert not issubclass(InternalError, cli.INPUT_ERRORS)
+    assert not issubclass(InternalError, InputError)
+    assert not issubclass(construct.BuildError, InputError)
 
 
 def caps(source: str, module: str) -> list[str]:
