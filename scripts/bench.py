@@ -7,7 +7,8 @@ write the figures to a JSON file.
 The IE checker and the writer run on seeded 3-atom universes of 64 and
 128 of the 256 equivalence classes with random values.
 For each universe it records ``check_ie``'s best wall time of five runs
-(``n_max`` 3) with its violation and untestable counts, and the best of
+(families of up to three statements, recorded as ``n_max`` 3) with its
+violation and untestable counts, and the best of
 five for writing that IE report with ``credence.cli``'s writer and with
 ``json.dumps(indent=2, sort_keys=True)``, whose bytes the writer must
 reproduce.

@@ -239,8 +239,8 @@ def check_i(a: Assessment) -> AxiomReport:
     return _report("I", _reversed_entailments(a, "I", a.language.full_mask, ""))
 
 
-def check_ie(a: Assessment, n_max: int = 3) -> AxiomReport:
-    """Inclusion/Exclusion: for every family of up to ``n_max`` statements
+def check_ie(a: Assessment) -> AxiomReport:
+    """Inclusion/Exclusion: for every family of up to three statements
     below a common consequent, the alternating conjunction sum stays
     within the consequent's value.
 
@@ -256,21 +256,15 @@ def check_ie(a: Assessment, n_max: int = 3) -> AxiomReport:
     conjunction the universe lacks is reported untestable, naming the
     first missing conjunction by size, then by statement order.
 
-    Each family is summed once, not once per consequent, in the
-    assessment's int numerators over its denominator D.  Families grow
-    one later statement at a time: adding phi_j meets it with every
-    subset's conjunction already found, flipping that subset's parity.
-    A family one statement short of ``n_max`` sums and tests its
-    extensions in one flat loop, with no call per leaf family; a leaf
-    missing a conjunction goes the untestable way.  The consequents of a
-    family are the statements whose valuation sets contain the family's
-    union, listed once per union and sorted by value; the violated ones
-    are the prefix with D * pi(psi) < odd - even, found by bisection.
+    Each family ``i < j < k`` is summed once, not once per consequent, in
+    the assessment's int numerators over its denominator D: three nested
+    loops look up the pair and triple conjunctions each family adds.  The
+    consequents of a family are the statements whose valuation sets
+    contain the family's union, listed once per union and sorted by value;
+    the violated ones are the prefix with D * pi(psi) < odd - even, found
+    by bisection.
     """
-    if n_max < 1:
-        raise AssessmentError(f"IE needs families of at least 1 statement; n_max = {n_max}")
     sats, texts = a.sats, a.texts
-    full = a.language.full_mask
     denominator, num = a.denominator, a.numerators
     # a conjunction's numerator, read from the first statement by text
     num_of = {bits: num[a.index_of(bits)] for bits in sats}
@@ -288,79 +282,41 @@ def check_ie(a: Assessment, n_max: int = 3) -> AxiomReport:
             below[union] = ([num[psi] for psi in psis], psis)
         return below[union]
 
-    def first_missing(family):
-        for r in range(2, len(family) + 1):
-            for subset in itertools.combinations(family, r):
-                bits = full
-                for i in subset:
-                    bits &= sats[i]
-                if bits not in num_of:
-                    return " & ".join(texts[i] for i in subset)
-
-    def grow(family, union, odds, evens, odd, even):
-        """Test ``family``, then every family extending it by later
-        statements.  ``odds`` and ``evens`` hold the conjunctions of its
-        nonempty odd- and even-size subsets, ``odd`` and ``even`` their
-        summed numerators; ``odds`` is None once a conjunction is missing."""
+    def record(family, union, odd, even):
+        """Record a testable family's violated consequents."""
         nums, psis = consequents(union)
-        if odds is None:
-            head = "family {%s} under " % ", ".join(texts[i] for i in family)
-            tail = ": conjunction (%s) not assessed" % first_missing(family)
-            untestable.extend(head + texts[psi] + tail for psi in psis)
-        else:
-            for psi in psis[: bisect.bisect_left(nums, odd - even)]:
-                found.append((psi, family, even, odd))
-        if len(family) == n_max:
-            return
-        if odds is not None and len(family) + 1 == n_max:
-            # the leaf step: each extension is summed and tested inline,
-            # and its family tuple is built only for a violation
-            for j in range(family[-1] + 1, len(sats)):
-                sj = sats[j]
-                leaf_even = even
-                for b in odds:
-                    v = get(b & sj)
-                    if v is None:
-                        break
-                    leaf_even += v
-                else:
-                    leaf_odd = odd + num[j]
-                    for b in evens:
-                        v = get(b & sj)
-                        if v is None:
-                            break
-                        leaf_odd += v
-                    else:
-                        leaf_union = union | sj
-                        entry = below.get(leaf_union) or consequents(leaf_union)
-                        k = bisect.bisect_left(entry[0], leaf_odd - leaf_even)
-                        if k:
-                            leaf = family + (j,)
-                            found.extend((psi, leaf, leaf_even, leaf_odd) for psi in entry[1][:k])
-                        continue
-                grow(family + (j,), union | sj, None, None, 0, 0)
-            return
-        for j in range(family[-1] + 1, len(sats)):
-            sj = sats[j]
-            if odds is not None:
-                to_even = [b & sj for b in odds]
-                to_odd = [b & sj for b in evens]
-                even_nums = list(map(num_of.get, to_even))
-                odd_nums = list(map(num_of.get, to_odd))
-                if None not in even_nums and None not in odd_nums:
-                    grow(
-                        family + (j,),
-                        union | sj,
-                        odds + [sj] + to_odd,
-                        evens + to_even,
-                        odd + num[j] + sum(odd_nums),
-                        even + sum(even_nums),
-                    )
-                    continue
-            grow(family + (j,), union | sj, None, None, 0, 0)
+        for psi in psis[: bisect.bisect_left(nums, odd - even)]:
+            found.append((psi, family, even, odd))
 
+    def untested(family, union, missing):
+        """List a family under each consequent, naming the first missing
+        conjunction, ``missing``."""
+        head = "family {%s} under " % ", ".join(texts[i] for i in family)
+        tail = ": conjunction (%s) not assessed" % " & ".join(texts[i] for i in missing)
+        untestable.extend(head + texts[psi] + tail for psi in consequents(union)[1])
+
+    n = len(sats)
     for i, si in enumerate(sats):
-        grow((i,), si, [si], [], num[i], 0)
+        record((i,), si, num[i], 0)
+        for j in range(i + 1, n):
+            sj = sats[j]
+            sij, uij = si & sj, si | sj
+            nij = get(sij)
+            if nij is None:
+                untested((i, j), uij, (i, j))
+                for k in range(j + 1, n):
+                    untested((i, j, k), uij | sats[k], (i, j))
+                continue
+            odd = num[i] + num[j]
+            record((i, j), uij, odd, nij)
+            for k in range(j + 1, n):
+                sk = sats[k]
+                nik, njk, nijk = get(si & sk), get(sj & sk), get(sij & sk)
+                if nik is None or njk is None or nijk is None:
+                    missing = (i, k) if nik is None else (j, k) if njk is None else (i, j, k)
+                    untested((i, j, k), uij | sk, missing)
+                else:
+                    record((i, j, k), uij | sk, odd + num[k] + nijk, nij + nik + njk)
 
     # the order of a scan per consequent; ``_report`` sorts by text, stably,
     # so this order shows only where statements share a text
@@ -375,7 +331,7 @@ def check_ie(a: Assessment, n_max: int = 3) -> AxiomReport:
         )
         for psi, family, even, odd in found
     ]
-    return _report("IE", violations, untestable, {"n_max": n_max})
+    return _report("IE", violations, untestable, {"n_max": 3})
 
 
 def check_a(a: Assessment) -> AxiomReport:

@@ -192,10 +192,8 @@ def _report_lines(report) -> list[str]:
 @click.argument("which", nargs=-1)
 @click.option("--theory", "theory_path", metavar="PATH", default=None,
               help="Theory file overriding the session's for s-i.")
-@click.option("--n-max", type=click.IntRange(min=1), default=3, show_default=True,
-              help="Largest antecedent family size for the IE check.")
 @click.pass_obj
-def check(ctx, session_file, which, theory_path, n_max):
+def check(ctx, session_file, which, theory_path):
     """Check axioms (any of: nt e i ie a s-i; default all applicable)."""
     session = _session(ctx, session_file, theory_path)
     which = [w.lower() for w in which]
@@ -211,8 +209,6 @@ def check(ctx, session_file, which, theory_path, n_max):
     for w in which:
         if w == "s-i":
             reports.append(axioms.check_s_i(session.assessment, session.theory))
-        elif w == "ie":
-            reports.append(axioms.check_ie(session.assessment, n_max=n_max))
         else:
             reports.append(axioms.CHECKERS[w](session.assessment))
     _emit(

@@ -142,7 +142,6 @@ def build_product_model(assessment: Assessment) -> BuildOutcome:
         dict(zip(coords, events)),
         mass=numerators,
         denominator=denominator,
-        name="product",
     )
     cert = [
         _certify_represents(model, assessment),
@@ -183,7 +182,7 @@ def build_canonical_sound(assessment: Assessment) -> BuildOutcome:
     else:
         notes.append("generated field too large to materialize; appraisal kept on named events")
 
-    model = SubjectiveModel(lang, states, truth, lam=lam, name="canonical-sound", denominator=den)
+    model = SubjectiveModel(lang, states, truth, lam=lam, denominator=den)
     cert = [_certify_represents(model, assessment)]
     flags = classify_truth(model, assessment.formulas)
     cert.append(
@@ -223,7 +222,6 @@ def build_interval_additive(assessment: Assessment) -> BuildOutcome:
         states,
         truth,
         mass=mass,
-        name="interval-additive",
         exact_lookup=True,
         denominator=den,
     )
@@ -270,9 +268,7 @@ def build_belief_lift(
     for f in model.truth_domain():
         base = model.truth[f]
         truth[f] = sum(1 << j for j, (_, _, ev) in enumerate(focal) if not ev & ~base)
-    lifted = SubjectiveModel(
-        model.language, states, truth, mass=mass, name="belief-lift", exact_lookup=True
-    )
+    lifted = SubjectiveModel(model.language, states, truth, mass=mass, exact_lookup=True)
 
     cert = []
     preserved = all(
@@ -325,8 +321,6 @@ def build_additive_sound(assessment: Assessment) -> BuildOutcome:
         d = pivot(mat, d, r, c)
         pivots.append((r, c))
         r += 1
-        if r == len(mat):
-            break
     if any(row[-1] for row in mat[r:]):
         raise BuildError(
             "no additive measure on the valuations reproduces the assessment "
@@ -355,7 +349,7 @@ def build_additive_sound(assessment: Assessment) -> BuildOutcome:
             axiom="A",
         )
 
-    model = SubjectiveModel(lang, states, truth, mass=masses, name="additive-sound")
+    model = SubjectiveModel(lang, states, truth, mass=masses)
     cert = [_certify_represents(model, assessment)]
     flags = classify_truth(model, assessment.formulas)
     cert.append(CertEntry("t sound", flags.sound, "classical valuation over atom assignments"))

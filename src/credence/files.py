@@ -214,7 +214,7 @@ def _read_lambda(table: dict, index: dict) -> tuple[list[int], list[tuple[int, i
     return masks, pairs
 
 
-def load_model(path: Path, language: Language, name: str | None = None) -> SubjectiveModel:
+def load_model(path: Path, language: Language) -> SubjectiveModel:
     """A model file: events are lists of state labels (``t``) or labels
     joined by '|' (``lambda`` keys), and masses are keyed by label; the
     model holds them as bit masks, and appraisal values and masses as
@@ -257,7 +257,6 @@ def load_model(path: Path, language: Language, name: str | None = None) -> Subje
         truth,
         lam=dict(zip(masks, nums)) if "lambda" in data else None,
         mass=mass,
-        name=name or data.get("name"),
         exact_lookup=exact_lookup,
         denominator=den,
     )
@@ -372,7 +371,7 @@ def load_session(path) -> Session:
     models = _expect(data, "models", path) if "models" in data else {}
     for name in models:
         rel = _expect(models, name, f"{path}: models", str)
-        session.models[name] = load_model(base / rel, language, name)
+        session.models[name] = load_model(base / rel, language)
     if "strategies" in data:
         session.strategies = load_strategies(
             base / _expect(data, "strategies", path, str), language

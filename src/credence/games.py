@@ -488,13 +488,7 @@ def _names(pool) -> list[str]:
 
 
 def _witness_from_events(model, events) -> SubjectiveModel:
-    return SubjectiveModel(
-        model.language,
-        model.states,
-        dict(model.truth),
-        lam=events,
-        name="witness",
-    )
+    return SubjectiveModel(model.language, model.states, dict(model.truth), lam=events)
 
 
 def _best_response(witness, names, vectors, choice: int, denominator: int):
@@ -561,7 +555,7 @@ def rationalizable(
         if dom.prior is not None:
             witness = SubjectiveModel(
                 model.language, model.states, dict(model.truth),
-                mass=[dom.prior[s] for s in model.states], name="additive-witness",
+                mass=[dom.prior[s] for s in model.states],
             )
             values, best = _best_response(witness, names, base_vectors, choice, denominator)
             result.witness_mass = dom.prior

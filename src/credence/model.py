@@ -116,13 +116,11 @@ class SubjectiveModel:
         truth=None,
         lam=None,
         mass=None,
-        name: str | None = None,
         exact_lookup: bool = False,
         denominator: int | None = None,
     ):
         self.language = language
         self.states = check_states(states)
-        self.name = name
         self.exact_lookup = exact_lookup
         n = len(self.states)
         omega = (1 << n) - 1
@@ -217,8 +215,6 @@ class SubjectiveModel:
         for this call: one maps each byte of an event's states in index
         order to those states' bits in text order, the other each byte of
         that text-order mask to its states' labels, each followed by '|'."""
-        if not events:
-            return []
         n = len(self.states)
         rank = [0] * n
         for t, i in enumerate(self._text_order):

@@ -1390,7 +1390,7 @@ def rationalizable_oracle(
         if dom.prior is not None:
             witness = SubjectiveModel(
                 model.language, model.states, dict(model.truth),
-                mass=[dom.prior[s] for s in model.states], name="additive-witness",
+                mass=[dom.prior[s] for s in model.states],
             )
             values, best = _best_response_oracle(witness, names, base_vectors, choice)
             if not best:
@@ -1500,7 +1500,6 @@ class LabelModel:
         truth=None,
         lam=None,
         mass=None,
-        name: str | None = None,
         exact_lookup: bool = False,
     ):
         self.language = language
@@ -1512,7 +1511,6 @@ class LabelModel:
         for s in self.states:
             if "|" in s:
                 raise ModelError(f"state label {s!r} may not contain '|'")
-        self.name = name
         self.exact_lookup = exact_lookup
         omega = frozenset(self.states)
         self.omega = omega
@@ -1823,7 +1821,7 @@ def parse_rational_oracle(value) -> Fraction:
     )
 
 
-def load_model_oracle(path, language: Language, name: str | None = None) -> LabelModel:
+def load_model_oracle(path, language: Language) -> LabelModel:
     """``files.load_model`` as it ran before appraisal values became int
     numerators: each value parsed to a ``Fraction`` and each ``lambda``
     key split into its labels, for the frozenset model."""
@@ -1868,7 +1866,6 @@ def load_model_oracle(path, language: Language, name: str | None = None) -> Labe
         truth,
         lam=lam,
         mass=mass,
-        name=name or data.get("name"),
         exact_lookup=exact_lookup,
     )
 
@@ -1895,7 +1892,7 @@ def indexed(model: LabelModel) -> SubjectiveModel:
     """The indexed twin of a frozenset model."""
     twin = from_labels(
         model.language, model.states, model.truth, model.lam, model.mass,
-        name=model.name, exact_lookup=model.exact_lookup,
+        exact_lookup=model.exact_lookup,
     )
     twin.grounded = model.grounded
     return twin
@@ -1965,7 +1962,7 @@ def build_product_oracle(assessment: Assessment) -> BuildOutcome:
         f: frozenset(states[i] for i in range(1 << m) if (i >> j) & 1)
         for j, f in enumerate(coords)
     }
-    model = LabelModel(assessment.language, states, truth, mass=mass, name="product")
+    model = LabelModel(assessment.language, states, truth, mass=mass)
     cert = [
         _certify_represents_oracle(model, assessment),
         CertEntry("lambda additive", True, "product measure over independent coordinates"),
@@ -1983,7 +1980,7 @@ def build_canonical_sound_oracle(assessment: Assessment) -> BuildOutcome:
         lam[truth[f]] = assessment.value(f)
     lam[frozenset()] = ZERO
     lam[frozenset(states)] = ONE
-    model = LabelModel(assessment.language, states, truth, lam=lam, name="canonical-sound")
+    model = LabelModel(assessment.language, states, truth, lam=lam)
     notes = []
     atoms = model.field_atoms()
     if len(atoms) <= MAX_ATOMS:
@@ -2029,8 +2026,7 @@ def build_interval_additive_oracle(assessment: Assessment) -> BuildOutcome:
         v = assessment.value(f)
         truth[f] = frozenset(states[i] for i in range(len(states)) if cuts[i + 1] <= v)
     model = LabelModel(
-        assessment.language, states, truth, mass=mass, name="interval-additive",
-        exact_lookup=True,
+        assessment.language, states, truth, mass=mass, exact_lookup=True,
     )
     cert = [_certify_represents_oracle(model, assessment)]
     flags = classify_truth_oracle(model, assessment.formulas)
@@ -2069,7 +2065,7 @@ def build_belief_lift_oracle(model: LabelModel, assessment: Assessment | None = 
         base = model.truth[f]
         truth[f] = frozenset(label(ev) for ev in subsets if ev <= base)
     lifted = LabelModel(
-        model.language, states, truth, mass=mass, name="belief-lift", exact_lookup=True
+        model.language, states, truth, mass=mass, exact_lookup=True
     )
     preserved = all(
         model.lambda_of(model.truth[f]) == lifted.lambda_of(lifted.truth[f])
@@ -2123,7 +2119,7 @@ def build_additive_sound_oracle(assessment: Assessment):
         )
     states, truth = _label_valuation_states(assessment)
     mass = {states[i]: masses[i] for i in range(nv)}
-    model = LabelModel(lang, states, truth, mass=mass, name="additive-sound")
+    model = LabelModel(lang, states, truth, mass=mass)
     cert = [_certify_represents_oracle(model, assessment)]
     flags = classify_truth_oracle(model, assessment.formulas)
     cert.append(CertEntry("t sound", flags.sound, "classical valuation over atom assignments"))

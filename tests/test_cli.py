@@ -52,12 +52,11 @@ class TestCheck:
         res = invoke(runner, "check", FIXTURES / "linda" / "nope.json", "i")
         assert res.exit_code == 2
 
-    @pytest.mark.parametrize("n_max", [0, -2])
-    def test_n_max_below_one_is_input_error(self, runner, n_max):
+    def test_n_max_is_no_option(self, runner):
         res = invoke(runner, "check", FIXTURES / "linda" / "session.json", "ie",
-                     f"--n-max={n_max}")
+                     "--n-max", "3")
         assert res.exit_code == 2
-        assert f"'--n-max': {n_max} is not in the range" in res.output
+        assert "No such option '--n-max'" in res.output
         assert "Inclusion/Exclusion" not in res.output
 
     def test_json_format_deterministic(self, runner):
@@ -201,6 +200,20 @@ class TestIdentify:
         )
         assert res.exit_code == 1
         assert "refused" in res.output
+
+    def test_a_non_unique_subtheory_exits_1(self, runner, tmp_path):
+        # every implication is understood and the certainty route succeeds:
+        # only the tie between largest sub-theories fails the run
+        atoms = ["p", "q"]
+        pi, generators = disjoint_gap_tables(Language(atoms), 1)
+        res = invoke(runner, "identify", write_session(tmp_path, atoms, pi, generators))
+        assert res.exit_code == 1
+        assert res.output == (
+            "implications within the universe: 6\n"
+            "  all understood\n"
+            "largest understood sub-theory: {(!p | q)}  (not unique; see candidates)\n"
+            "certainty-based sub-theory: {}\n"
+        )
 
 
 def write_session(path, atoms, pi, generators):

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from credence.assessment import Assessment
 from credence.games import (
     GamesError,
     Strategy,
+    _agreement_check,
     layer_decompose,
     pointwise_undominated,
     rationalizable,
@@ -65,6 +67,16 @@ def alt(transport_maps):
 @pytest.fixture(scope="module")
 def maps_strategy(transport_maps):
     return transport_maps.strategies[0]
+
+
+class TestStrategy:
+    def test_equal_payoffs_make_one_strategy(self, capacity):
+        # a zero payoff is dropped, and the name is no part of a strategy's value
+        lang = capacity.language
+        a = strat(lang, {"p": "1", "q": "0"}, name="a")
+        b = strat(lang, {"p": "1"}, name="b")
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, strat(lang, {"q": "1"})}) == 2
 
 
 class TestTCirc:
@@ -228,6 +240,50 @@ class TestTBullet:
         with pytest.raises(GamesError):
             t_bullet(capacity, bare, maps_strategy)
 
+    def test_layer_statement_without_a_target_appraisal(self, capacity, maps_strategy):
+        # the target grounds the top layer (p & !q) on {w2} but values no event
+        unvalued = SubjectiveModel(capacity.language, capacity.states, dict(capacity.truth))
+        with pytest.raises(GamesError) as refused:
+            t_bullet(capacity, unvalued, maps_strategy)
+        assert str(refused.value) == "appraisal missing on the events of (p & !q)"
+        assert isinstance(refused.value, InputError)
+
+    def test_models_must_reproduce_the_given_assessment(self, capacity, exact, maps_strategy):
+        lang = capacity.language
+        heavy = SubjectiveModel(
+            lang, exact.states, dict(exact.truth), mass=[F(1, 2), F(1, 4), F(1, 4)],
+            exact_lookup=True,
+        )
+        # capacity values p at 1/3, heavy at 1/2
+        for value, target, label in ((F(1, 2), exact, "source"), (F(1, 3), heavy, "target")):
+            a = Assessment(lang, {lang.parse("p"): value})
+            with pytest.raises(GamesError) as refused:
+                t_bullet(capacity, target, maps_strategy, a)
+            assert str(refused.value) == (
+                f"representation mismatch: the {label} model does not reproduce the assessment"
+            )
+            assert isinstance(refused.value, InputError)
+
+    def test_target_statement_without_an_appraisal_is_skipped(self, capacity, maps_strategy):
+        # q's event {w1} has no value in the target, and q is no layer statement
+        lam = explicit_lambda(capacity)
+        del lam[event_mask(capacity, ["w1"])]
+        target = SubjectiveModel(capacity.language, capacity.states, dict(capacity.truth), lam=lam)
+        assert target.lambda_of(target.truth_of(capacity.language.parse("q"))) is None
+        assert t_bullet(capacity, target, maps_strategy) == [F(3), F(4), F(2)]
+
+    def test_optional_agreement_skips_a_statement_without_a_truth_event(self, capacity, exact):
+        # t_bullet's optional pass runs over the target's own truth domain,
+        # where both models give truth events; a direct call reaches the skip
+        xnor = capacity.language.parse("(p <-> q)")
+        assert exact.truth_of(xnor) is None
+        _agreement_check(capacity, exact, [xnor], required=False)
+        with pytest.raises(GamesError) as refused:
+            _agreement_check(capacity, exact, [xnor], required=True)
+        assert str(refused.value) == (
+            "target model does not value layer statement ((!p | q) & (!q | p))"
+        )
+
 
 class TestIntegralEquality:
     def test_worked_example(self, capacity, exact, maps_strategy):
@@ -235,6 +291,10 @@ class TestIntegralEquality:
         assert res.equal
         assert res.source_value == F(7, 3)
         assert res.target_value == F(7, 3)
+
+    def test_comparison_as_json(self, capacity, exact, maps_strategy):
+        res = verify_integral_equality(capacity, exact, maps_strategy)
+        assert res.to_dict() == {"equal": True, "source_value": "7/3", "target_value": "7/3"}
 
     def test_constant_strategy(self, capacity, exact):
         s = strat(capacity.language, {"T": "4/9"})
@@ -384,6 +444,23 @@ class TestPointwiseUndominated:
         with pytest.raises(GamesError):
             pointwise_undominated({"a": F(0)}, [])
 
+    def test_results_as_json(self):
+        corners = [{"a": F(1), "b": F(0)}, {"a": F(0), "b": F(1)}]
+        assert pointwise_undominated({"a": F(1, 2), "b": F(1, 4)}, corners).to_dict() == {
+            "dominated": True, "mode": "strict", "epsilon": "1/8",
+            "mixture": ["5/8", "3/8"], "prior": None,
+        }
+        assert pointwise_undominated({"a": F(1, 2), "b": F(1, 2)}, corners).to_dict() == {
+            "dominated": False, "mode": "strict", "epsilon": "0",
+            "mixture": None, "prior": {"a": "1/2", "b": "1/2"},
+        }
+
+    def test_alternatives_on_other_states_rejected(self):
+        with pytest.raises(GamesError) as refused:
+            pointwise_undominated({"a": F(0), "b": F(0)}, [{"a": F(1)}])
+        assert str(refused.value) == "payoff vectors must share one state space"
+        assert isinstance(refused.value, InputError)
+
     def test_weak_mode_without_a_mixture_kept_above_x(self):
         # the one alternative pays less than x at a, so the weak LP is infeasible
         res = pointwise_undominated({"a": 1, "b": 1}, [{"a": 0, "b": 2}], weak=True)
@@ -484,9 +561,7 @@ class TestRationalizable:
 
     def test_pulled_back_witness_when_model_lambda_absent(self, hedging):
         m = hedging.models["objective"]
-        bare = SubjectiveModel(
-            m.language, m.states, dict(m.truth), name="bare"
-        )
+        bare = SubjectiveModel(m.language, m.states, dict(m.truth))
         by_name = {s.name: s for s in hedging.strategies}
         res = rationalizable(by_name["s3"], hedging.strategies, bare)
         assert res.rationalizable and res.verified

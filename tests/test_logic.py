@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from credence import logic
 from credence.cli import main
+from credence.errors import InputError
 from credence.logic import (
     FALSE,
     TRUE,
@@ -282,6 +283,23 @@ class TestSat:
     def test_constants(self):
         assert PQ.sat(TRUE) == PQ.full_mask
         assert PQ.sat(FALSE) == 0
+
+    def test_undeclared_atom_is_refused(self):
+        with pytest.raises(UndeclaredAtomError) as refused:
+            P.sat(Atom("q"))
+        assert str(refused.value) == "undeclared atom 'q' (at position 0)"
+        assert refused.value.position == 0
+        assert isinstance(refused.value, InputError)
+
+    @pytest.mark.parametrize("refuse", [P.sat, unparse], ids=["sat", "unparse"])
+    def test_a_non_formula_is_a_type_error(self, refuse):
+        with pytest.raises(TypeError) as refused:
+            refuse("p")
+        assert str(refused.value) == "not a formula: 'p'"
+        assert type(refused.value) is TypeError
+
+    def test_minterm_over_no_atoms_is_true(self):
+        assert Language([]).minterm(0) is TRUE
 
     @pytest.mark.parametrize("n", range(9))
     def test_atom_masks_match_the_literal_definition(self, n):

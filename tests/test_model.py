@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from credence.assessment import Assessment
+from credence.errors import InputError
 from credence.files import model_to_dict
 from credence.logic import MAX_ATOMS, Atom, Language
 from credence.model import (
@@ -308,6 +310,15 @@ class TestRepresents:
         assert not rep.ok
         assert "t" in rep.missing
 
+    def test_truth_event_without_an_appraisal_is_missing(self):
+        lang = Language(["p"])
+        p = lang.parse("p")
+        model = SubjectiveModel(lang, ["a", "b"], {p: 0b01})
+        rep = represents(model, Assessment(lang, {p: F(1, 2)}))
+        assert not rep.ok
+        assert rep.missing == ["p"]
+        assert rep.residuals == {"F": 0, "T": 0}
+
 
 class TestTruthOf:
     def test_exact_lookup_takes_the_first_equivalent_by_text(self):
@@ -389,6 +400,26 @@ class TestExactInputs:
     def test_inverse_mobius_refuses_a_float_mass(self):
         with pytest.raises(ModelError, match="binary float"):
             inverse_mobius({1: 0.25, 3: F(3, 4)}, 2)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("given, message", [
+        ({"truth": {Atom("p"): 0b100}}, "truth event for p mentions unknown states"),
+        ({"mass": [F(1)]}, "masses must give one value per state, got 1"),
+        ({"lam": {0b100: F(1, 2)}}, "lambda valued on an event with unknown states"),
+    ], ids=["truth", "mass", "lambda"])
+    def test_events_and_masses_off_the_states(self, given, message):
+        with pytest.raises(ModelError) as refused:
+            SubjectiveModel(Language(["p"]), ["a", "b"], **given)
+        assert str(refused.value) == message
+        assert isinstance(refused.value, InputError)
+
+    def test_choquet_payoff_of_another_length(self):
+        model = SubjectiveModel(Language([]), ["a", "b"], mass=[F(1, 2), F(1, 2)])
+        with pytest.raises(ModelError) as refused:
+            choquet(model, [F(1)])
+        assert str(refused.value) == "payoff must value exactly the model's states"
+        assert isinstance(refused.value, InputError)
 
 
 def counting_model(n: int) -> SubjectiveModel:

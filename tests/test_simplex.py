@@ -108,6 +108,12 @@ class TestMatrixGame:
         with pytest.raises(SimplexError):
             solve_matrix_game([])
 
+    def test_ragged_matrix(self):
+        with pytest.raises(SimplexError) as refused:
+            solve_matrix_game([[1, 2], [3]])
+        assert str(refused.value) == "ragged game matrix"
+        assert type(refused.value) is SimplexError
+
     @given(
         st.lists(
             st.lists(st.fractions(F(-3), F(3)), min_size=2, max_size=4),
