@@ -81,7 +81,10 @@ section means it to.  Each of ``STARTUP_RUNS`` rounds runs every case
 once per checkout: ``import`` times ``import credence.cli`` alone;
 ``setup_grade``, ``setup_audit`` and ``setup_rationalize`` time that
 import plus ``files.load_session`` of every seed-0 session of the
-workload, as ``perfbench/child.py setup`` does; ``check_linda`` times a
+workload and a read of every file the session names through its
+``assessment``, ``theory``, ``models`` and ``strategies`` attributes,
+so a session reader that reads files on first use does the same work
+as one that reads them at once; ``check_linda`` times a
 whole ``credence check fixtures/linda/session.json`` process from
 outside, interpreter start-up included, and checks its exit code 1.
 Each case runs on a copy whose ``__pycache__`` an untimed run of every
@@ -190,7 +193,8 @@ sys.path.insert(0, sys.argv[1])
 start = time.perf_counter()
 import credence.cli
 for path in sys.argv[2:]:
-    credence.cli.files.load_session(path)
+    s = credence.cli.files.load_session(path)
+    s.assessment, s.theory, s.models, s.strategies
 print(repr(time.perf_counter() - start))
 """
 
@@ -516,17 +520,19 @@ def bench_parse(workload: str) -> dict:
 def bench_rationalize() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         plan = gen.generate("rationalize", RATIONALIZE_SEED, tmp)
-        sessions = [load_session(Path(tmp) / name) for name in plan["sessions"]]
+        pools = []  # (choice, pool, model), read while the files exist
+        for name in plan["sessions"]:
+            session = load_session(Path(tmp) / name)
+            pools.append((session.strategy(None), session.strategies, session.model(None)))
     coordinates = {op["session"]: op["coordinates"] for op in plan["ops"]}
     ks = [coordinates[name] for name in plan["sessions"]]
-    out = {"seed": RATIONALIZE_SEED, "pools": len(sessions), "modes": {}}
+    out = {"seed": RATIONALIZE_SEED, "pools": len(pools), "modes": {}}
     weak_by_k = {}
     for mode, (additive_only, weak) in RATIONALIZE_MODES.items():
         times, texts, verdicts = [], [], 0
-        for session in sessions:
-            chosen, model = session.strategy(None), session.model(None)
+        for chosen, pool, model in pools:
             best_s, result = best_of(lambda: rationalizable(
-                chosen, session.strategies, model, additive_only=additive_only, weak=weak
+                chosen, pool, model, additive_only=additive_only, weak=weak
             ))
             times.append(best_s)
             texts.append(_json_text(result.to_dict()))

@@ -258,11 +258,12 @@ def check_ie(a: Assessment) -> AxiomReport:
 
     Each family ``i < j < k`` is summed once, not once per consequent, in
     the assessment's int numerators over its denominator D: three nested
-    loops look up the pair and triple conjunctions each family adds.  The
-    consequents of a family are the statements whose valuation sets
-    contain the family's union, listed once per union and sorted by value;
-    the violated ones are the prefix with D * pi(psi) < odd - even, found
-    by bisection.
+    loops read the pair conjunctions from one table built first and look
+    up each triple's.  The consequents of a family are the statements
+    whose valuation sets contain the family's union, listed once per
+    union and sorted by value; the violated ones are the prefix with
+    D * pi(psi) < odd - even, found by bisection, and a triple is
+    bisected only when its least consequent is violated.
     """
     sats, texts = a.sats, a.texts
     denominator, num = a.denominator, a.numerators
@@ -270,6 +271,7 @@ def check_ie(a: Assessment) -> AxiomReport:
     num_of = {bits: num[a.index_of(bits)] for bits in sats}
     get = num_of.get
     below: dict[int, tuple[list[int], list[int]]] = {}
+    least: dict[int, int | None] = {}  # per union, its least consequent numerator
     found = []  # (psi, family, even, odd) per violation
     untestable = []
 
@@ -279,7 +281,9 @@ def check_ie(a: Assessment) -> AxiomReport:
                 (psi for psi, s in enumerate(sats) if union & ~s == 0),
                 key=num.__getitem__,
             )
-            below[union] = ([num[psi] for psi in psis], psis)
+            nums = [num[psi] for psi in psis]
+            below[union] = nums, psis
+            least[union] = nums[0] if nums else None
         return below[union]
 
     def record(family, union, odd, even):
@@ -296,12 +300,14 @@ def check_ie(a: Assessment) -> AxiomReport:
         untestable.extend(head + texts[psi] + tail for psi in consequents(union)[1])
 
     n = len(sats)
+    conj = [[get(si & sk) for sk in sats] for si in sats]  # pair conjunctions
     for i, si in enumerate(sats):
         record((i,), si, num[i], 0)
+        ci = conj[i]
         for j in range(i + 1, n):
             sj = sats[j]
             sij, uij = si & sj, si | sj
-            nij = get(sij)
+            nij = ci[j]
             if nij is None:
                 untested((i, j), uij, (i, j))
                 for k in range(j + 1, n):
@@ -309,14 +315,22 @@ def check_ie(a: Assessment) -> AxiomReport:
                 continue
             odd = num[i] + num[j]
             record((i, j), uij, odd, nij)
+            cj = conj[j]
             for k in range(j + 1, n):
                 sk = sats[k]
-                nik, njk, nijk = get(si & sk), get(sj & sk), get(sij & sk)
+                nik, njk, nijk = ci[k], cj[k], get(sij & sk)
+                union = uij | sk
                 if nik is None or njk is None or nijk is None:
                     missing = (i, k) if nik is None else (j, k) if njk is None else (i, j, k)
-                    untested((i, j, k), uij | sk, missing)
-                else:
-                    record((i, j, k), uij | sk, odd + num[k] + nijk, nij + nik + njk)
+                    untested((i, j, k), union, missing)
+                    continue
+                odd_k, even_k = odd + num[k] + nijk, nij + nik + njk
+                if union not in least:
+                    consequents(union)
+                bound = least[union]
+                # no consequent is violated unless the least one is
+                if bound is not None and bound < odd_k - even_k:
+                    record((i, j, k), union, odd_k, even_k)
 
     # the order of a scan per consequent; ``_report`` sorts by text, stably,
     # so this order shows only where statements share a text

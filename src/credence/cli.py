@@ -1,7 +1,13 @@
 """Command-line front end.
 
 Commands operate on a session file that names the atom set and the
-input files (assessment, theory, models, strategies).  Exit codes:
+input files (assessment, theory, models, strategies).  A command reads
+only the files it uses, each when it first uses it: ``check`` the
+assessment, and the theory for ``s-i``; ``identify`` the assessment and
+the theory; ``build`` the assessment, and the model for
+``belief-lift``; ``rationalize`` the model and the strategies;
+``mobius`` and ``choquet`` the model.  So it reports no error in a file
+it does not read.  Exit codes:
 0 = pass/success, 1 = substantive failure (axiom violation, strategy
 not rationalizable, refused build or identification), 2 = input error,
 3 = an internal invariant failed (a bug, never the input's fault).
@@ -127,14 +133,18 @@ def _fail_input(message: str):
 
 def _session(ctx: _Ctx, path, theory_path=None, assessment=True) -> files.Session:
     """The session file at ``path``, with the theory file at
-    ``theory_path`` in place of its own when one is given; it sets the
-    report format unless ``--format`` did.  With ``assessment``, a
-    session that declares none is an input error."""
+    ``theory_path`` in place of its own when one is given (the session's
+    own is then never read); it sets the report format unless
+    ``--format`` did.  With ``assessment``, a session that declares none
+    is an input error, and the assessment is read first, before any
+    other file the command reads."""
     session = files.load_session(path)
     if ctx.format is None:
         ctx.format = session.output_format
-    if assessment and session.assessment is None:
-        _fail_input("session declares no assessment")
+    if assessment:
+        if session.assessment_path is None:
+            _fail_input("session declares no assessment")
+        session.assessment
     if theory_path:
         session.theory = files.load_theory(Path(theory_path), session.language)
     return session
@@ -236,9 +246,8 @@ def build(ctx, session_file, construction, out, model_name):
     session = _session(ctx, session_file, assessment=not lift)
     try:
         if lift:
-            outcome = construct.build_belief_lift(
-                session.model(model_name), session.assessment
-            )
+            assessment = session.assessment  # read before the model, if declared
+            outcome = construct.build_belief_lift(session.model(model_name), assessment)
         else:
             outcome = construct.BUILDERS[construction](session.assessment)
     except construct.BuildError as e:

@@ -124,14 +124,15 @@ def build_product_model(assessment: Assessment) -> BuildOutcome:
     coords = [f for f in assessment.formulas if f not in (TRUE, FALSE)]
     m = len(coords)
     check_table("product state space", m, "coordinates", BuildError)
-    states = ["w" + format(i, f"0{m}b")[::-1] if m else "w" for i in range(1 << m)]
     # state i sets coordinate j exactly when bit j of i is set: adding
-    # coordinate j doubles the states, the new upper half making it true
-    numerators, denominator, size = [1], 1, 1
+    # coordinate j doubles the states, the new upper half making it true,
+    # and its label's character j is that bit
+    states, numerators, denominator, size = ["w"], [1], 1, 1
     events = []
     for f in coords:
         p = assessment.value(f)
         yes, no = p.numerator, p.denominator - p.numerator
+        states = [s + "0" for s in states] + [s + "1" for s in states]
         numerators = [x * no for x in numerators] + [x * yes for x in numerators]
         denominator *= p.denominator
         events = [ev | ev << size for ev in events] + [((1 << size) - 1) << size]

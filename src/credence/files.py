@@ -29,8 +29,8 @@ denominator, so loading a model builds no ``Fraction`` per value, and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -311,29 +311,67 @@ def load_payoff_vector(path: Path, model: SubjectiveModel) -> list[Fraction]:
     return [vec[s] for s in model.states]
 
 
-@dataclass
 class Session:
-    path: Path
-    language: Language
-    assessment: Assessment | None = None
-    theory: Theory | None = None
-    models: dict[str, SubjectiveModel] = field(default_factory=dict)
-    strategies: list[Strategy] = field(default_factory=list)
-    choice: str | None = None
-    output_format: str = "text"
+    """A session: its atoms' language, its report format and its choice,
+    read from the session file, and the files it names, each read the
+    first time it is asked for and kept.  ``load_session`` checks the
+    session file alone, so a command reports no error in a file it does
+    not read.  ``assessment`` and ``theory`` are None when the session
+    declares none, and ``strategies`` is empty; setting ``theory`` (as
+    ``--theory`` does) replaces the session's own without reading it.
+    ``model(name)`` reads that one model file, ``models`` every one.  A
+    file is read from its path when first asked for, so it must still be
+    there then, a relative path from the working directory of that
+    moment."""
+
+    def __init__(self, path: Path, language: Language):
+        self.path = path
+        self.language = language
+        self.output_format = "text"
+        self.choice: str | None = None
+        self.assessment_path: Path | None = None
+        self.theory_path: Path | None = None
+        self.strategies_path: Path | None = None
+        self.model_paths: dict[str, Path] = {}
+        self._models: dict[str, SubjectiveModel] = {}
+
+    @cached_property
+    def assessment(self) -> Assessment | None:
+        if self.assessment_path is None:
+            return None
+        return load_assessment(self.assessment_path, self.language)
+
+    @cached_property
+    def theory(self) -> Theory | None:
+        if self.theory_path is None:
+            return None
+        return load_theory(self.theory_path, self.language)
+
+    @cached_property
+    def strategies(self) -> list[Strategy]:
+        if self.strategies_path is None:
+            return []
+        return load_strategies(self.strategies_path, self.language)
+
+    @property
+    def models(self) -> dict[str, SubjectiveModel]:
+        return {name: self.model(name) for name in self.model_paths}
 
     def model(self, name: str | None) -> SubjectiveModel:
-        if not self.models:
+        if not self.model_paths:
             raise FileFormatError("session declares no model files")
         if name is None:
-            if len(self.models) == 1:
-                return next(iter(self.models.values()))
-            raise FileFormatError(
-                "several models in session; pick one of: " + ", ".join(sorted(self.models))
-            )
-        if name not in self.models:
+            if len(self.model_paths) > 1:
+                raise FileFormatError(
+                    "several models in session; pick one of: "
+                    + ", ".join(sorted(self.model_paths))
+                )
+            name = next(iter(self.model_paths))
+        elif name not in self.model_paths:
             raise FileFormatError(f"no model named {name!r} in session")
-        return self.models[name]
+        if name not in self._models:
+            self._models[name] = load_model(self.model_paths[name], self.language)
+        return self._models[name]
 
     def strategy(self, name: str | None) -> Strategy:
         """The strategy called ``name``, or the session's choice without one."""
@@ -351,31 +389,27 @@ class Session:
 
 
 def load_session(path) -> Session:
+    """The session file at ``path``, checked; the files it names are read
+    on first use (``Session``)."""
     path = Path(path)
     data = _read_json(path)
     base = path.parent
-    atoms = _expect(data, "atoms", path, list)
-    language = Language(atoms)
-    session = Session(path=path, language=language)
+    session = Session(path, Language(_expect(data, "atoms", path, list)))
     session.output_format = data.get("format", "text")
     if session.output_format not in ("text", "json"):
         raise FileFormatError(
             f"{path}: key 'format' must be 'text' or 'json', got {session.output_format!r}"
         )
-    if "assessment" in data:
-        session.assessment = load_assessment(
-            base / _expect(data, "assessment", path, str), language
-        )
-    if "theory" in data:
-        session.theory = load_theory(base / _expect(data, "theory", path, str), language)
+
+    def named(key):
+        return base / _expect(data, key, path, str) if key in data else None
+
+    session.assessment_path = named("assessment")
+    session.theory_path = named("theory")
     models = _expect(data, "models", path) if "models" in data else {}
     for name in models:
-        rel = _expect(models, name, f"{path}: models", str)
-        session.models[name] = load_model(base / rel, language)
-    if "strategies" in data:
-        session.strategies = load_strategies(
-            base / _expect(data, "strategies", path, str), language
-        )
+        session.model_paths[name] = base / _expect(models, name, f"{path}: models", str)
+    session.strategies_path = named("strategies")
     if "choice" in data:
         session.choice = _expect(data, "choice", path, str)
     return session

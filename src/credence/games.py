@@ -153,15 +153,14 @@ def _layer_weights(layers) -> list:
 
 
 def _agreement_check(source, target, formulas, required):
+    """Each statement's appraisal agrees in the two models.  A statement
+    either model gives no truth event is refused; one whose appraisal is
+    missing is refused when ``required``, else skipped."""
     for f in formulas:
         sev = source.truth_of(f)
         tev = target.truth_of(f)
         if sev is None or tev is None:
-            if required:
-                raise GamesError(
-                    f"target model does not value layer statement {unparse(f)}"
-                )
-            continue
+            raise GamesError(f"target model does not value layer statement {unparse(f)}")
         sl = source.lambda_of(sev)
         tl = target.lambda_of(tev)
         if sl is None or tl is None:

@@ -25,7 +25,9 @@ the five builders on it, as they ran before states became bit
 positions; ``indexed`` turns such a model into its indexed twin, and
 ``load_model_oracle`` reads a model file into one, with a ``Fraction``
 per appraisal value, as model files were read before the values became
-int numerators.
+int numerators.  ``load_session_oracle`` reads every file a session
+names at once, as sessions were read before each file was read on
+first use.
 The JSON report writer's oracle is the json module's sorted,
 two-space-indented encoding that the CLI used before it.  The formula
 oracle is the frozen-dataclass tree that formulas were before they were
@@ -47,6 +49,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from credence._simplex import GameSolution, LpResult, SimplexError
 from credence.assessment import (
@@ -67,7 +70,15 @@ from credence.construct import (
     _require,
 )
 from credence.errors import InternalError
-from credence.files import FileFormatError, _expect, _read_json
+from credence.files import (
+    FileFormatError,
+    _expect,
+    _read_json,
+    load_assessment,
+    load_model,
+    load_strategies,
+    load_theory,
+)
 from credence.games import (
     DominanceResult,
     GamesError,
@@ -1868,6 +1879,48 @@ def load_model_oracle(path, language: Language) -> LabelModel:
         mass=mass,
         exact_lookup=exact_lookup,
     )
+
+
+@dataclass
+class EagerSession:
+    language: Language
+    output_format: str
+    choice: str | None
+    assessment: Assessment | None
+    theory: Theory | None
+    models: dict
+    strategies: list
+
+
+def load_session_oracle(path) -> EagerSession:
+    """``files.load_session`` as it ran before files were read on first
+    use: every file the session names read at once, in the order
+    assessment, theory, models, strategies."""
+    path = Path(path)
+    data = _read_json(path)
+    base = path.parent
+    language = Language(_expect(data, "atoms", path, list))
+    output_format = data.get("format", "text")
+    if output_format not in ("text", "json"):
+        raise FileFormatError(
+            f"{path}: key 'format' must be 'text' or 'json', got {output_format!r}"
+        )
+    assessment = theory = None
+    if "assessment" in data:
+        assessment = load_assessment(base / _expect(data, "assessment", path, str), language)
+    if "theory" in data:
+        theory = load_theory(base / _expect(data, "theory", path, str), language)
+    named = _expect(data, "models", path) if "models" in data else {}
+    models = {
+        name: load_model(base / _expect(named, name, f"{path}: models", str), language)
+        for name in named
+    }
+    strategies = []
+    if "strategies" in data:
+        strategies = load_strategies(base / _expect(data, "strategies", path, str), language)
+    choice = _expect(data, "choice", path, str) if "choice" in data else None
+    return EagerSession(language, output_format, choice, assessment, theory, models,
+                        strategies)
 
 
 def from_labels(language, states, truth=None, lam=None, mass=None, **kwargs) -> SubjectiveModel:

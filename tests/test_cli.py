@@ -12,7 +12,8 @@ from credence.logic import Language
 
 from helpers import disjoint_gap_tables
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+HERE = Path(__file__).resolve().parent
+FIXTURES = HERE.parent / "fixtures"
 
 
 @pytest.fixture()
@@ -515,6 +516,12 @@ class TestMalformedSessions:
         path.write_text(json.dumps({"atoms": ["p"], **keys}))
         return path
 
+    def assessed(self, tmp_path, **keys):
+        """A session with a valid assessment, so that ``check`` goes on to
+        read its other files."""
+        (tmp_path / "assessment.json").write_text(json.dumps({"atoms": ["p"], "pi": {"p": "1/2"}}))
+        return self.session(tmp_path, assessment="assessment.json", **keys)
+
     def assert_input_error(self, res, message):
         assert res.exit_code == 2
         assert res.output.count("\n") == 1 and message in res.output
@@ -583,7 +590,7 @@ class TestMalformedSessions:
 
     def test_generator_not_a_string(self, runner, tmp_path):
         (tmp_path / "theory.json").write_text(json.dumps({"generators": [5]}))
-        res = invoke(runner, "check", self.session(tmp_path, theory="theory.json"))
+        res = invoke(runner, "check", self.assessed(tmp_path, theory="theory.json"))
         self.assert_input_error(res, "every generator must be a formula string")
 
     def test_session_path_is_a_directory(self, runner, tmp_path):
@@ -617,18 +624,18 @@ class TestMalformedSessions:
 
     def test_file_not_utf8(self, runner, tmp_path):
         (tmp_path / "theory.json").write_bytes(b'{"generators": ["\xff"]}')
-        res = invoke(runner, "check", self.session(tmp_path, theory="theory.json"))
+        res = invoke(runner, "check", self.assessed(tmp_path, theory="theory.json"))
         self.assert_input_error(res, "theory.json: 'utf-8' codec can't decode byte 0xff")
 
     def test_file_not_json(self, runner, tmp_path):
         (tmp_path / "theory.json").write_text('{"generators": ["p"]')
-        res = invoke(runner, "check", self.session(tmp_path, theory="theory.json"))
+        res = invoke(runner, "check", self.assessed(tmp_path, theory="theory.json"))
         self.assert_input_error(res, "theory.json: Expecting ',' delimiter")
         assert "error: invalid JSON in " in res.output
 
     def test_json_nested_too_deep(self, runner, tmp_path):
         (tmp_path / "theory.json").write_text("[" * 100_000)
-        res = invoke(runner, "check", self.session(tmp_path, theory="theory.json"))
+        res = invoke(runner, "check", self.assessed(tmp_path, theory="theory.json"))
         self.assert_input_error(res, "theory.json: maximum recursion depth exceeded")
 
     @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit")
@@ -678,6 +685,85 @@ class TestMalformedSessions:
         session = self.session(tmp_path, models={"m": "model.json", "n": "model.json"})
         res = invoke(runner, "mobius", session, *(["--model", model] if model else []))
         self.assert_input_error(res, f"error: {message}")
+
+
+class TestFirstUseReading:
+    """A command reads only the files it uses, each when it first uses
+    it, so an error in a file it does not read changes nothing."""
+
+    VOTING = FIXTURES / "voting"
+
+    def session(self, tmp_path, **keys):
+        """The voting fixture's session, its files named by absolute path,
+        with ``keys`` added or replaced."""
+        data = {
+            "atoms": ["r", "b", "p"],
+            "assessment": str(self.VOTING / "assessment.json"),
+            "theory": str(self.VOTING / "theory.json"),
+            **keys,
+        }
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def same(self, runner, session, *args):
+        """The command's exit code and output on ``session`` are those on
+        the voting fixture."""
+        want = invoke(runner, args[0], self.VOTING / "session.json", *args[1:])
+        got = invoke(runner, args[0], session, *args[1:])
+        assert (got.exit_code, got.output) == (want.exit_code, want.output)
+
+    @pytest.mark.parametrize("command", [["check"], ["identify"], ["build", "product"]])
+    def test_a_malformed_model_is_not_read(self, runner, tmp_path, command):
+        (tmp_path / "model.json").write_text('{"states": ')
+        self.same(runner, self.session(tmp_path, models={"m": "model.json"}), *command)
+
+    @pytest.mark.parametrize("command", [["mobius"], ["build", "belief-lift"]])
+    def test_a_command_reading_the_malformed_model_names_it(self, runner, tmp_path, command):
+        (tmp_path / "model.json").write_text('{"states": ')
+        session = self.session(tmp_path, models={"m": "model.json"})
+        res = invoke(runner, command[0], session, *command[1:])
+        assert res.exit_code == 2
+        assert f"error: invalid JSON in {tmp_path / 'model.json'}: " in res.output
+
+    def test_theory_option_never_opens_the_sessions_own_theory(self, runner, tmp_path):
+        (tmp_path / "theory.json").write_text('{"generators": ')
+        session = self.session(tmp_path, theory="theory.json")
+        self.same(runner, session, "check", "--theory", self.VOTING / "theory.json")
+        res = invoke(runner, "check", session)
+        assert res.exit_code == 2
+        assert f"error: invalid JSON in {tmp_path / 'theory.json'}: " in res.output
+
+    def test_grading_without_s_i_reads_no_theory(self, runner, tmp_path):
+        (tmp_path / "theory.json").write_text('{"generators": ')
+        self.same(runner, self.session(tmp_path, theory="theory.json"), "check", "i", "ie")
+
+    def test_a_missing_assessment_comes_before_file_errors(self, runner, tmp_path):
+        (tmp_path / "theory.json").write_text('{"generators": ')
+        session = self.session(tmp_path, theory="theory.json")
+        data = json.loads(session.read_text())
+        del data["assessment"]
+        session.write_text(json.dumps(data))
+        res = invoke(runner, "identify", session)
+        assert res.exit_code == 2
+        assert res.output == "error: session declares no assessment\n"
+
+    @pytest.mark.parametrize("command", [
+        ["mobius", "--model", "model1"],
+        ["choquet", "--model", "model1", "--act", HERE / "golden" / "act3.json"],
+    ])
+    def test_model_commands_read_neither_assessment_nor_theory(self, runner, tmp_path, command):
+        (tmp_path / "broken.json").write_text("[")
+        linda = FIXTURES / "linda"
+        session = tmp_path / "session.json"
+        session.write_text(json.dumps({
+            "atoms": ["f", "t"], "assessment": "broken.json", "theory": "broken.json",
+            "strategies": "broken.json", "models": {"model1": str(linda / "model1.json")},
+        }))
+        want = invoke(runner, command[0], linda / "session.json", *command[1:])
+        got = invoke(runner, command[0], session, *command[1:])
+        assert got.exit_code == 0
+        assert (got.exit_code, got.output) == (want.exit_code, want.output)
 
 
 class TestOversizedValues:

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,10 +18,12 @@ from credence.files import (
     parse_rational,
     rational_pair,
 )
-from credence.logic import Language, LogicError
+from credence.logic import Language, LogicError, Theory, unparse
 from credence.model import ModelError
 
-from helpers import explicit_lambda
+from helpers import explicit_lambda, load_session_oracle
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestRationals:
@@ -100,8 +104,9 @@ class TestSchemas:
         (tmp_path / "session.json").write_text(
             json.dumps({"atoms": ["b"], "assessment": "assessment.json"})
         )
-        with pytest.raises(FileFormatError):
-            load_session(tmp_path / "session.json")
+        session = load_session(tmp_path / "session.json")  # reads no assessment
+        with pytest.raises(FileFormatError, match=r"atom list \['a'\] disagrees"):
+            session.assessment
 
     def test_unknown_state_in_event(self, tmp_path):
         path = tmp_path / "model.json"
@@ -232,3 +237,82 @@ class TestSchemas:
     def test_source_text_preserved_for_reports(self, voting):
         texts = [voting.assessment.text(f) for f in voting.assessment.formulas]
         assert "(r <-> !b)" in texts
+
+
+def _perfbench_gen():
+    """The benchmark's seeded session generator, read from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def files_read(session) -> dict:
+    """Every file a session names, read through its attributes, as data
+    that compares across languages."""
+    a, theory = session.assessment, session.theory
+    return {
+        "format": session.output_format,
+        "choice": session.choice,
+        "assessment": a and (a.texts, [str(a.value(f)) for f in a.statements]),
+        "theory": theory and theory.generator_texts,
+        "models": {name: model_to_dict(m) for name, m in session.models.items()},
+        "strategies": [
+            (s.name, {unparse(f): str(v) for f, v in s.payoffs.items()})
+            for s in session.strategies
+        ],
+    }
+
+
+FIXTURE_SESSIONS = [
+    "linda/session.json", "voting/session.json", "certainty/session.json",
+    "strategies/session-maps.json", "strategies/session-rationalize.json",
+]
+
+
+class TestFirstUseSession:
+    """``load_session`` reads the session file alone; each file it names
+    is read on first use and reads as the eager reader read it."""
+
+    @pytest.mark.parametrize("name", FIXTURE_SESSIONS)
+    def test_fixture_sessions_read_as_the_eager_reader_reads_them(self, name):
+        path = ROOT / "fixtures" / name
+        assert files_read(load_session(path)) == files_read(load_session_oracle(path))
+
+    @pytest.mark.parametrize("workload", ["grade", "audit", "rationalize"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generated_sessions_read_as_the_eager_reader_reads_them(
+        self, tmp_path, workload, seed
+    ):
+        plan = _perfbench_gen().generate(workload, seed, tmp_path, tiny=True)
+        for name in plan["sessions"]:
+            path = tmp_path / name
+            assert files_read(load_session(path)) == files_read(load_session_oracle(path))
+
+    def test_each_file_is_read_once_and_kept(self):
+        session = load_session(ROOT / "fixtures" / "strategies" / "session-maps.json")
+        assert session.model("capacity") is session.models["capacity"]
+        assert session.strategies is session.strategies
+        assert session.assessment is None and session.theory is None
+
+    def test_a_model_is_read_alone(self, tmp_path):
+        (tmp_path / "broken.json").write_text("[")
+        good = ROOT / "fixtures" / "linda" / "model1.json"
+        (tmp_path / "session.json").write_text(json.dumps({
+            "atoms": ["f", "t"], "assessment": "broken.json",
+            "models": {"good": str(good), "bad": "broken.json"},
+        }))
+        session = load_session(tmp_path / "session.json")
+        assert model_to_dict(session.model("good")) == model_to_dict(
+            load_model(good, session.language)
+        )
+        with pytest.raises(FileFormatError, match="invalid JSON in .*broken.json"):
+            session.model("bad")
+        with pytest.raises(FileFormatError, match="invalid JSON in .*broken.json"):
+            session.assessment
+
+    def test_a_theory_set_in_place_of_the_sessions_own_is_kept(self, tmp_path):
+        (tmp_path / "session.json").write_text(json.dumps({"atoms": ["p"], "theory": "nope.json"}))
+        session = load_session(tmp_path / "session.json")
+        session.theory = Theory.from_texts(session.language, ["p"])
+        assert session.theory.generator_texts == ("p",)

@@ -272,14 +272,16 @@ class TestTBullet:
         assert target.lambda_of(target.truth_of(capacity.language.parse("q"))) is None
         assert t_bullet(capacity, target, maps_strategy) == [F(3), F(4), F(2)]
 
-    def test_optional_agreement_skips_a_statement_without_a_truth_event(self, capacity, exact):
+    @pytest.mark.parametrize("required", [True, False])
+    def test_agreement_refuses_a_statement_without_a_truth_event(
+        self, capacity, exact, required
+    ):
         # t_bullet's optional pass runs over the target's own truth domain,
-        # where both models give truth events; a direct call reaches the skip
+        # where both models give truth events; a direct call reaches the refusal
         xnor = capacity.language.parse("(p <-> q)")
         assert exact.truth_of(xnor) is None
-        _agreement_check(capacity, exact, [xnor], required=False)
         with pytest.raises(GamesError) as refused:
-            _agreement_check(capacity, exact, [xnor], required=True)
+            _agreement_check(capacity, exact, [xnor], required=required)
         assert str(refused.value) == (
             "target model does not value layer statement ((!p | q) & (!q | p))"
         )

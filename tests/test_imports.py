@@ -1,6 +1,7 @@
 """What importing the package loads, each check in a fresh interpreter:
-``import credence`` loads no submodule, a command that grades a session
-without models or strategies loads only the layers it runs, and every
+``import credence`` loads no submodule, grading a session loads only
+the layers it runs, even when the session names models, a session's
+model and strategies load their layers only when they are read, and every
 name the package exports, resolved on first use, is its home module's
 object."""
 
@@ -44,15 +45,25 @@ def test_importing_the_package_loads_no_submodule():
     assert loaded_after("import credence") == ["credence"]
 
 
-def test_grading_loads_only_the_grading_layers():
-    session = FIXTURES / "voting" / "session.json"
-    code = f"import credence.cli\ncredence.cli.files.load_session({str(session)!r})"
+@pytest.mark.parametrize("name", ["voting", "linda"])  # linda's session names two models
+def test_grading_loads_only_the_grading_layers(name):
+    session = FIXTURES / name / "session.json"
+    code = (f"import credence.cli\ns = credence.cli.files.load_session({str(session)!r})\n"
+            "s.assessment, s.theory")
     assert loaded_after(code) == GRADE_MODULES
+
+
+def test_loading_a_session_reads_no_model_or_strategy():
+    session = FIXTURES / "strategies" / "session-rationalize.json"
+    code = f"import credence.files\ncredence.files.load_session({str(session)!r})"
+    loaded = loaded_after(code)
+    assert "credence.model" not in loaded and "credence.games" not in loaded
 
 
 def test_reading_a_model_or_strategy_loads_its_layer():
     session = FIXTURES / "strategies" / "session-rationalize.json"
-    code = f"import credence.files\ncredence.files.load_session({str(session)!r})"
+    code = (f"import credence.files\ns = credence.files.load_session({str(session)!r})\n"
+            "s.model(None), s.strategies")
     loaded = loaded_after(code)
     assert "credence.model" in loaded and "credence.games" in loaded
     assert "credence.construct" not in loaded and "credence.identify" not in loaded
