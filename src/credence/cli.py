@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: ``credence [--format text|json] COMMAND ...``.
 
 Commands operate on a session file that names the atom set and the
 input files (assessment, theory, models, strategies).  A command reads
@@ -11,24 +11,34 @@ it does not read.  Exit codes:
 0 = pass/success, 1 = substantive failure (axiom violation, strategy
 not rationalizable, refused build or identification), 2 = input error,
 3 = an internal invariant failed (a bug, never the input's fault).
-Commands report only their verdicts; ``_Main.invoke`` maps every other
-error to its exit code in one place: an ``errors.InputError`` (each
-module's input error subclasses it) exits 2, an ``InternalError`` exits
-3, and anything else is a bug and ends in a traceback.  Paths are taken
-as plain strings, so a path that cannot be opened is the file readers'
+Commands are plain functions that return their exit code and report
+only their verdicts; ``main`` maps every other error to its exit code
+in one place: an ``errors.InputError`` (each module's input error
+subclasses it) exits 2, an ``InternalError`` exits 3, and anything else
+is a bug and ends in a traceback.  A usage error (an unknown command or
+option, a prefix of an option, a value outside its choices, a missing
+argument) is the standard library's ``argparse``: a usage line and the
+message on stderr, exit 2.  The parsers are built on a process's first
+command and kept; a command's options may stand anywhere among its
+arguments, as in ``check S i --theory T ie``, but an option's value that
+begins with ``-`` is written ``--out=-m.json``, and a path that does is
+written ``./-s.json``.  Paths are taken as
+plain strings, so a path that cannot be opened is the file readers'
 input error.
 Reports are deterministic: statements in text order, rationals reduced.
+They go to ``sys.stdout`` and errors to ``sys.stderr``, each looked up
+when written, so a caller that redirects either captures it.
 Each command imports the layers it runs when it runs, so a command
 loads only the modules it needs.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-
-import click
 
 from . import assessment as axioms
 from . import files
@@ -46,10 +56,91 @@ AXIOM_TITLES = {
     "s-i": "Theory Implication (S-I)",
 }
 
+# command name -> (function, its arguments as ``_arg`` pairs), in help order
+_COMMANDS: dict[str, tuple] = {}
 
-class _Ctx:
-    def __init__(self):
-        self.format = "text"
+
+def _command(name: str, *arguments):
+    """Register the decorated function as the command ``name``, taking
+    ``arguments``; the first line of its docstring is its summary."""
+
+    def register(run):
+        _COMMANDS[name] = (run, arguments)
+        return run
+
+    return register
+
+
+def _arg(*flags, **keywords):
+    """One ``add_argument`` call's arguments."""
+    return flags, keywords
+
+
+def main(args=None, prog_name=None, standalone_mode=True):
+    """Run one command, ``args`` (``sys.argv[1:]`` by default), and exit
+    with its code.  The signature is click's, so callers written for a
+    click entry point run it the same way, as
+    ``main.main(args=..., prog_name=..., standalone_mode=False)``;
+    in either mode the command ends in SystemExit, a usage error too."""
+    top, commands = _parsers(prog_name)
+    front = top.parse_args(args)
+    name, *rest = front.command
+    opts = commands[name].parse_intermixed_args(rest)
+    opts.format = front.output_format
+    try:
+        code = opts.run(opts)
+    except InputError as e:
+        code = _fail(BAD_INPUT, e)
+    except InternalError as e:
+        code = _fail(INTERNAL, e)
+    except ValueError as e:
+        # str() of an int with more digits than Python converts, raised
+        # wherever a report writes an exact value
+        if not str(e).startswith("Exceeds the limit ("):
+            raise
+        code = _fail(
+            BAD_INPUT,
+            f"an exact value has more than {sys.get_int_max_str_digits()} "
+            "decimal digits, more than Python writes as text",
+        )
+    sys.exit(code)
+
+
+main.main = main
+
+
+@functools.cache
+def _parsers(prog: str | None):
+    """The front end's parser, and each command's by name, for the
+    program name ``prog`` (by default ``sys.argv[0]``'s file name)."""
+    summaries = ["commands:"]
+    for name, (run, _) in _COMMANDS.items():
+        summary = (run.__doc__ or "").partition("\n")[0]
+        summaries.append(f"  {name:<12} {summary}")
+    top = argparse.ArgumentParser(
+        prog=prog,
+        description="Grade likelihood assessments, build state-space models, identify\n"
+        "understood implications, and test rationalizability.",
+        epilog="\n".join(summaries),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
+    )
+    top.add_argument("--format", dest="output_format", choices=["text", "json"],
+                     help="report format; defaults to the session's setting")
+    top.add_argument("command", nargs=argparse.PARSER, choices=_COMMANDS, metavar="COMMAND",
+                     help="the command, then its arguments ('COMMAND --help' lists them)")
+    commands = {}
+    for name, (run, arguments) in _COMMANDS.items():
+        parser = argparse.ArgumentParser(prog=f"{top.prog} {name}", description=run.__doc__,
+                                         allow_abbrev=False)
+        for flags, keywords in arguments:
+            parser.add_argument(*flags, **keywords)
+        parser.set_defaults(run=run)
+        # parse_intermixed_args formats the usage line on every call
+        # unless the parser has one, so it is formatted once here
+        parser.usage = parser.format_usage().removeprefix("usage: ")
+        commands[name] = parser
+    return top, commands
 
 
 def _json_text(payload) -> str:
@@ -115,23 +206,23 @@ def _write_json(value, indent: str, write) -> None:
         write(int.__repr__(value))
 
 
-def _emit(ctx: _Ctx, payload, text_lines):
+def _emit(opts, payload, text_lines):
     """Print the report in the requested format.  ``payload`` and
     ``text_lines`` are functions returning the JSON object and the text
     lines, so only the printed one is built."""
-    if ctx.format == "json":
-        click.echo(_json_text(payload()))
+    if opts.format == "json":
+        print(_json_text(payload()))
     else:
         for line in text_lines():
-            click.echo(line)
+            print(line)
 
 
-def _fail_input(message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(BAD_INPUT)
+def _fail(code: int, message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
-def _session(ctx: _Ctx, path, theory_path=None, assessment=True) -> files.Session:
+def _session(opts, path, theory_path=None, assessment=True) -> files.Session:
     """The session file at ``path``, with the theory file at
     ``theory_path`` in place of its own when one is given (the session's
     own is then never read); it sets the report format unless
@@ -139,46 +230,15 @@ def _session(ctx: _Ctx, path, theory_path=None, assessment=True) -> files.Sessio
     is an input error, and the assessment is read first, before any
     other file the command reads."""
     session = files.load_session(path)
-    if ctx.format is None:
-        ctx.format = session.output_format
+    if opts.format is None:
+        opts.format = session.output_format
     if assessment:
         if session.assessment_path is None:
-            _fail_input("session declares no assessment")
+            raise InputError("session declares no assessment")
         session.assessment
     if theory_path:
         session.theory = files.load_theory(Path(theory_path), session.language)
     return session
-
-
-class _Main(click.Group):
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except InputError as e:
-            _fail_input(str(e))
-        except InternalError as e:
-            click.echo(f"error: {e}", err=True)
-            sys.exit(INTERNAL)
-        except ValueError as e:
-            # str() of an int with more digits than Python converts, raised
-            # wherever a report writes an exact value
-            if not str(e).startswith("Exceeds the limit ("):
-                raise
-            _fail_input(
-                f"an exact value has more than {sys.get_int_max_str_digits()} "
-                "decimal digits, more than Python writes as text"
-            )
-
-
-@click.group(cls=_Main)
-@click.option("--format", "output_format", type=click.Choice(["text", "json"]), default=None,
-              help="Report format; defaults to the session's setting.")
-@click.pass_context
-def main(ctx, output_format):
-    """Grade likelihood assessments, build state-space models, identify
-    understood implications, and test rationalizability."""
-    ctx.obj = _Ctx()
-    ctx.obj.format = output_format
 
 
 def _report_lines(report) -> list[str]:
@@ -197,23 +257,30 @@ def _report_lines(report) -> list[str]:
     return lines
 
 
-@main.command()
-@click.argument("session_file")
-@click.argument("which", nargs=-1)
-@click.option("--theory", "theory_path", metavar="PATH", default=None,
-              help="Theory file overriding the session's for s-i.")
-@click.pass_obj
-def check(ctx, session_file, which, theory_path):
+_SESSION_FILE = _arg("session_file", metavar="SESSION_FILE", help="the session file")
+_MODEL = _arg("--model", dest="model_name", metavar="NAME",
+             help="the session's model to use (needed when it names several)")
+
+
+@_command(
+    "check",
+    _SESSION_FILE,
+    _arg("which", nargs="*", default=(), metavar="AXIOM",
+         help="any of: nt e i ie a s-i (default: all applicable)"),
+    _arg("--theory", dest="theory_path", metavar="PATH",
+         help="theory file overriding the session's for s-i"),
+)
+def check(opts) -> int:
     """Check axioms (any of: nt e i ie a s-i; default all applicable)."""
-    session = _session(ctx, session_file, theory_path)
-    which = [w.lower() for w in which]
+    session = _session(opts, opts.session_file, opts.theory_path)
+    which = [w.lower() for w in opts.which]
     for w in which:
         if w not in AXIOM_ORDER:
-            _fail_input(f"unknown axiom {w!r}; choose from {' '.join(AXIOM_ORDER)}")
+            raise InputError(f"unknown axiom {w!r}; choose from {' '.join(AXIOM_ORDER)}")
     if not which:
         which = [a for a in AXIOM_ORDER if a != "s-i" or session.theory is not None]
     if "s-i" in which and session.theory is None:
-        _fail_input("the s-i check needs a theory file")
+        raise InputError("the s-i check needs a theory file")
 
     reports = []
     for w in which:
@@ -222,37 +289,39 @@ def check(ctx, session_file, which, theory_path):
         else:
             reports.append(axioms.CHECKERS[w](session.assessment))
     _emit(
-        ctx,
+        opts,
         lambda: {"command": "check", "reports": [r.to_dict() for r in reports]},
         lambda: [line for r in reports for line in _report_lines(r)],
     )
-    sys.exit(PASS if all(r.passed for r in reports) else FAIL)
+    return PASS if all(r.passed for r in reports) else FAIL
 
 
-@main.command()
-@click.argument("session_file")
-@click.argument("construction", type=click.Choice(
-    ["product", "canonical-sound", "interval-additive", "additive-sound", "belief-lift"]
-))
-@click.option("--out", metavar="PATH", default=None, help="Write the model JSON here.")
-@click.option("--model", "model_name", default=None,
-              help="Source model for belief-lift.")
-@click.pass_obj
-def build(ctx, session_file, construction, out, model_name):
+@_command(
+    "build",
+    _SESSION_FILE,
+    _arg("construction", metavar="CONSTRUCTION",
+         choices=["product", "canonical-sound", "interval-additive", "additive-sound",
+                  "belief-lift"],
+         help="one of: %(choices)s"),
+    _arg("--out", metavar="PATH", help="write the model JSON here"),
+    _arg("--model", dest="model_name", metavar="NAME", help="source model for belief-lift"),
+)
+def build(opts) -> int:
     """Build a representing model and print its certificate."""
     from . import construct
 
+    construction, out = opts.construction, opts.out
     lift = construction == "belief-lift"
-    session = _session(ctx, session_file, assessment=not lift)
+    session = _session(opts, opts.session_file, assessment=not lift)
     try:
         if lift:
             assessment = session.assessment  # read before the model, if declared
-            outcome = construct.build_belief_lift(session.model(model_name), assessment)
+            outcome = construct.build_belief_lift(session.model(opts.model_name), assessment)
         else:
             outcome = construct.BUILDERS[construction](session.assessment)
     except construct.BuildError as e:
-        click.echo(f"build failed: {e}", err=True)
-        sys.exit(FAIL)
+        print(f"build failed: {e}", file=sys.stderr)
+        return FAIL
     if out:
         files.write_text(out, _json_text(files.model_to_dict(outcome.model)))
 
@@ -272,30 +341,33 @@ def build(ctx, session_file, construction, out, model_name):
             text_lines.append(f"model written to {out}")
         return text_lines
 
-    _emit(ctx, payload, lines)
-    sys.exit(PASS if outcome.ok else FAIL)
+    _emit(opts, payload, lines)
+    return PASS if outcome.ok else FAIL
 
 
-@main.command(name="identify")
-@click.argument("session_file")
-@click.option("--theory", "theory_path", metavar="PATH", default=None)
-@click.pass_obj
-def identify_cmd(ctx, session_file, theory_path):
-    """List which entailments the assessment respects; with a theory,
-    identify the largest understood sub-theory."""
+@_command(
+    "identify",
+    _SESSION_FILE,
+    _arg("--theory", dest="theory_path", metavar="PATH",
+         help="theory file overriding the session's"),
+)
+def identify_cmd(opts) -> int:
+    """List which entailments the assessment respects.
+
+    With a theory, also identify the largest understood sub-theory."""
     from . import identify
 
-    session = _session(ctx, session_file, theory_path)
+    session = _session(opts, opts.session_file, opts.theory_path)
     theory = session.theory
     try:
         verdicts = identify.understood_implications(session.assessment)
     except identify.IdentifyError as e:
         _emit(
-            ctx,
+            opts,
             lambda: {"command": "identify", "refused": str(e)},
             lambda: [f"identification: refused ({e})"],
         )
-        sys.exit(FAIL)
+        return FAIL
     misunderstood = [v for v in verdicts if not v.understood]
     lines = [f"implications within the universe: {len(verdicts)}"]
     for v in misunderstood:
@@ -337,29 +409,30 @@ def identify_cmd(ctx, session_file, theory_path):
             lines.append(f"certainty-based sub-theory: refused ({e})")
             payload["certainty_subtheory"] = {"refused": str(e)}
             substantive_failure = True
-    _emit(ctx, lambda: payload, lambda: lines)
-    sys.exit(FAIL if substantive_failure else PASS)
+    _emit(opts, lambda: payload, lambda: lines)
+    return FAIL if substantive_failure else PASS
 
 
-@main.command()
-@click.argument("session_file")
-@click.option("--choice", default=None, help="Strategy to test (default: session's).")
-@click.option("--model", "model_name", default=None)
-@click.option("--additive-only", is_flag=True, help="Allow only additive priors.")
-@click.option("--weak", is_flag=True, help="Use weak instead of strict dominance.")
-@click.pass_obj
-def rationalize(ctx, session_file, choice, model_name, additive_only, weak):
+@_command(
+    "rationalize",
+    _SESSION_FILE,
+    _arg("--choice", metavar="NAME", help="strategy to test (default: the session's)"),
+    _MODEL,
+    _arg("--additive-only", action="store_true", help="allow only additive priors"),
+    _arg("--weak", action="store_true", help="use weak instead of strict dominance"),
+)
+def rationalize(opts) -> int:
     """Decide whether the chosen strategy is rationalizable."""
     from . import games
 
-    session = _session(ctx, session_file, assessment=False)
-    strategy = session.strategy(choice)
+    session = _session(opts, opts.session_file, assessment=False)
+    strategy = session.strategy(opts.choice)
     result = games.rationalizable(
         strategy,
         session.strategies,
-        session.model(model_name),
-        additive_only=additive_only,
-        weak=weak,
+        session.model(opts.model_name),
+        additive_only=opts.additive_only,
+        weak=opts.weak,
     )
     lines = [
         f"strategy {strategy.name}: "
@@ -372,41 +445,43 @@ def rationalize(ctx, session_file, choice, model_name, additive_only, weak):
     if result.choquet_values is not None:
         vals = ", ".join(f"{n}: {v}" for n, v in result.choquet_values)
         lines.append(f"  witness values  {vals}  (witness from {result.witness_source})")
-    _emit(ctx, lambda: {"command": "rationalize", **result.to_dict()}, lambda: lines)
-    sys.exit(PASS if result.rationalizable else FAIL)
+    _emit(opts, lambda: {"command": "rationalize", **result.to_dict()}, lambda: lines)
+    return PASS if result.rationalizable else FAIL
 
 
-@main.command(name="choquet")
-@click.argument("session_file")
-@click.option("--model", "model_name", default=None)
-@click.option("--act", "act_path", metavar="PATH", required=True,
-              help="JSON file mapping state labels to rationals.")
-@click.pass_obj
-def choquet_cmd(ctx, session_file, model_name, act_path):
+@_command(
+    "choquet",
+    _SESSION_FILE,
+    _MODEL,
+    _arg("--act", dest="act_path", metavar="PATH", required=True,
+         help="JSON file mapping state labels to rationals"),
+)
+def choquet_cmd(opts) -> int:
     """Choquet integral of a state payoff vector under a model's appraisal."""
     from .model import choquet
 
-    model = _session(ctx, session_file, assessment=False).model(model_name)
-    value = choquet(model, files.load_payoff_vector(Path(act_path), model))
-    _emit(ctx, lambda: {"command": "choquet", "value": str(value)},
+    model = _session(opts, opts.session_file, assessment=False).model(opts.model_name)
+    value = choquet(model, files.load_payoff_vector(Path(opts.act_path), model))
+    _emit(opts, lambda: {"command": "choquet", "value": str(value)},
           lambda: [f"choquet integral: {value}"])
-    sys.exit(PASS)
+    return PASS
 
 
-@main.command(name="mobius")
-@click.argument("session_file")
-@click.option("--model", "model_name", default=None)
-@click.option("--invert", is_flag=True,
-              help="Rebuild the appraisal from the model's masses instead.")
-@click.pass_obj
-def mobius_cmd(ctx, session_file, model_name, invert):
+@_command(
+    "mobius",
+    _SESSION_FILE,
+    _MODEL,
+    _arg("--invert", action="store_true",
+         help="rebuild the appraisal from the model's masses instead"),
+)
+def mobius_cmd(opts) -> int:
     """Mobius masses of a model's appraisal (or the appraisal from masses)."""
     from .model import inverse_mobius, mobius
 
-    model = _session(ctx, session_file, assessment=False).model(model_name)
-    if invert:
+    model = _session(opts, opts.session_file, assessment=False).model(opts.model_name)
+    if opts.invert:
         if model.mass is None:
-            _fail_input("model carries no masses to invert")
+            raise InputError("model carries no masses to invert")
         masses = {1 << i: v for i, v in enumerate(model.mass)}
         values = inverse_mobius(masses, len(model.states))
         title = "appraisal from masses"
@@ -415,8 +490,8 @@ def mobius_cmd(ctx, session_file, model_name, invert):
         title = "mobius masses (zeros omitted)"
     out = {label: str(v) for label, v in model.labelled(values)}
     lines = [f"{title}:"] + [f"  {k or '(empty)'}: {v}" for k, v in out.items()]
-    _emit(ctx, lambda: {"command": "mobius", "values": out}, lambda: lines)
-    sys.exit(PASS)
+    _emit(opts, lambda: {"command": "mobius", "values": out}, lambda: lines)
+    return PASS
 
 
 if __name__ == "__main__":

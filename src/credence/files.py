@@ -29,6 +29,7 @@ denominator, so loading a model builds no ``Fraction`` per value, and
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -311,6 +312,22 @@ def load_payoff_vector(path: Path, model: SubjectiveModel) -> list[Fraction]:
     return [vec[s] for s in model.states]
 
 
+class _Pinned:
+    """A path a session file names: printed as written (joined to the
+    session file's directory), and opened as the absolute path it named
+    when the session was loaded."""
+
+    def __init__(self, shown: Path, opened: Path):
+        self.shown = shown
+        self.opened = opened
+
+    def __fspath__(self) -> str:
+        return os.fspath(self.opened)
+
+    def __str__(self) -> str:
+        return str(self.shown)
+
+
 class Session:
     """A session: its atoms' language, its report format and its choice,
     read from the session file, and the files it names, each read the
@@ -320,19 +337,19 @@ class Session:
     declares none, and ``strategies`` is empty; setting ``theory`` (as
     ``--theory`` does) replaces the session's own without reading it.
     ``model(name)`` reads that one model file, ``models`` every one.  A
-    file is read from its path when first asked for, so it must still be
-    there then, a relative path from the working directory of that
-    moment."""
+    file is read when first asked for, so it must still be there then;
+    its path is pinned when the session is loaded, so a later change of
+    working directory does not change the file read."""
 
     def __init__(self, path: Path, language: Language):
         self.path = path
         self.language = language
         self.output_format = "text"
         self.choice: str | None = None
-        self.assessment_path: Path | None = None
-        self.theory_path: Path | None = None
-        self.strategies_path: Path | None = None
-        self.model_paths: dict[str, Path] = {}
+        self.assessment_path: _Pinned | None = None
+        self.theory_path: _Pinned | None = None
+        self.strategies_path: _Pinned | None = None
+        self.model_paths: dict[str, _Pinned] = {}
         self._models: dict[str, SubjectiveModel] = {}
 
     @cached_property
@@ -390,10 +407,11 @@ class Session:
 
 def load_session(path) -> Session:
     """The session file at ``path``, checked; the files it names are read
-    on first use (``Session``)."""
+    on first use (``Session``), from where they were at this call."""
     path = Path(path)
     data = _read_json(path)
     base = path.parent
+    root = base.absolute()
     session = Session(path, Language(_expect(data, "atoms", path, list)))
     session.output_format = data.get("format", "text")
     if session.output_format not in ("text", "json"):
@@ -401,14 +419,17 @@ def load_session(path) -> Session:
             f"{path}: key 'format' must be 'text' or 'json', got {session.output_format!r}"
         )
 
+    def pinned(name: str) -> _Pinned:
+        return _Pinned(base / name, root / name)
+
     def named(key):
-        return base / _expect(data, key, path, str) if key in data else None
+        return pinned(_expect(data, key, path, str)) if key in data else None
 
     session.assessment_path = named("assessment")
     session.theory_path = named("theory")
     models = _expect(data, "models", path) if "models" in data else {}
     for name in models:
-        session.model_paths[name] = base / _expect(models, name, f"{path}: models", str)
+        session.model_paths[name] = pinned(_expect(models, name, f"{path}: models", str))
     session.strategies_path = named("strategies")
     if "choice" in data:
         session.choice = _expect(data, "choice", path, str)

@@ -37,10 +37,14 @@ pattern, on a tokenizer that read the text one character at a time.
 The formula renderer's oracle is ``formula_from_valuations`` as it ran
 before the Shannon expansion: an exact search for a cover of at most 4
 prime terms, then a greedy prime cover, then a minterm disjunction.
+``run_cli`` runs one ``credence`` command in this process and returns
+what a shell would see of it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -123,6 +127,46 @@ from credence.model import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+# -- the command line in-process ----------------------------------------------
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr, in the order they were written
+
+
+class _Recorder(io.StringIO):
+    """A stream that also appends each write to ``written``."""
+
+    def __init__(self, written: list[str]):
+        super().__init__()
+        self.written = written
+
+    def write(self, text: str) -> int:
+        self.written.append(text)
+        return super().write(text)
+
+
+def run_cli(*args) -> CliResult:
+    """``credence ARGS`` run in this process: its exit code and what it
+    wrote.  An exception other than the command's exit propagates."""
+    from credence.cli import main
+
+    written = []
+    out, err = _Recorder(written), _Recorder(written)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main([str(a) for a in args], prog_name="credence")
+        except SystemExit as e:
+            code = e.code
+        else:
+            raise AssertionError("the command returned without exiting")
+    return CliResult(code, out.getvalue(), err.getvalue(), "".join(written))
 
 
 # -- library surface that only tests use ------------------------------------

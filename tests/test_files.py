@@ -316,3 +316,26 @@ class TestFirstUseSession:
         session = load_session(tmp_path / "session.json")
         session.theory = Theory.from_texts(session.language, ["p"])
         assert session.theory.generator_texts == ("p",)
+
+    def test_files_are_pinned_where_the_session_was_loaded(self, tmp_path, monkeypatch):
+        """A session loaded by a relative path reads its files from where
+        they were at load time, after a change of directory, and its error
+        messages name them by the relative path."""
+        linda = ROOT / "fixtures" / "linda"
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "assessment.json").write_text((linda / "assessment.json").read_text())
+        (work / "broken.json").write_text("[")
+        (work / "session.json").write_text(json.dumps({
+            "atoms": ["f", "t"], "assessment": "assessment.json",
+            "models": {"bad": "broken.json"},
+        }))
+        monkeypatch.chdir(tmp_path)
+        session = load_session("work/session.json")
+        monkeypatch.chdir(ROOT)
+        got, want = session.assessment, load_assessment(linda / "assessment.json")
+        assert (got.texts, got.numerators, got.denominator) == (
+            want.texts, want.numerators, want.denominator
+        )
+        with pytest.raises(FileFormatError, match=r"^invalid JSON in work/broken\.json: "):
+            session.model("bad")

@@ -15,9 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from credence.cli import main
+from helpers import run_cli
 
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE.parent / "fixtures"
@@ -74,11 +73,9 @@ def run(fmt: str, args: list[str]) -> dict:
     cwd = os.getcwd()
     os.chdir(FIXTURES)
     try:
-        res = CliRunner().invoke(main, ["--format", fmt, *args])
+        res = run_cli("--format", fmt, *args)
     finally:
         os.chdir(cwd)
-    if res.exception is not None and not isinstance(res.exception, SystemExit):
-        raise res.exception
     return {"exit": res.exit_code, "stdout": res.stdout, "stderr": res.stderr}
 
 

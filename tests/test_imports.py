@@ -1,9 +1,9 @@
 """What importing the package loads, each check in a fresh interpreter:
 ``import credence`` loads no submodule, grading a session loads only
 the layers it runs, even when the session names models, a session's
-model and strategies load their layers only when they are read, and every
-name the package exports, resolved on first use, is its home module's
-object."""
+model and strategies load their layers only when they are read, the
+command line loads no ``click``, and every name the package exports,
+resolved on first use, is its home module's object."""
 
 import json
 import os
@@ -51,6 +51,24 @@ def test_grading_loads_only_the_grading_layers(name):
     code = (f"import credence.cli\ns = credence.cli.files.load_session({str(session)!r})\n"
             "s.assessment, s.theory")
     assert loaded_after(code) == GRADE_MODULES
+
+
+def test_the_command_line_loads_no_click():
+    session = FIXTURES / "linda" / "session.json"
+    code = (
+        "import contextlib, io\n"
+        "import credence.cli\n"
+        "def click():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'click')\n"
+        "imported = click()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        credence.cli.main(['check', {str(session)!r}])\n"
+        "    except SystemExit as e:\n"
+        "        code = e.code\n"
+        "print(json.dumps([imported, code, click()]))"
+    )
+    assert fresh(code) == [[], 1, []]
 
 
 def test_loading_a_session_reads_no_model_or_strategy():

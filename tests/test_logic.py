@@ -7,12 +7,10 @@ from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credence import logic
-from credence.cli import main
 from credence.errors import InputError
 from credence.logic import (
     FALSE,
@@ -33,6 +31,7 @@ from credence.identify import _theory_for_valuations
 
 from helpers import (
     formula_depth,
+    run_cli,
     tautological_theory,
     theory_contains,
     truth_table_implies,
@@ -127,10 +126,9 @@ class TestNodes:
         session = Path(__file__).resolve().parent.parent / "fixtures" / "linda" / "session.json"
         gc.collect()
         before = len(logic._table)
-        runner = CliRunner()
         # a kept result would hold the command's traceback, and its formulas
         codes = [
-            runner.invoke(main, [command, str(session), *rest]).exit_code
+            run_cli(command, session, *rest).exit_code
             for command, *rest in (["identify"], ["build", "canonical-sound"], ["check"])
         ]
         assert codes == [1, 0, 1]
@@ -244,7 +242,7 @@ class TestParse:
         (tmp_path / "session.json").write_text(
             json.dumps({"atoms": ["p"], "assessment": "assessment.json"})
         )
-        res = CliRunner().invoke(main, ["check", str(tmp_path / "session.json")])
+        res = run_cli("check", tmp_path / "session.json")
         assert res.exit_code == 2
         assert f"nests more than {logic.MAX_DEPTH} levels deep" in res.output
 
