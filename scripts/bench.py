@@ -11,7 +11,12 @@ For each universe it records ``check_ie``'s best wall time of five runs
 violation and untestable counts, and the best of
 five for writing that IE report with ``credence.cli``'s writer and with
 ``json.dumps(indent=2, sort_keys=True)``, whose bytes the writer must
-reproduce.
+reproduce.  It also times a whole ``check`` report on the universe:
+``credence.cli.main`` run in-process on a session of the universe's
+assessment and a one-generator theory, in JSON, so all six checkers run
+and the report is written to a stdout that keeps it.  That is the best
+of five runs, reading the session's files included, with the report's
+length and a SHA-256 digest, which must match between two commits.
 
 The formula cliffs are ``largest_subtheory`` on 5 and 6 atoms with
 1,024 minimal transversals, each rendered as a candidate theory whose
@@ -107,6 +112,7 @@ Usage: python3 scripts/bench.py OUT.json [BEFORE.json] [--against ROOT]
 """
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
 import json
@@ -134,6 +140,7 @@ from credence import (  # noqa: E402
     largest_subtheory,
     unparse,
 )
+from credence import cli  # noqa: E402
 from credence.cli import _json_text  # noqa: E402
 from credence.construct import (  # noqa: E402
     BuildError,
@@ -155,6 +162,7 @@ from helpers import (  # noqa: E402
 )
 
 SIZES = (64, 128)  # classes picked; the seed of each universe is its size
+UNIVERSE_THEORY = "(p | q)"  # the generator of each universe's s-i theory
 REPEATS = 5
 SUBTHEORY_ATOMS = (5, 6)
 SUBTHEORY_GAPS = 10  # disjoint residual gaps: 2^10 minimal transversals
@@ -239,8 +247,58 @@ def universe(classes: int) -> Assessment:
     return Assessment(lang, {f: random_fraction(rng, 12) for _, f in picked})
 
 
+class _Kept:
+    """A stdout that keeps each text written to it, by reference."""
+
+    def __init__(self):
+        self.texts = []
+
+    def write(self, text: str) -> int:
+        self.texts.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def check_report(session: Path) -> tuple[int, _Kept]:
+    """``credence --format json check SESSION`` in-process: its exit code
+    and what it wrote to stdout."""
+    out = _Kept()
+    with contextlib.redirect_stdout(out):
+        try:
+            cli.main(["--format", "json", "check", str(session)], prog_name="credence")
+        except SystemExit as e:
+            return e.code, out
+    raise SystemExit("the check command returned without exiting")
+
+
+def bench_check_report(a: Assessment) -> dict:
+    """A whole ``check`` report on the assessment and ``UNIVERSE_THEORY``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        pi = {text: str(a.value(f)) for f, text in zip(a.statements, a.texts)}
+        atoms = list(a.language.atoms)
+        (tmp / "assessment.json").write_text(json.dumps({"atoms": atoms, "pi": pi}))
+        (tmp / "theory.json").write_text(json.dumps({"generators": [UNIVERSE_THEORY]}))
+        session = tmp / "session.json"
+        session.write_text(json.dumps({"atoms": atoms, "assessment": "assessment.json",
+                                       "theory": "theory.json"}))
+        best_s, (code, out) = best_of(lambda: check_report(session))
+    written = hashlib.sha256()
+    for text in out.texts:
+        written.update(text.encode())
+    return {
+        "best_s": best_s,
+        "exit": code,
+        "bytes": sum(map(len, out.texts)),
+        "digest": written.hexdigest(),
+    }
+
+
 def bench_universe(classes: int) -> dict:
     a = universe(classes)
+    check_figures = bench_check_report(a)
     ie_s, report = best_of(lambda: check_ie(a))
     payload = {"command": "check", "reports": [report.to_dict()]}
     writer_s, text = best_of(lambda: _json_text(payload))
@@ -264,6 +322,7 @@ def bench_universe(classes: int) -> dict:
             "json_dumps_indent_best_s": dumps_s,
             "identical": identical,
         },
+        "check_report": check_figures,
     }
 
 

@@ -9,18 +9,23 @@ axiom to arithmetic (in)equalities on pi.  All checks are relative to
 the elicited universe: instances that would need a compound statement
 the universe lacks are reported as untestable, never silently passed.
 An assessment holds its values in the format of ``_exact``, as int
-numerators over one denominator, so the checkers compare ints and build
-a ``Fraction`` only for a value they report.
+numerators over one denominator, so the checkers compare ints.  A
+checker records each violation as a row: the indices of the statements
+it names and its two sides as int numerators over that denominator.  A
+report renders a row's sides and requirement as text only for the
+entries it writes, and builds a ``Violation``, with a ``Fraction`` per
+side, only for a caller that reads ``violations`` or ``violation(k)``.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 
-from ._exact import exact, over_one_denominator
+from ._exact import exact, format_ratios, over_one_denominator
 from .errors import InputError
 from .logic import FALSE, TRUE, Formula, Language, Theory, unparse
 
@@ -153,90 +158,158 @@ class Violation:
     rhs: Fraction
     requirement: str
 
-    def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "formulas": list(self.formulas),
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "requirement": self.requirement,
-        }
+
+# The requirement each axiom's violations state: ``{0}``, ``{1}``, ...
+# are the texts of the statements a violation names, ``{rhs}`` its right
+# side.  The fixed text is plain ASCII, no quote and no backslash, so a
+# requirement formatted from JSON-escaped texts is itself JSON-escaped.
+_REQUIREMENTS = {
+    "NT": "pi({0}) = {rhs}",
+    "E": "pi({0}) = pi({1})",
+    "I": "{0} implies {1} so pi({1}) >= pi({0})",
+    "S-I": "{0} implies {1} under the theory so pi({1}) >= pi({0})",
+    "IE": "pi({0}) + even conjunctions >= odd conjunctions",
+    "A": "pi({0}) + pi({1}) = pi({2})",
+}
+# the statements NT's violations name: impossibility and certainty
+_NT_TEXTS = ("F", "T")
 
 
-@dataclass
 class AxiomReport:
-    axiom: str
-    passed: bool
-    violations: list[Violation] = field(default_factory=list)
-    untestable: list[str] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    """One axiom's verdict on an assessment.
+
+    Each violation is held as a row ``(names, lhs, rhs)``: the indices in
+    ``texts`` of the statements it names, in the order its requirement
+    names them, and its two sides as int numerators over
+    ``denominator``.  The rows are sorted by the texts they name, and
+    the report passes exactly when it has none.  ``entries`` renders the
+    rows as strings, and ``violations`` lists them as ``Violation``s,
+    each built when it is read."""
+
+    def __init__(self, axiom: str, rows=(), texts=(), denominator: int = 1,
+                 untestable=(), meta=None):
+        self.axiom = axiom
+        self.rows = list(rows)
+        self.texts = tuple(texts)
+        self.denominator = denominator
+        self.untestable = list(untestable)
+        self.meta = {} if meta is None else meta
+
+    @property
+    def passed(self) -> bool:
+        return not self.rows
+
+    def violation(self, k: int) -> Violation:
+        """The ``k``-th violation, built from its row alone."""
+        names, lhs, rhs = self.rows[k]
+        formulas = tuple(map(self.texts.__getitem__, names))
+        rhs = Fraction(rhs, self.denominator)
+        requirement = _REQUIREMENTS[self.axiom].format(*formulas, rhs=str(rhs))
+        return Violation(self.axiom, formulas, Fraction(lhs, self.denominator), rhs, requirement)
+
+    @property
+    def violations(self) -> Violations:
+        return Violations(self)
+
+    def entries(self, quote=None) -> list[tuple[list[str], str, str, str]]:
+        """Each violation as strings, in order: the texts of the statements
+        it names, its lhs and its rhs in lowest terms, and its
+        requirement.  Each text is passed through ``quote`` first when one
+        is given, once per statement."""
+        rows, den = self.rows, self.denominator
+        texts = self.texts if quote is None else list(map(quote, self.texts))
+        lhs = format_ratios([row[1] for row in rows], den)
+        rhs = format_ratios([row[2] for row in rows], den)
+        template = _REQUIREMENTS[self.axiom].format
+        entries = []
+        for (names, _, _), left, right in zip(rows, lhs, rhs):
+            named = list(map(texts.__getitem__, names))
+            entries.append((named, left, right, template(*named, rhs=right)))
+        return entries
 
     def to_dict(self) -> dict:
         return {
             "axiom": self.axiom,
             "passed": self.passed,
-            "violations": [v.to_dict() for v in self.violations],
+            "violations": [
+                {"axiom": self.axiom, "formulas": formulas, "lhs": lhs, "rhs": rhs,
+                 "requirement": requirement}
+                for formulas, lhs, rhs, requirement in self.entries()
+            ],
             "untestable": list(self.untestable),
             "meta": self.meta,
         }
 
 
-def _report(axiom, violations, untestable=None, meta=None) -> AxiomReport:
-    violations.sort(key=lambda v: v.formulas)
-    untestable = sorted(untestable or [])
-    return AxiomReport(axiom, not violations, violations, untestable, meta or {})
+class Violations(Sequence):
+    """A report's violations as ``Violation``s, each built from its row
+    when it is read; its length is the number of rows, and it equals a
+    list of the same ``Violation``s."""
+
+    def __init__(self, report: AxiomReport):
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(map(self._report.violation, range(len(self))[k]))
+        return self._report.violation(k)
+
+    def __eq__(self, other):
+        if isinstance(other, Violations):
+            other = list(other)
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _report(axiom, rows, texts, denominator, untestable=(), meta=None) -> AxiomReport:
+    """The report of ``rows``, sorted by the texts they name, then by index."""
+    if len(set(texts)) == len(texts):
+        # statement indices follow text order, so index tuples sort as
+        # their texts do; each row names its own tuple
+        rows.sort()
+    else:
+        rows.sort(key=lambda row: ([texts[i] for i in row[0]], row[0]))
+    return AxiomReport(axiom, rows, texts, denominator, sorted(untestable), meta)
 
 
 def check_nt(a: Assessment) -> AxiomReport:
     """Non-Triviality: certainty is valued 1 and impossibility 0; every
     value lies in [0, 1] by construction."""
-    violations = [
-        Violation("NT", (t,), a.value(f), want, f"pi({t}) = {want}")
-        for f, t, want in ((TRUE, "T", ONE), (FALSE, "F", ZERO))
-        if a.value(f) != want
-    ]
-    return _report("NT", violations)
+    rows = []
+    for k, (f, want) in enumerate(((FALSE, 0), (TRUE, a.denominator))):
+        have = a.numerators[a._index[f]]
+        if have != want:
+            rows.append(((k,), have, want))
+    return _report("NT", rows, _NT_TEXTS, a.denominator)
 
 
 def check_e(a: Assessment) -> AxiomReport:
     """Equivalence: logically equivalent statements get equal values."""
-    violations = []
-    sats, num, den, texts = a.sats, a.numerators, a.denominator, a.texts
-    for i, j in itertools.combinations(range(len(sats)), 2):
-        if sats[i] == sats[j] and num[i] != num[j]:
-            violations.append(
-                Violation(
-                    "E",
-                    (texts[i], texts[j]),
-                    Fraction(num[i], den),
-                    Fraction(num[j], den),
-                    f"pi({texts[i]}) = pi({texts[j]})",
-                )
-            )
-    return _report("E", violations)
-
-
-def _reversed_entailments(a: Assessment, axiom: str, valuations: int, under: str):
-    """One violation per statement pair that entails relative to
-    ``valuations`` while the values reverse the entailment."""
-    texts, num, den = a.texts, a.numerators, a.denominator
-    return [
-        Violation(
-            axiom,
-            (texts[i], texts[j]),
-            Fraction(num[i], den),
-            Fraction(num[j], den),
-            f"{texts[i]} implies {texts[j]}{under} so "
-            f"pi({texts[j]}) >= pi({texts[i]})",
-        )
-        for i, j, gap in a.reversals()
-        if gap & valuations == 0
+    sats, num = a.sats, a.numerators
+    rows = [
+        ((i, j), num[i], num[j])
+        for i, j in itertools.combinations(range(len(sats)), 2)
+        if sats[i] == sats[j] and num[i] != num[j]
     ]
+    return _report("E", rows, a.texts, a.denominator)
+
+
+def _reversed_entailments(a: Assessment, valuations: int) -> list:
+    """One row per statement pair that entails relative to ``valuations``
+    while the values reverse the entailment."""
+    num = a.numerators
+    return [((i, j), num[i], num[j]) for i, j, gap in a.reversals() if gap & valuations == 0]
 
 
 def check_i(a: Assessment) -> AxiomReport:
     """Implication: a statement never outvalues one it entails."""
-    return _report("I", _reversed_entailments(a, "I", a.language.full_mask, ""))
+    rows = _reversed_entailments(a, a.language.full_mask)
+    return _report("I", rows, a.texts, a.denominator)
 
 
 def check_ie(a: Assessment) -> AxiomReport:
@@ -254,7 +327,8 @@ def check_ie(a: Assessment) -> AxiomReport:
     logical equivalence (first by text when several qualify, which only
     matters if equivalence is already violated).  A family whose
     conjunction the universe lacks is reported untestable, naming the
-    first missing conjunction by size, then by statement order.
+    first missing conjunction by size, then by statement order.  A
+    violation's row names the consequent, then the family.
 
     Each family ``i < j < k`` is summed once, not once per consequent, in
     the assessment's int numerators over its denominator D: three nested
@@ -266,13 +340,13 @@ def check_ie(a: Assessment) -> AxiomReport:
     bisected only when its least consequent is violated.
     """
     sats, texts = a.sats, a.texts
-    denominator, num = a.denominator, a.numerators
+    num = a.numerators
     # a conjunction's numerator, read from the first statement by text
     num_of = {bits: num[a.index_of(bits)] for bits in sats}
     get = num_of.get
     below: dict[int, tuple[list[int], list[int]]] = {}
     least: dict[int, int | None] = {}  # per union, its least consequent numerator
-    found = []  # (psi, family, even, odd) per violation
+    rows = []
     untestable = []
 
     def consequents(union):
@@ -290,7 +364,7 @@ def check_ie(a: Assessment) -> AxiomReport:
         """Record a testable family's violated consequents."""
         nums, psis = consequents(union)
         for psi in psis[: bisect.bisect_left(nums, odd - even)]:
-            found.append((psi, family, even, odd))
+            rows.append(((psi,) + family, num[psi] + even, odd))
 
     def untested(family, union, missing):
         """List a family under each consequent, naming the first missing
@@ -332,28 +406,15 @@ def check_ie(a: Assessment) -> AxiomReport:
                 if bound is not None and bound < odd_k - even_k:
                     record((i, j, k), union, odd_k, even_k)
 
-    # the order of a scan per consequent; ``_report`` sorts by text, stably,
-    # so this order shows only where statements share a text
-    found.sort(key=lambda v: (v[0], len(v[1]), v[1]))
-    violations = [
-        Violation(
-            "IE",
-            (texts[psi],) + tuple(texts[i] for i in family),
-            Fraction(num[psi] + even, denominator),
-            Fraction(odd, denominator),
-            f"pi({texts[psi]}) + even conjunctions >= odd conjunctions",
-        )
-        for psi, family, even, odd in found
-    ]
-    return _report("IE", violations, untestable, {"n_max": 3})
+    return _report("IE", rows, texts, a.denominator, untestable, {"n_max": 3})
 
 
 def check_a(a: Assessment) -> AxiomReport:
     """Additivity: incompatible statements' values add up to the value of
     their disjunction, whenever the disjunction is assessed."""
-    violations = []
+    rows = []
     untestable = []
-    sats, num, den, texts = a.sats, a.numerators, a.denominator, a.texts
+    sats, num, texts = a.sats, a.numerators, a.texts
     for i, si in enumerate(sats):
         for j in range(i, len(sats)):
             if si & sats[j]:
@@ -363,28 +424,17 @@ def check_a(a: Assessment) -> AxiomReport:
                 untestable.append(
                     f"disjoint pair ({texts[i]}, {texts[j]}): disjunction not assessed"
                 )
-                continue
-            if num[i] + num[j] != num[member]:
-                violations.append(
-                    Violation(
-                        "A",
-                        (texts[i], texts[j], texts[member]),
-                        Fraction(num[i] + num[j], den),
-                        Fraction(num[member], den),
-                        f"pi({texts[i]}) + pi({texts[j]}) = pi({texts[member]})",
-                    )
-                )
-    return _report("A", violations, untestable)
+            elif num[i] + num[j] != num[member]:
+                rows.append(((i, j, member), num[i] + num[j], num[member]))
+    return _report("A", rows, texts, a.denominator, untestable)
 
 
 def check_s_i(a: Assessment, theory: Theory) -> AxiomReport:
     """Theory-relative Implication: entailment modulo the theory's
     statements never reverses the value order."""
-    return _report(
-        "S-I",
-        _reversed_entailments(a, "S-I", theory.valuations, " under the theory"),
-        meta={"theory": list(theory.generator_texts)},
-    )
+    rows = _reversed_entailments(a, theory.valuations)
+    return _report("S-I", rows, a.texts, a.denominator,
+                   meta={"theory": list(theory.generator_texts)})
 
 
 CHECKERS = {

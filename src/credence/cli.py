@@ -10,7 +10,10 @@ the theory; ``build`` the assessment, and the model for
 it does not read.  Exit codes:
 0 = pass/success, 1 = substantive failure (axiom violation, strategy
 not rationalizable, refused build or identification), 2 = input error,
-3 = an internal invariant failed (a bug, never the input's fault).
+3 = an internal invariant failed (a bug, never the input's fault),
+130 = interrupted (Ctrl-C), 141 = the reader closed stdout before the
+report was written (``... | head``), each silently, as a shell reports
+a process that SIGINT or SIGPIPE ended.
 Commands are plain functions that return their exit code and report
 only their verdicts; ``main`` maps every other error to its exit code
 in one place: an ``errors.InputError`` (each module's input error
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -45,6 +49,8 @@ from . import files
 from .errors import InputError, InternalError
 
 PASS, FAIL, BAD_INPUT, INTERNAL = 0, 1, 2, 3
+# the shell's codes for a process ended by SIGPIPE and by SIGINT (128 + signal)
+PIPE_CLOSED, INTERRUPTED = 141, 130
 
 AXIOM_ORDER = ["nt", "e", "i", "ie", "a", "s-i"]
 AXIOM_TITLES = {
@@ -89,6 +95,7 @@ def main(args=None, prog_name=None, standalone_mode=True):
     opts.format = front.output_format
     try:
         code = opts.run(opts)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
     except InputError as e:
         code = _fail(BAD_INPUT, e)
     except InternalError as e:
@@ -103,6 +110,13 @@ def main(args=None, prog_name=None, standalone_mode=True):
             f"an exact value has more than {sys.get_int_max_str_digits()} "
             "decimal digits, more than Python writes as text",
         )
+    except BrokenPipeError:
+        # the reader closed its end: what is left goes to devnull, so the
+        # flush at exit raises nothing (the Python docs' note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = PIPE_CLOSED
+    except KeyboardInterrupt:
+        code = INTERRUPTED
     sys.exit(code)
 
 
@@ -145,9 +159,11 @@ def _parsers(prog: str | None):
 
 def _json_text(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, for
-    dicts with str keys, lists, tuples, str, int, bool and None.  Any other
-    value (a Fraction, a float, a non-string key) is a bug in the report
-    builder, so it is an InternalError."""
+    dicts with str keys, lists, tuples, str, int, bool and None.  A
+    function stands for a value whose text it returns, given the indent
+    of the lines inside it.  Any other value (a Fraction, a float, a
+    non-string key) is a bug in the report builder, so it is an
+    InternalError."""
     chunks = []
     try:
         _write_json(payload, "\n", chunks.append)
@@ -202,6 +218,8 @@ def _write_json(value, indent: str, write) -> None:
         write("true")
     elif value is False:
         write("false")
+    elif callable(value):
+        write(value(indent))
     else:
         write(int.__repr__(value))
 
@@ -241,13 +259,50 @@ def _session(opts, path, theory_path=None, assessment=True) -> files.Session:
     return session
 
 
+def _report_json(report) -> dict:
+    """``report.to_dict()``, with its violations left to be written from
+    its rows by ``_violations_json``."""
+    return {
+        "axiom": report.axiom,
+        "passed": report.passed,
+        "violations": functools.partial(_violations_json, report),
+        "untestable": report.untestable,
+        "meta": report.meta,
+    }
+
+
+def _quote(text: str) -> str:
+    """``text`` JSON-escaped, without its quotes."""
+    return encode_basestring_ascii(text)[1:-1]
+
+
+def _violations_json(report, indent: str) -> str:
+    """``_json_text`` of ``report.to_dict()["violations"]``, each line
+    inside it opened by ``indent``, written from the report's entries: the
+    texts come escaped, so each violation is one format of its strings."""
+    entries = report.entries(_quote)
+    if not entries:
+        return "[]"
+    inner = indent + "  "
+    key = inner + "  "
+    layout = (
+        "{" + key + '"axiom": ' + encode_basestring_ascii(report.axiom)
+        + "," + key + '"formulas": [' + key + '  "%s"' + key + "],"
+        + key + '"lhs": "%s",' + key + '"requirement": "%s",' + key + '"rhs": "%s"'
+        + inner + "}"
+    )
+    names = '",' + key + '  "'
+    return ("[" + inner + ("," + inner).join(
+        [layout % (names.join(formulas), lhs, requirement, rhs)
+         for formulas, lhs, rhs, requirement in entries]) + indent + "]")
+
+
 def _report_lines(report) -> list[str]:
     title = AXIOM_TITLES.get(report.axiom.lower(), report.axiom)
     lines = [f"{title}: {'pass' if report.passed else 'FAIL'}"]
-    for v in report.violations:
-        lines.append(
-            f"  violated: {v.requirement}  [lhs={v.lhs}, rhs={v.rhs}]"
-        )
+    for formulas, lhs, rhs, requirement in report.entries():
+        family = " for family {%s}" % ", ".join(formulas[1:]) if report.axiom == "IE" else ""
+        lines.append(f"  violated: {requirement}{family}  [lhs={lhs}, rhs={rhs}]")
     if report.untestable:
         lines.append(f"  untestable instances: {len(report.untestable)}")
         for u in report.untestable[:10]:
@@ -290,7 +345,7 @@ def check(opts) -> int:
             reports.append(axioms.CHECKERS[w](session.assessment))
     _emit(
         opts,
-        lambda: {"command": "check", "reports": [r.to_dict() for r in reports]},
+        lambda: {"command": "check", "reports": list(map(_report_json, reports))},
         lambda: [line for r in reports for line in _report_lines(r)],
     )
     return PASS if all(r.passed for r in reports) else FAIL

@@ -90,7 +90,7 @@ class BuildOutcome:
 
 def _require(report, axiom: str, what: str):
     if not report.passed:
-        first = report.violations[0]
+        first = report.violation(0)
         raise BuildError(
             f"{what} requires axiom {axiom}; first violation: {first.requirement} "
             f"(lhs={first.lhs}, rhs={first.rhs})",

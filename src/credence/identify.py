@@ -203,7 +203,7 @@ def subtheory_via_certainty(assessment: Assessment, theory: Theory) -> Subtheory
     and any failure is reported, not suppressed."""
     ie_report = check_ie(assessment)
     if not ie_report.passed:
-        first = ie_report.violations[0]
+        first = ie_report.violation(0)
         raise IdentifyError(
             "certainty-based identification needs inclusion/exclusion; "
             f"violated at {first.formulas}: {first.requirement} "

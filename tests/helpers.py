@@ -29,7 +29,12 @@ int numerators.  ``load_session_oracle`` reads every file a session
 names at once, as sessions were read before each file was read on
 first use.
 The JSON report writer's oracle is the json module's sorted,
-two-space-indented encoding that the CLI used before it.  The formula
+two-space-indented encoding that the CLI used before it.  The axiom
+reports' oracle is ``ReportOracle``, a report as it was before it held
+its violations as rows: a sorted list of ``Violation``s with a
+``Fraction`` per side, each written through its own dict, with the NT,
+E and A checkers as they ran on ``Fraction``s, the ``check`` JSON text
+through ``json.dumps`` and the text lines read from the ``Violation``s.  The formula
 oracle is the frozen-dataclass tree that formulas were before they were
 hash-consed, with a parse that builds it and its own unparse and sat.
 ``parse_oracle`` is ``Language.parse`` as it ran before the token
@@ -58,9 +63,7 @@ from pathlib import Path
 from credence._simplex import GameSolution, LpResult, SimplexError
 from credence.assessment import (
     Assessment,
-    AxiomReport,
     Violation,
-    _report,
     check_a,
     check_e,
     check_i,
@@ -607,6 +610,119 @@ def mobius_oracle(states, lam) -> dict[frozenset, Fraction]:
     return out
 
 
+# -- axiom reports as ``Violation`` lists ------------------------------------
+
+
+@dataclass
+class ReportOracle:
+    """An axiom report as it was before it held its violations as rows: a
+    sorted list of ``Violation``s, each written through its own dict."""
+
+    axiom: str
+    passed: bool
+    violations: list[Violation]
+    untestable: list[str]
+    meta: dict
+
+    def to_dict(self) -> dict:
+        return {
+            "axiom": self.axiom,
+            "passed": self.passed,
+            "violations": [violation_dict(v) for v in self.violations],
+            "untestable": list(self.untestable),
+            "meta": self.meta,
+        }
+
+
+def violation_dict(v: Violation) -> dict:
+    return {
+        "axiom": v.axiom,
+        "formulas": list(v.formulas),
+        "lhs": str(v.lhs),
+        "rhs": str(v.rhs),
+        "requirement": v.requirement,
+    }
+
+
+def report_oracle(axiom, violations, untestable=None, meta=None) -> ReportOracle:
+    """The report of ``violations``, sorted stably by the texts they name."""
+    violations.sort(key=lambda v: v.formulas)
+    untestable = sorted(untestable or [])
+    return ReportOracle(axiom, not violations, violations, untestable, meta or {})
+
+
+def check_json_oracle(reports) -> str:
+    """The JSON text of ``check`` on these reports, through their dicts."""
+    return json_text_oracle({"command": "check", "reports": [r.to_dict() for r in reports]})
+
+
+def report_lines_oracle(report) -> list[str]:
+    """The text lines of ``check`` on one report, from its ``Violation``s;
+    an IE violation names its family, the statements after its
+    consequent."""
+    title = {"NT": "Non-Triviality (NT)", "E": "Equivalence (E)", "I": "Implication (I)",
+             "IE": "Inclusion/Exclusion (IE)", "A": "Additivity (A)",
+             "S-I": "Theory Implication (S-I)"}[report.axiom]
+    lines = [f"{title}: {'pass' if report.passed else 'FAIL'}"]
+    for v in report.violations:
+        family = " for family {%s}" % ", ".join(v.formulas[1:]) if v.axiom == "IE" else ""
+        lines.append(f"  violated: {v.requirement}{family}  [lhs={v.lhs}, rhs={v.rhs}]")
+    if report.untestable:
+        lines.append(f"  untestable instances: {len(report.untestable)}")
+        lines.extend(f"    - {u}" for u in report.untestable[:10])
+        if len(report.untestable) > 10:
+            lines.append(f"    ... and {len(report.untestable) - 10} more")
+    return lines
+
+
+def check_nt_oracle(a: Assessment) -> ReportOracle:
+    """Axiom NT as it ran on ``Fraction``s."""
+    violations = [
+        Violation("NT", (t,), a.value(f), want, f"pi({t}) = {want}")
+        for f, t, want in ((TRUE, "T", ONE), (FALSE, "F", ZERO))
+        if a.value(f) != want
+    ]
+    return report_oracle("NT", violations)
+
+
+def check_e_oracle(a: Assessment) -> ReportOracle:
+    """Axiom E's statement-pair loop, on truth tables and ``Fraction``s."""
+    violations = []
+    lang = a.language
+    for f, g in itertools.combinations(a.sorted_formulas(), 2):
+        if truth_table_implies(lang, f, g) and truth_table_implies(lang, g, f):
+            if a.value(f) != a.value(g):
+                violations.append(Violation(
+                    "E", (a.text(f), a.text(g)), a.value(f), a.value(g),
+                    f"pi({a.text(f)}) = pi({a.text(g)})"))
+    return report_oracle("E", violations)
+
+
+def check_a_oracle(a: Assessment) -> ReportOracle:
+    """Axiom A's loop over disjoint pairs, on ``Fraction``s: the
+    disjunction is the first statement by text with the pair's union of
+    valuation sets."""
+    violations = []
+    untestable = []
+    fs = a.sorted_formulas()
+    sats = [a.language.sat(f) for f in fs]
+    for i, f in enumerate(fs):
+        for j in range(i, len(fs)):
+            g = fs[j]
+            if sats[i] & sats[j]:
+                continue
+            union = [h for h, bits in zip(fs, sats) if bits == sats[i] | sats[j]]
+            if not union:
+                untestable.append(
+                    f"disjoint pair ({a.text(f)}, {a.text(g)}): disjunction not assessed")
+            elif a.value(f) + a.value(g) != a.value(union[0]):
+                h = union[0]
+                violations.append(Violation(
+                    "A", (a.text(f), a.text(g), a.text(h)), a.value(f) + a.value(g),
+                    a.value(h), f"pi({a.text(f)}) + pi({a.text(g)}) = pi({a.text(h)})"))
+    return report_oracle("A", violations, untestable)
+
+
 def check_i_oracle(a: Assessment) -> list[Violation]:
     """The statement-pair loop of axiom I, on truth tables."""
     violations = []
@@ -746,7 +862,7 @@ def disjoint_gap_tables(lang: Language, m: int) -> tuple[dict, list]:
     return pi, [unparse(lang.formula_from_valuations(rest))]
 
 
-def check_ie_oracle(a: Assessment, n_max: int = 3) -> AxiomReport:
+def check_ie_oracle(a: Assessment, n_max: int = 3) -> ReportOracle:
     """Axiom IE as ``check_ie`` computed it before the family-once scan:
     for every consequent, every family below it re-enumerated and its
     alternating conjunction sum rebuilt in Fractions."""
@@ -797,7 +913,7 @@ def check_ie_oracle(a: Assessment, n_max: int = 3) -> AxiomReport:
                             f"pi({texts[psi]}) + even conjunctions >= odd conjunctions",
                         )
                     )
-    return _report("IE", violations, untestable, {"n_max": n_max})
+    return report_oracle("IE", violations, untestable, {"n_max": n_max})
 
 
 def inverse_mobius_oracle(masses, states) -> dict[frozenset, Fraction]:

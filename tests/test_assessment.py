@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from credence.assessment import (
     Assessment,
     AssessmentError,
+    AxiomReport,
     Bet,
+    Violation,
     bet_value,
     check_a,
     check_e,
@@ -124,6 +126,49 @@ class TestBets:
         b2 = Bet({PQ.parse("q"): w2, FALSE: 1 - w2}) if w2 < 1 else Bet({PQ.parse("q"): 1})
         mixed = Bet.mix(b1, b2, alpha)
         assert bet_value(a, mixed) == alpha * bet_value(a, b1) + (1 - alpha) * bet_value(a, b2)
+
+
+class TestReportRows:
+    """A report holds each violation as a row of statement indices and
+    int numerators; its ``violations`` build each ``Violation`` when read."""
+
+    def test_rows_name_statements_by_index(self, linda_assessment):
+        r = check_i(linda_assessment)
+        a = linda_assessment
+        (names, lhs, rhs), = r.rows
+        assert [a.texts[i] for i in names] == ["(t & f)", "t"]
+        assert (F(lhs, a.denominator), F(rhs, a.denominator)) == (F(1, 2), F(1, 4))
+        assert r.entries() == [
+            (["(t & f)", "t"], "1/2", "1/4", "(t & f) implies t so pi(t) >= pi((t & f))")
+        ]
+
+    def test_violations_read_like_a_list(self, linda_assessment):
+        r = check_ie(linda_assessment)
+        built = [r.violation(k) for k in range(len(r.rows))]
+        assert len(r.violations) == len(built) == 2
+        assert r.violations == built and built == r.violations
+        assert r.violations == check_ie(linda_assessment).violations
+        assert r.violations != built[:1] and r.violations != tuple(built)
+        assert r.violations[-1] == built[-1] and r.violations[1:] == built[1:]
+        assert list(reversed(r.violations)) == built[::-1]
+        assert repr(r.violations) == repr(built)
+        with pytest.raises(IndexError):
+            r.violations[2]
+
+    def test_a_report_without_rows_passes(self):
+        r = AxiomReport("NT", meta={"k": 1})
+        assert r.passed and not r.violations and r.entries() == []
+        assert r.to_dict() == {"axiom": "NT", "passed": True, "violations": [],
+                               "untestable": [], "meta": {"k": 1}}
+
+    def test_nt_names_the_constants_as_written(self):
+        # the file's own text for T is not what NT's violation names
+        lang = PQ
+        a = Assessment(lang, {TRUE: F(1, 2), FALSE: F(1, 3)}, texts={TRUE: "(T)"})
+        assert check_nt(a).violations == [
+            Violation("NT", ("F",), F(1, 3), F(0), "pi(F) = 0"),
+            Violation("NT", ("T",), F(1, 2), F(1), "pi(T) = 1"),
+        ]
 
 
 class TestNT:

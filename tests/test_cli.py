@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +52,14 @@ class TestCheck:
         assert res.exit_code == 2
         assert "error: unrecognized arguments: --n-max 3" in res.stderr
         assert "Inclusion/Exclusion" not in res.output
+
+    def test_ie_text_names_each_family(self):
+        res = invoke("check", FIXTURES / "linda" / "session.json", "ie")
+        assert res.stdout.splitlines()[1:] == [
+            f"  violated: pi(t) + even conjunctions >= odd conjunctions for family {family}"
+            "  [lhs=1/4, rhs=1/2]"
+            for family in ("{(t & f)}", "{(t & f), F}")
+        ]
 
     def test_json_format_deterministic(self):
         args = ["--format", "json", "check", str(FIXTURES / "voting" / "session.json")]
@@ -406,9 +418,12 @@ class TestInternalErrors:
     @pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, {1: "x"}],
                              ids=["fraction", "float", "int key"])
     def test_unwritable_report_exits_3(self, monkeypatch, value):
+        from credence import assessment
         from credence.assessment import AxiomReport
 
-        monkeypatch.setattr(AxiomReport, "to_dict", lambda report: {"lhs": value})
+        # a checker whose report carries the value where the writer reads it
+        monkeypatch.setitem(assessment.CHECKERS, "nt",
+                            lambda a: AxiomReport("NT", meta={"lhs": value}))
         session = FIXTURES / "linda" / "session.json"
         res = invoke("--format", "json", "check", session, "nt")
         assert res.exit_code == 3
@@ -416,6 +431,64 @@ class TestInternalErrors:
         assert "Traceback" not in res.output
         # the text report never builds the JSON payload
         assert invoke("--format", "text", "check", session, "nt").exit_code == 0
+
+
+class TestInterruptions:
+    """A closed stdout pipe ends the command with exit 141 and a Ctrl-C
+    with exit 130, the shell's codes, and neither prints a traceback."""
+
+    def test_a_reader_that_stops_early(self):
+        # an 82 KB report, more than a pipe holds, so the writer is still
+        # writing when the reader closes its end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "credence.cli", "--format", "json", "build",
+             str(FIXTURES / "voting" / "session.json"), "product"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(HERE.parent / "src")},
+        )
+        assert proc.stdout.read(10) == b'{\n  "certi'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert err == b""
+
+    def test_a_closed_pipe_in_process(self):
+        from credence.cli import main
+
+        class ClosedPipe(io.StringIO):
+            def __init__(self, fd):
+                super().__init__()
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            with contextlib.redirect_stdout(ClosedPipe(write_end)):
+                with pytest.raises(SystemExit) as exit_:
+                    main(["check", str(FIXTURES / "linda" / "session.json")])
+            assert exit_.value.code == 141
+            # the descriptor now writes to the null device, not the pipe
+            assert os.write(write_end, b"x") == 1
+        finally:
+            os.close(write_end)
+
+    def test_ctrl_c(self, monkeypatch):
+        from credence import assessment
+
+        def interrupted(a):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(assessment.CHECKERS, "ie", interrupted)
+        res = invoke("check", FIXTURES / "linda" / "session.json", "nt", "ie")
+        assert res.exit_code == 130
+        assert res.output == ""
 
 
 class TestChoquetAndMobius:

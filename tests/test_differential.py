@@ -9,7 +9,8 @@ integer elimination against its ``Fraction`` row reduction, and of the
 indexed model core and its builders against the frozenset model and
 builders they replaced, of model file loading against the ``Fraction``
 loader it replaced, of the CLI's JSON report writer against the json
-module, and of hash-consed formulas against the frozen-dataclass trees they
+module, of the axiom reports' violation rows against the ``Violation``
+lists, dicts and JSON text they replaced, and of hash-consed formulas against the frozen-dataclass trees they
 replaced, of the token-pattern parser against the parser on the
 character-by-character tokenizer it replaced, and of the formula
 renderer against the exact, greedy and minterm covers it replaced."""
@@ -26,8 +27,16 @@ from hypothesis import strategies as st
 
 from credence import _simplex
 from credence._simplex import maximize, pivot, solve_matrix_game
-from credence.assessment import Assessment, check_i, check_ie, check_nt, check_s_i
-from credence.cli import _json_text
+from credence.assessment import (
+    Assessment,
+    check_a,
+    check_e,
+    check_i,
+    check_ie,
+    check_nt,
+    check_s_i,
+)
+from credence.cli import _json_text, _report_json, _report_lines
 from credence.construct import (
     BuildError,
     build_additive_sound,
@@ -78,7 +87,11 @@ from helpers import (
     build_canonical_sound_oracle,
     build_interval_additive_oracle,
     build_product_oracle,
+    check_a_oracle,
+    check_e_oracle,
     check_i_oracle,
+    check_json_oracle,
+    check_nt_oracle,
     choquet_oracle,
     classify_lambda_oracle,
     classify_truth_oracle,
@@ -110,11 +123,16 @@ from helpers import (
     random_capacity,
     random_fraction,
     random_full_rank_assessment,
+    random_and_closed_universe,
+    random_monotone_assessment,
     rationalizable_oracle,
+    report_lines_oracle,
+    report_oracle,
     solve_matrix_game_oracle,
     transported_vector_oracle,
     truth_table_implies,
     valuation_atoms,
+    violation_dict,
     as_tree,
     tree_parse,
     tree_sat,
@@ -163,7 +181,7 @@ def assessments_and_masks(draw):
 
 
 def dicts(violations):
-    return [v.to_dict() for v in violations]
+    return [violation_dict(v) for v in violations]
 
 
 @given(assessments_and_masks())
@@ -328,6 +346,99 @@ def test_check_ie_matches_the_oracle_on_64_classes():
     assert report.violations == oracle.violations
     assert report.untestable == oracle.untestable
     assert report.meta == oracle.meta
+
+
+# -- axiom reports: violation rows against Violation lists -----------------
+
+
+def report_cases(rng: random.Random):
+    """An assessment on 2-3 atoms and a theory, from one of the random
+    assessments in ``helpers``: a capacity on a sample of the classes (NT,
+    E and I hold), an intersection-closed universe or a full-rank one with
+    values at random, or a sample of the classes with values at random,
+    some restated as ``(f & T)``, and T and F sometimes valued off."""
+    lang = LANGUAGES[rng.choice([2, 3])]
+    classes = CLASSES[len(lang.atoms)]
+    kind = rng.choice(["monotone", "and-closed", "full-rank", "random"])
+    if kind == "monotone":
+        a = random_monotone_assessment(rng, lang, rng.sample(classes, rng.randint(1, 8)))
+    elif kind == "full-rank":
+        a = random_full_rank_assessment(rng, lang)
+    else:
+        if kind == "and-closed":
+            picked = random_and_closed_universe(rng, lang, rng.randint(1, 4))
+        else:
+            picked = rng.sample(classes, rng.randint(1, 8))
+        pi = {}
+        for _, f in picked:
+            if kind == "random" and (f in pi or rng.random() < 0.3):
+                f = And(f, TRUE)
+            pi[f] = random_fraction(rng, 6)
+        if kind == "random" and rng.random() < 0.3:
+            pi[TRUE] = random_fraction(rng, 3)
+            pi[FALSE] = random_fraction(rng, 3)
+        a = Assessment(lang, pi)
+    theory = Theory(lang, [lang.formula_from_valuations(rng.randint(1, lang.full_mask))])
+    return a, theory
+
+
+def assert_reports_match(a: Assessment, theory: Theory) -> list:
+    """Each checker's report against its oracle: its dict, its
+    ``Violation``s, its text lines, and the ``check`` JSON of all six.
+    Returns the reports."""
+    reports = [check(a) for check in (check_nt, check_e, check_i, check_ie, check_a)]
+    reports.append(check_s_i(a, theory))
+    oracles = [
+        check_nt_oracle(a),
+        check_e_oracle(a),
+        report_oracle("I", check_i_oracle(a)),
+        check_ie_oracle(a, 3),
+        check_a_oracle(a),
+        report_oracle("S-I", check_s_i_oracle(a, theory),
+                      meta={"theory": list(theory.generator_texts)}),
+    ]
+    for report, oracle in zip(reports, oracles):
+        assert report.to_dict() == oracle.to_dict()
+        assert report.passed == oracle.passed
+        assert report.violations == oracle.violations
+        assert _report_lines(report) == report_lines_oracle(oracle)
+        if report.rows:
+            assert report.violation(0) == oracle.violations[0]
+    payload = {"command": "check", "reports": list(map(_report_json, reports))}
+    assert _json_text(payload) == check_json_oracle(oracles)
+    return reports
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_reports_match_the_violation_lists(seed):
+    assert_reports_match(*report_cases(random.Random(seed)))
+
+
+def test_report_cases_reach_every_kind_of_listing():
+    """Over 60 seeded cases every checker both passes and fails, and
+    sides that reduce to 0 and to 1 are written."""
+    verdicts, sides = set(), set()
+    for seed in range(60):
+        for report in assert_reports_match(*report_cases(random.Random(seed))):
+            verdicts.add((report.axiom, report.passed))
+            sides.update(side for entry in report.entries() for side in entry[1:3])
+    assert verdicts == {(axiom, passed) for axiom in ("NT", "E", "I", "IE", "A", "S-I")
+                        for passed in (True, False)}
+    assert {"0", "1"} <= sides
+
+
+def test_statements_that_share_a_text_sort_as_the_oracle_does():
+    """Given texts may repeat; rows then sort by their texts, ties by
+    statement order, as the ``Violation`` lists sort stably."""
+    lang = LANGUAGES[2]
+    p, q = Atom("p"), Atom("q")
+    pi = {p: F(1, 2), q: F(1, 3), And(p, q): F(3, 4), And(q, p): F(2, 3), Or(p, q): F(1, 4)}
+    a = Assessment(lang, pi, texts={p: "x", q: "x", And(p, q): "y", And(q, p): "y"})
+    assert len(set(a.texts)) < len(a.texts)
+    reports = assert_reports_match(a, Theory(lang, [p]))
+    ie = reports[3]
+    assert ie.rows != sorted(ie.rows)  # the texts' order is not the statements'
 
 
 # -- rationalizability: affine LP against the materialized maximal model ----
